@@ -3,7 +3,8 @@
 
 Each workload runs in a child process with SCHMIDTKIT_BACKEND fixed, so both
 backends are measured end to end (the numba timing excludes JIT compilation
-by doing one warmup call inside the child).
+by doing one warmup call inside the child). Without numba only the numpy
+timings are printed.
 
 Usage: python benchmarks/bench_backends.py [--quick]
 """
@@ -80,13 +81,31 @@ def run_backend(backend: str, quick: bool) -> list[str]:
     return [line for line in out.stdout.splitlines() if "\t" in line]
 
 
+def have_numba() -> bool:
+    try:
+        import numba  # noqa: F401
+    except ImportError:
+        return False
+    return True
+
+
+def _seconds(t: float | None) -> str:
+    return f"{t:>9.3f}s" if t else f"{'-':>10}"
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--quick", action="store_true", help="smaller workloads")
     args = parser.parse_args()
 
+    backends = ["numpy"]
+    if have_numba():
+        backends.append("numba")
+    else:
+        print("numba is not importable: skipping the numba backend")
+
     rows = {}
-    for backend in ("numpy", "numba"):
+    for backend in backends:
         print(f"running {backend} backend ...", flush=True)
         for line in run_backend(backend, args.quick):
             label, name, dt = line.split("\t")
@@ -96,8 +115,8 @@ def main() -> int:
     print(f"\n{'workload':<{width}}  {'numpy':>10}  {'numba':>10}  {'speedup':>8}")
     for name, times in rows.items():
         np_t, nb_t = times.get("numpy"), times.get("numba")
-        speedup = np_t / nb_t if np_t and nb_t else float("nan")
-        print(f"{name:<{width}}  {np_t:>9.3f}s  {nb_t:>9.3f}s  {speedup:>7.1f}x")
+        speedup = f"{np_t / nb_t:>7.1f}x" if np_t and nb_t else f"{'-':>8}"
+        print(f"{name:<{width}}  {_seconds(np_t)}  {_seconds(nb_t)}  {speedup}")
     return 0
 
 

@@ -179,6 +179,8 @@ def isotropic_sn(n: int, f: float) -> int:
 
     Right-inclusive at F = k/N; everything at or below F = 1/N is separable.
     """
+    if n < 2:
+        raise InvariantViolation(f"isotropic states need N >= 2, got N={n}")
     if not 0.0 <= f <= 1.0:
         raise InvariantViolation(f"fidelity must lie in [0, 1], got {f}")
     k = int(np.ceil(n * f - BOUNDARY_TOL))
@@ -251,6 +253,8 @@ def ensemble_search(
         )
     if m_vectors is None:
         m_vectors = 2 * d_a * d_b
+    if m_vectors < 1:
+        raise InvariantViolation(f"need at least one ansatz vector, got {m_vectors}")
     best = None
     for r in range(restarts):
         rng = np.random.default_rng(seed + r)

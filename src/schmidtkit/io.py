@@ -97,15 +97,30 @@ def matrix_payload(matrix: np.ndarray, idx: BipartiteIndex) -> dict:
     }
 
 
+def _parse_index(payload) -> BipartiteIndex:
+    dims = []
+    for field in ("d_a", "d_b"):
+        try:
+            dims.append(int(payload[field]))
+        except (TypeError, ValueError) as exc:
+            raise InvariantViolation(
+                f"{field} must be an integer, got {payload[field]!r}"
+            ) from exc
+    return BipartiteIndex(*dims)
+
+
 def parse_matrix_payload(payload) -> tuple[np.ndarray, BipartiteIndex]:
     if not isinstance(payload, dict):
         raise InvariantViolation("matrix file must contain a JSON object")
     for field in ("d_a", "d_b", "re", "im"):
         if field not in payload:
             raise InvariantViolation(f"matrix file is missing field {field!r}")
-    idx = BipartiteIndex(int(payload["d_a"]), int(payload["d_b"]))
-    re = np.asarray(payload["re"], dtype=np.float64)
-    im = np.asarray(payload["im"], dtype=np.float64)
+    idx = _parse_index(payload)
+    try:
+        re = np.asarray(payload["re"], dtype=np.float64)
+        im = np.asarray(payload["im"], dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise InvariantViolation(f"matrix blocks are not arrays of numbers: {exc}") from exc
     d = idx.dim
     if re.shape != (d, d) or im.shape != (d, d):
         raise InvariantViolation(
@@ -153,7 +168,7 @@ def ensemble_payload(ens: PureEnsemble) -> dict:
 
 
 def parse_ensemble_payload(payload) -> PureEnsemble:
-    idx = BipartiteIndex(int(payload["d_a"]), int(payload["d_b"]))
+    idx = _parse_index(payload)
     probs = []
     states = []
     for member in payload["members"]:

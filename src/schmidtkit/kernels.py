@@ -1,10 +1,12 @@
 """Hot numeric kernels.
 
-Every function here is array-in / array-out and free of Python objects, so
-the whole module can run JIT-compiled (numba backend) or interpreted on
-plain numpy (fallback backend). The Monte-Carlo twirl additionally has a
+Every function here is array-in / array-out and free of Python objects.
+Those marked ``@jit_kernel`` run JIT-compiled (numba backend) or interpreted
+on plain numpy (fallback backend). The Monte-Carlo twirl additionally has a
 vectorized numpy implementation used when the JIT is disabled; the
-iterative optimizers share one source for both backends.
+iterative optimizers share one source for both backends. The k-positivity
+probe (choi_rows, map_rank_one, _min_eig_pair, probe_descent) is plain
+numpy on either backend: each step is a few small matmuls and one eigh.
 
 Seeding happens in the callers; kernels only consume pre-drawn randomness,
 which keeps results identical across backends.
@@ -70,36 +72,54 @@ def mc_twirl_sum_batched(rho, gin):
 mc_twirl_sum = mc_twirl_sum_loop if USE_NUMBA else mc_twirl_sum_batched
 
 
-@jit_kernel
-def _min_eig_pair(s_op, psi, d):
-    """Min eigenpair of the mapped projector (S acts on row-major vec)."""
-    rho = np.outer(psi, psi.conj())
-    m = (s_op @ rho.reshape(d * d)).reshape(d, d)
+def choi_rows(c4):
+    """Lay out a Choi tensor c4[k, a, l, b] for map_rank_one: [k, a, b, l]
+    reshaped to (N, N^3)."""
+    n = c4.shape[0]
+    return np.ascontiguousarray(c4.transpose(0, 1, 3, 2).reshape(n, n**3))
+
+
+def map_rank_one(c_rows, x):
+    """(1 (x) L)(|x><x|) for |x> = vec(X), from the map's Choi tensor.
+
+    ``c_rows`` is choi_rows(n_in * C) for the map's Choi tensor C[k, a, l, b];
+    X is the N x N amplitude matrix. The result is
+    sum_{k,l} X[i,k] (n_in C)[k,a,l,b] conj(X[j,l]) at [(i,a), (j,b)]: two
+    matmuls and one transpose, O(N^5) flops and O(N^4) memory.
+    """
+    n = x.shape[0]
+    t = (x @ c_rows).reshape(n * n * n, n) @ x.conj().T
+    return t.reshape(n, n, n, n).transpose(0, 1, 3, 2).reshape(n * n, n * n)
+
+
+def _min_eig_pair(c_rows, psi, n):
+    """Min eigenpair of (1 (x) L)(|psi><psi|) and the gap above it."""
+    m = map_rank_one(c_rows, psi.reshape(n, n))
     m = (m + m.conj().T) / 2.0
     w, v = np.linalg.eigh(m)
     return w[0], np.ascontiguousarray(v[:, 0]), w[1] - w[0]
 
 
-@jit_kernel
-def probe_descent(s_op, s_adj, n, k, a0, b0, pert_a, pert_b, max_iters, step0):
+def probe_descent(c_rows, c_adj_rows, n, k, a0, b0, pert_a, pert_b, max_iters, step0):
     """Minimize the smallest eigenvalue of (1 (x) Map)(|Psi><Psi|) over
     Psi = (1/sqrt(k)) sum_n a_n (x) b_n, with A, B column-orthonormal N x k.
 
-    Gradient descent with polar retraction; near-degenerate minimal
-    eigenvalues trigger a small pre-drawn perturbation of the isometries.
-    Returns (best value, A, B).
+    ``c_rows`` and ``c_adj_rows`` are the Choi tensors of the map and of its
+    adjoint in the layout of map_rank_one. Gradient descent with polar
+    retraction; near-degenerate minimal eigenvalues trigger a small
+    pre-drawn perturbation of the isometries. Returns (best value, A, B).
     """
     d = n * n
     sk = np.sqrt(k)
     a = a0.copy()
     b = b0.copy()
     psi = ((a @ b.T) / sk).reshape(d)
-    val, vec, gap = _min_eig_pair(s_op, psi, d)
+    val, vec, gap = _min_eig_pair(c_rows, psi, n)
     eta = step0
     n_pert = pert_a.shape[0]
     used_pert = 0
     for _ in range(max_iters):
-        wmat = (s_adj @ np.outer(vec, vec.conj()).reshape(d * d)).reshape(d, d)
+        wmat = map_rank_one(c_adj_rows, vec.reshape(n, n))
         wmat = (wmat + wmat.conj().T) / 2.0
         g = (wmat @ psi).reshape(n, n)
         ga = (g @ b.conj()) / sk
@@ -109,7 +129,7 @@ def probe_descent(s_op, s_adj, n, k, a0, b0, pert_a, pert_b, max_iters, step0):
             a2 = polar_orthonormalize(a - eta * ga)
             b2 = polar_orthonormalize(b - eta * gb)
             psi2 = ((a2 @ b2.T) / sk).reshape(d)
-            val2, vec2, gap2 = _min_eig_pair(s_op, psi2, d)
+            val2, vec2, gap2 = _min_eig_pair(c_rows, psi2, n)
             if val2 < val - 1e-14:
                 a, b, psi, val, vec, gap = a2, b2, psi2, val2, vec2, gap2
                 eta = min(eta * 1.4, 1e3)
@@ -123,7 +143,7 @@ def probe_descent(s_op, s_adj, n, k, a0, b0, pert_a, pert_b, max_iters, step0):
                 a = polar_orthonormalize(a + 1e-8 * pert_a[used_pert])
                 b = polar_orthonormalize(b + 1e-8 * pert_b[used_pert])
                 psi = ((a @ b.T) / sk).reshape(d)
-                val, vec, gap = _min_eig_pair(s_op, psi, d)
+                val, vec, gap = _min_eig_pair(c_rows, psi, n)
                 used_pert += 1
                 eta = step0
             else:

@@ -56,10 +56,13 @@ def hermiticity_defect(m: np.ndarray) -> float:
 
 
 def hermitize(m: np.ndarray, atol: float = HERMITICITY_ATOL) -> np.ndarray:
-    """Return (M + M^dagger)/2; reject inputs that are not Hermitian within atol."""
+    """Return (M + M^dagger)/2; reject inputs that are not Hermitian within
+    atol or that hold a NaN or infinite entry."""
     m = as_matrix(m)
     if m.shape[0] != m.shape[1]:
         raise InvariantViolation(f"matrix is not square: shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise InvariantViolation("matrix has a NaN or infinite entry")
     defect = hermiticity_defect(m)
     if defect > atol:
         raise InvariantViolation(

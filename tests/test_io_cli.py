@@ -120,6 +120,54 @@ def test_cli_analyze_invalid_exit_code(tmp_path, capsys):
     assert main(["analyze", "--input", str(tmp_path / "missing.json")]) == 2
 
 
+@pytest.mark.parametrize("vectors", ["0", "-1"])
+def test_cli_analyze_rejects_bad_search_vectors(tmp_path, capsys, vectors):
+    path = write_state(tmp_path / "in.json", isotropic(2, 0.3))
+    assert main(["analyze", "--input", path, "--search-upper", "1",
+                 "--search-vectors", vectors]) == 2
+    assert "invalid input" in capsys.readouterr().err
+
+
+def test_cli_isotropic_rejects_bad_n(capsys):
+    assert main(["isotropic", "--n", "0", "--f", "0.5"]) == 2
+    assert "invalid input" in capsys.readouterr().err
+
+
+def test_cli_analyze_rejects_non_integer_dimension(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    io.write_matrix_file(path, isotropic(2, 0.3).matrix, BipartiteIndex(2, 2))
+    payload = json.loads(path.read_text())
+    payload["d_a"] = "x"
+    path.write_text(json.dumps(payload))
+    assert main(["analyze", "--input", str(path)]) == 2
+    assert "d_a" in capsys.readouterr().err
+
+
+def test_cli_analyze_rejects_non_numeric_entries(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    io.write_matrix_file(path, isotropic(2, 0.3).matrix, BipartiteIndex(2, 2))
+    payload = json.loads(path.read_text())
+    payload["re"][1] = ["x", 0, 0]
+    path.write_text(json.dumps(payload))
+    assert main(["analyze", "--input", str(path)]) == 2
+    assert "invalid input" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("part", ["re", "im"])
+@pytest.mark.parametrize("entry", [float("nan"), float("inf"), -float("inf")])
+def test_cli_rejects_non_finite_entries(tmp_path, capsys, part, entry):
+    # json writes these as NaN / Infinity / -Infinity, which json.load reads back.
+    path = tmp_path / "bad.json"
+    io.write_matrix_file(path, isotropic(2, 0.3).matrix, BipartiteIndex(2, 2))
+    payload = json.loads(path.read_text())
+    payload[part][0][1] = entry
+    path.write_text(json.dumps(payload))
+    for argv in (["analyze", "--input", str(path)],
+                 ["probe-map", "--choi", str(path), "--k", "1", "--restarts", "1"]):
+        assert main(argv) == 2
+        assert "NaN or infinite" in capsys.readouterr().err
+
+
 def test_cli_analyze_deterministic_json(tmp_path, capsys):
     path = write_state(tmp_path / "in.json", isotropic(2, F_TIGHT))
     outputs = []

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from schmidtkit import (
     reduction_family,
     transpose_map,
 )
+from schmidtkit.kernels import choi_rows, map_rank_one
 from schmidtkit.states import max_entangled_projector
 
 
@@ -321,6 +324,31 @@ def test_probe_agrees_with_class_small_grid():
             for k in range(1, n + 1):
                 res = kpositivity_probe(lam, k, restarts=4, seed=1)
                 assert res.violation == (k > expected_k)
+
+
+def test_map_rank_one_matches_apply_id_tensor_map():
+    rng = np.random.default_rng(13)
+    for n in range(2, 7):
+        lam = map_from_choi(random_hermitian(n * n, rng), n, n)
+        for m in (lam, adjoint_map(lam)):
+            for _ in range(3):
+                psi = rng.normal(size=n * n) + 1j * rng.normal(size=n * n)
+                psi /= np.linalg.norm(psi)
+                expected = apply_id_tensor_map(m, np.outer(psi, psi.conj()))
+                got = map_rank_one(choi_rows(n * m.choi4()), psi.reshape(n, n))
+                assert np.max(np.abs(got - expected)) < 1e-12
+
+
+def test_probe_memory_has_no_superoperator():
+    # A dense superoperator of 1 (x) L at N=6 would take 27 MB on its own.
+    lam = reduction_family(6, 0.7)
+    tracemalloc.start()
+    try:
+        kpositivity_probe(lam, 2, restarts=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_probe_rejects_bad_rank():

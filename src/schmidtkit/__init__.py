@@ -6,7 +6,6 @@ come from explicit rank-constrained pure-state decompositions found by
 twirling constructions or numerical search.
 """
 
-from ._backend import BACKEND, USE_NUMBA
 from .certify import (
     EnsembleUpper,
     FidelityBound,

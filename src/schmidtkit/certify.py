@@ -241,10 +241,10 @@ def ensemble_search(
     """Search for a rank-<=k decomposition by alternating minimization.
 
     Ansatz vectors start as random sums of k product terms and are
-    re-projected onto Schmidt rank <= k each sweep; weights are refit by
-    simplex-projected least squares. Success requires the Frobenius residual
-    to beat tol and the result to pass verify_decomposition; a failed search
-    proves nothing.
+    re-projected onto Schmidt rank <= k each sweep; weights are refit as the
+    exact least-squares optimum on the probability simplex. Success requires
+    the Frobenius residual to beat tol and the result to pass
+    verify_decomposition; a failed search proves nothing.
     """
     d_a, d_b = rho.idx.d_a, rho.idx.d_b
     if not 1 <= k <= min(d_a, d_b):
@@ -263,7 +263,7 @@ def ensemble_search(
         )
         probs0 = np.full(m_vectors, 1.0 / m_vectors)
         res, probs, psis, _ = kernels.ensemble_alt_min(
-            rho.matrix, d_a, d_b, k, psis0, probs0, max_iters, tol, 200
+            rho.matrix, d_a, d_b, k, psis0, probs0, max_iters, tol
         )
         if best is None or res < best[0]:
             best = (float(res), probs, psis)

@@ -97,6 +97,16 @@ def matrix_payload(matrix: np.ndarray, idx: BipartiteIndex) -> dict:
     }
 
 
+def _require(payload, fields, what: str) -> None:
+    """Raise InvariantViolation unless payload is a JSON object holding
+    every one of fields."""
+    if not isinstance(payload, dict):
+        raise InvariantViolation(f"{what} must contain a JSON object")
+    for field in fields:
+        if field not in payload:
+            raise InvariantViolation(f"{what} is missing field {field!r}")
+
+
 def _parse_index(payload) -> BipartiteIndex:
     dims = []
     for field in ("d_a", "d_b"):
@@ -110,11 +120,7 @@ def _parse_index(payload) -> BipartiteIndex:
 
 
 def parse_matrix_payload(payload) -> tuple[np.ndarray, BipartiteIndex]:
-    if not isinstance(payload, dict):
-        raise InvariantViolation("matrix file must contain a JSON object")
-    for field in ("d_a", "d_b", "re", "im"):
-        if field not in payload:
-            raise InvariantViolation(f"matrix file is missing field {field!r}")
+    _require(payload, ("d_a", "d_b", "re", "im"), "matrix file")
     idx = _parse_index(payload)
     try:
         re = np.asarray(payload["re"], dtype=np.float64)
@@ -126,6 +132,9 @@ def parse_matrix_payload(payload) -> tuple[np.ndarray, BipartiteIndex]:
         raise InvariantViolation(
             f"matrix blocks have shape {re.shape}/{im.shape}, expected ({d}, {d})"
         )
+    # Checked before combining: re + 1j * im warns on an infinite entry.
+    if not (np.isfinite(re).all() and np.isfinite(im).all()):
+        raise InvariantViolation("matrix has a NaN or infinite entry")
     return re + 1j * im, idx
 
 
@@ -168,10 +177,12 @@ def ensemble_payload(ens: PureEnsemble) -> dict:
 
 
 def parse_ensemble_payload(payload) -> PureEnsemble:
+    _require(payload, ("d_a", "d_b", "members"), "ensemble")
     idx = _parse_index(payload)
     probs = []
     states = []
     for member in payload["members"]:
+        _require(member, ("p", "re", "im"), "ensemble member")
         probs.append(float(member["p"]))
         amp = np.asarray(member["re"], dtype=np.float64) + 1j * np.asarray(
             member["im"], dtype=np.float64
@@ -234,8 +245,10 @@ def _certificate_payload(cert) -> dict:
 
 
 def _parse_certificate(payload):
-    kind = payload.get("kind")
+    _require(payload, ("kind",), "certificate")
+    kind = payload["kind"]
     if kind == "map_witness":
+        _require(payload, ("map", "p", "k", "min_eigenvalue"), "map_witness certificate")
         return MapWitness(
             map_kind=payload["map"],
             p=None if payload["p"] is None else float(payload["p"]),
@@ -243,6 +256,8 @@ def _parse_certificate(payload):
             min_eigenvalue=float(payload["min_eigenvalue"]),
         )
     if kind == "fidelity_bound":
+        _require(payload, ("f_hat", "sn_bound", "d_a", "d_b", "psi_re", "psi_im"),
+                 "fidelity_bound certificate")
         idx = BipartiteIndex(int(payload["d_a"]), int(payload["d_b"]))
         amp = np.asarray(payload["psi_re"], dtype=np.float64) + 1j * np.asarray(
             payload["psi_im"], dtype=np.float64
@@ -253,12 +268,14 @@ def _parse_certificate(payload):
             sn_bound=int(payload["sn_bound"]),
         )
     if kind == "ensemble_upper":
+        _require(payload, ("k", "residual", "ensemble"), "ensemble_upper certificate")
         return EnsembleUpper(
             ensemble=parse_ensemble_payload(payload["ensemble"]),
             k=int(payload["k"]),
             residual=float(payload["residual"]),
         )
     if kind == "isotropic_exact":
+        _require(payload, ("n", "f", "k"), "isotropic_exact certificate")
         return IsotropicExact(n=int(payload["n"]), f=float(payload["f"]), k=int(payload["k"]))
     raise InvariantViolation(f"unknown certificate kind {kind!r}")
 
@@ -272,6 +289,7 @@ def report_payload(report: SnReport) -> dict:
 
 
 def parse_report_payload(payload) -> SnReport:
+    _require(payload, ("lower_bound", "upper_bound", "certificates"), "report")
     return SnReport(
         lower_bound=int(payload["lower_bound"]),
         upper_bound=None if payload["upper_bound"] is None else int(payload["upper_bound"]),

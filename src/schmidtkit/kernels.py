@@ -1,75 +1,31 @@
 """Hot numeric kernels.
 
-Every function here is array-in / array-out and free of Python objects.
-Those marked ``@jit_kernel`` run JIT-compiled (numba backend) or interpreted
-on plain numpy (fallback backend). The Monte-Carlo twirl additionally has a
-vectorized numpy implementation used when the JIT is disabled; the
-iterative optimizers share one source for both backends. The k-positivity
-probe (choi_rows, map_rank_one, _min_eig_pair, probe_descent) is plain
-numpy on either backend: each step is a few small matmuls and one eigh.
-
-Seeding happens in the callers; kernels only consume pre-drawn randomness,
-which keeps results identical across backends.
+Every function here is array-in / array-out, free of Python objects, and
+plain numpy. Seeding happens in the callers; kernels only consume pre-drawn
+randomness.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ._backend import USE_NUMBA, jit_kernel
 
-
-@jit_kernel
 def polar_orthonormalize(m):
     """Closest isometry to m (polar factor), via thin SVD."""
     u, s, vh = np.linalg.svd(m, full_matrices=False)
     return np.ascontiguousarray(u @ vh)
 
 
-@jit_kernel
-def ginibre_to_unitary(z):
-    """QR with R-diagonal phase normalization; Haar-distributed for Ginibre z."""
-    q, r = np.linalg.qr(z)
-    n = r.shape[0]
-    for j in range(n):
-        d = r[j, j]
-        ph = d / abs(d)
-        for i in range(n):
-            q[i, j] = q[i, j] * ph
-    return q
-
-
-@jit_kernel
-def mc_twirl_sum_loop(rho, gin):
-    """Sum of (U (x) U*) rho (U (x) U*)^dagger over the Ginibre batch gin."""
-    ns = gin.shape[0]
-    n = gin.shape[1]
-    d = n * n
-    acc = np.zeros((d, d), dtype=np.complex128)
-    w = np.empty((d, d), dtype=np.complex128)
-    for s in range(ns):
-        u = ginibre_to_unitary(gin[s])
-        uc = u.conj()
-        for i in range(n):
-            for k in range(n):
-                for j in range(n):
-                    for l in range(n):
-                        w[i * n + k, j * n + l] = u[i, j] * uc[k, l]
-        acc += w @ rho @ w.conj().T
-    return acc
-
-
-def mc_twirl_sum_batched(rho, gin):
-    """Vectorized equivalent of mc_twirl_sum_loop."""
+def mc_twirl_sum(rho, gin):
+    """Sum of (U (x) U*) rho (U (x) U*)^dagger over the unitaries U of the
+    Ginibre batch gin (QR with the phases of R's diagonal divided out, which
+    is Haar-distributed)."""
     q, r = np.linalg.qr(gin)
     diag = np.einsum("sjj->sj", r)
     u = q * (diag / np.abs(diag))[:, None, :]
     ns, n, _ = u.shape
     w = (u[:, :, None, :, None] * u.conj()[:, None, :, None, :]).reshape(ns, n * n, n * n)
     return np.einsum("sab,bc,sdc->ad", w, rho, w.conj(), optimize=True)
-
-
-mc_twirl_sum = mc_twirl_sum_loop if USE_NUMBA else mc_twirl_sum_batched
 
 
 def choi_rows(c4):
@@ -151,12 +107,10 @@ def probe_descent(c_rows, c_adj_rows, n, k, a0, b0, pert_a, pert_b, max_iters, s
     return val, a, b
 
 
-@jit_kernel
 def _psi_of_unitary(u, n):
     return (np.ascontiguousarray(u.T) / np.sqrt(n)).reshape(n * n)
 
 
-@jit_kernel
 def fidelity_ascent(rho, n, u0, max_iters, ftol):
     """Maximize <Psi_U| rho |Psi_U> over unitaries, Psi_U = (1 (x) U)|Psi+>.
 
@@ -187,50 +141,93 @@ def fidelity_ascent(rho, n, u0, max_iters, ftol):
     return val, u
 
 
-@jit_kernel
 def simplex_project(v):
     """Euclidean projection onto the probability simplex."""
     n = v.shape[0]
     u = np.sort(v)[::-1]
     css = np.cumsum(u)
-    rho = 0
-    for j in range(n):
-        if u[j] + (1.0 - css[j]) / (j + 1) > 0.0:
-            rho = j
-    tau = (1.0 - css[rho]) / (rho + 1)
-    out = v + tau
-    for j in range(n):
-        if out[j] < 0.0:
-            out[j] = 0.0
-    return out
+    hits = np.flatnonzero(u + (1.0 - css) / np.arange(1, n + 1) > 0.0)
+    rho = hits[-1] if hits.size else 0
+    out = v + (1.0 - css[rho]) / (rho + 1)
+    # np.where rather than np.maximum: a -0.0 entry stays -0.0.
+    return np.where(out < 0.0, 0.0, out)
 
 
-@jit_kernel
+def simplex_qp(gram, bvec, p0):
+    """Minimize 1/2 p^T G p - b^T p over the probability simplex.
+
+    Primal active-set method from the feasible start p0, whose zero entries
+    start fixed at zero. Each step solves the KKT system of the free
+    entries, at most m+1 unknowns, with lstsq (a singular G is fine: the
+    minimum-norm step has no component along G's null space). A step that
+    would drive a free entry negative stops there and fixes that entry;
+    otherwise the free set is optimal and the fixed entry with the most
+    negative multiplier is freed, or, if there is none below -1e-12, p is
+    optimal. The iteration cap only guards against cycling under rounding.
+    simplex_project on the free entries removes the rounding left in the
+    sum, and fixed entries stay exactly zero for the next warm start.
+    """
+    m = gram.shape[0]
+    p = p0.copy()
+    free = p > 0.0
+    freed = -1
+    for _ in range(10 * m + 10):
+        f = np.flatnonzero(free)
+        nf = f.size
+        gff = gram[np.ix_(f, f)]
+        kkt = np.zeros((nf + 1, nf + 1))
+        kkt[:nf, :nf] = gff
+        kkt[:nf, nf] = -1.0
+        kkt[nf, :nf] = 1.0
+        rhs = np.append(bvec[f] - gff @ p[f], 0.0)
+        sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
+        d, nu = sol[:nf], sol[nf]
+        down = np.flatnonzero(d < 0.0)
+        ratios = p[f[down]] / -d[down]
+        if ratios.size and ratios.min() < 1.0:
+            t = np.argmin(ratios)
+            blocking = f[down[t]]
+            if blocking == freed and ratios[t] <= 0.0:
+                # Its multiplier was negative only by rounding.
+                break
+            p[f] += ratios[t] * d
+            p[blocking] = 0.0
+            free[blocking] = False
+            continue
+        p[f] += d
+        fixed = np.flatnonzero(~free)
+        if not fixed.size:
+            break
+        mu = gram[fixed][:, f] @ p[f] - bvec[fixed] - nu
+        t = np.argmin(mu)
+        if mu[t] >= -1e-12:
+            break
+        freed = fixed[t]
+        free[freed] = True
+    p[free] = simplex_project(p[free])
+    return p
+
+
 def _truncate_rank(psi, d_a, d_b, k):
     """Project a vector onto Schmidt rank <= k and renormalize."""
-    x = psi.reshape(d_a, d_b)
-    u, s, vh = np.linalg.svd(x, full_matrices=False)
-    r = min(k, s.shape[0])
-    y = np.zeros((d_a, d_b), dtype=np.complex128)
-    for t in range(r):
-        y += s[t] * np.outer(np.ascontiguousarray(u[:, t]), np.ascontiguousarray(vh[t, :]))
-    out = y.reshape(d_a * d_b)
-    return out / np.linalg.norm(out)
+    u, s, vh = np.linalg.svd(psi.reshape(d_a, d_b), full_matrices=False)
+    s = s[:k]
+    return ((u[:, :k] * (s / np.sqrt(s @ s))) @ vh[:k]).reshape(d_a * d_b)
 
 
-@jit_kernel
 def _mixture_of(probs, psis):
     pw = psis * probs.reshape(-1, 1).astype(np.complex128)
     return pw.T @ psis.conj()
 
 
-@jit_kernel
-def ensemble_alt_min(rho, d_a, d_b, k, psis0, probs0, max_iters, tol, weight_iters):
+def ensemble_alt_min(rho, d_a, d_b, k, psis0, probs0, max_iters, tol):
     """Alternating minimization of || rho - sum_i p_i |psi_i><psi_i| ||_F.
 
     Vector sweep: each ansatz vector is replaced by the dominant eigenvector
     of its residual target and re-projected onto Schmidt rank <= k.
-    Weight step: projected gradient on the probability simplex.
+    Weight step: the exact least-squares weights on the probability simplex
+    for the new vectors (simplex_qp, warm-started from the last weights), so
+    it never raises the residual.
     Returns (residual, probs, psis, sweeps_used).
     """
     m = psis0.shape[0]
@@ -245,19 +242,17 @@ def ensemble_alt_min(rho, d_a, d_b, k, psis0, probs0, max_iters, tol, weight_ite
         sweeps = it + 1
         for i in range(m):
             pi = probs[i]
-            old = np.ascontiguousarray(psis[i])
-            t = delta + pi * np.outer(old, old.conj())
+            old = np.outer(psis[i], psis[i].conj())
+            t = delta + pi * old
             t = (t + t.conj().T) / 2.0
             w, v = np.linalg.eigh(t)
-            cand = _truncate_rank(np.ascontiguousarray(v[:, d - 1]), d_a, d_b, k)
-            delta += pi * (np.outer(old, old.conj()) - np.outer(cand, cand.conj()))
+            cand = _truncate_rank(v[:, d - 1], d_a, d_b, k)
+            delta += pi * (old - np.outer(cand, cand.conj()))
             psis[i] = cand
         gram = np.abs(psis @ psis.conj().T) ** 2
         tmp = psis.conj() @ rho
         bvec = np.sum((tmp * psis).real, axis=1)
-        lip = np.linalg.eigvalsh(gram)[m - 1] + 1e-12
-        for _ in range(weight_iters):
-            probs = simplex_project(probs - (gram @ probs - bvec) / lip)
+        probs = simplex_qp(gram, bvec, probs)
         delta = rho - _mixture_of(probs, psis)
         res = np.sqrt(np.sum(np.abs(delta) ** 2))
         if res < best - 1e-13:

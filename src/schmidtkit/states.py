@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,8 @@ class PureBipartiteState:
                 f"amplitude vector has length {amp.size}, expected {self.idx.dim}"
             )
         nrm = float(np.linalg.norm(amp))
+        if not math.isfinite(nrm):
+            raise InvariantViolation("amplitude vector has a NaN or infinite entry")
         if abs(nrm - 1.0) > NORM_ATOL:
             raise InvariantViolation(
                 f"state norm deviates from 1 by {abs(nrm - 1.0):.3e} > {NORM_ATOL:.1e}"

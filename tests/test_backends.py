@@ -1,44 +1,27 @@
-import os
-import subprocess
-import sys
+"""Tests of the numpy kernels in schmidtkit.kernels."""
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from schmidtkit import BACKEND, kernels
-
-
-def _numba_importable():
-    # Found independently of schmidtkit, so the selection rule is checked
-    # against the environment rather than against the program's own flag.
-    try:
-        import numba  # noqa: F401
-    except ImportError:
-        return False
-    return True
-
-
-def test_backend_is_numba_by_default():
-    # The documented rule: ``auto`` (the default) takes numba when it is
-    # importable and numpy otherwise; ``numba`` and ``numpy`` force a backend.
-    # The value is normalized exactly as ``schmidtkit._backend`` reads it.
-    choice = os.environ.get("SCHMIDTKIT_BACKEND", "auto").strip().lower()
-    if choice == "auto":
-        expected = "numba" if _numba_importable() else "numpy"
-    else:
-        expected = choice
-    assert BACKEND == expected
+from schmidtkit import kernels
 
 
 def test_mc_kernel_variants_agree():
+    # The batched kernel against a per-sample sum written out here.
     rng = np.random.default_rng(50)
     n = 3
     x = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
     rho = x @ x.conj().T
     rho /= np.trace(rho).real
     gin = (rng.normal(size=(64, n, n)) + 1j * rng.normal(size=(64, n, n))) / np.sqrt(2)
-    loop = kernels.mc_twirl_sum_loop(rho, gin)
-    batched = kernels.mc_twirl_sum_batched(rho, gin)
-    assert np.allclose(loop, batched, atol=1e-12)
+    reference = np.zeros((9, 9), dtype=np.complex128)
+    for z in gin:
+        q, r = np.linalg.qr(z)
+        u = q * (np.diag(r) / np.abs(np.diag(r)))
+        w = np.kron(u, u.conj())
+        reference += w @ rho @ w.conj().T
+    assert np.allclose(kernels.mc_twirl_sum(rho, gin), reference, atol=1e-12)
 
 
 def test_simplex_project_reference():
@@ -62,6 +45,48 @@ def test_simplex_project_reference():
         assert np.allclose(got, reference(v), atol=1e-8)
 
 
+def test_simplex_project_matches_loop():
+    # The loop form the vectorized projection replaced; same arithmetic, so
+    # the outputs must agree bit for bit, signed zeros included.
+    def loop(v):
+        n = v.shape[0]
+        u = np.sort(v)[::-1]
+        css = np.cumsum(u)
+        rho = 0
+        for j in range(n):
+            if u[j] + (1.0 - css[j]) / (j + 1) > 0.0:
+                rho = j
+        out = v + (1.0 - css[rho]) / (rho + 1)
+        for j in range(n):
+            if out[j] < 0.0:
+                out[j] = 0.0
+        return out
+
+    rng = np.random.default_rng(53)
+    for trial in range(300):
+        v = rng.normal(size=rng.integers(1, 40)) * rng.uniform(1e-3, 10)
+        if trial % 2:
+            v = np.round(v, 1)  # ties in the sort
+        v[rng.integers(v.size)] = -0.0
+        assert kernels.simplex_project(v).tobytes() == loop(v).tobytes()
+
+
+def test_truncate_rank_matches_loop():
+    def loop(psi, d_a, d_b, k):
+        u, s, vh = np.linalg.svd(psi.reshape(d_a, d_b), full_matrices=False)
+        y = np.zeros((d_a, d_b), dtype=np.complex128)
+        for t in range(min(k, s.shape[0])):
+            y += s[t] * np.outer(u[:, t], vh[t, :])
+        out = y.reshape(d_a * d_b)
+        return out / np.linalg.norm(out)
+
+    rng = np.random.default_rng(54)
+    for d_a, d_b, k in [(2, 2, 1), (2, 3, 2), (4, 4, 2), (3, 5, 3), (4, 2, 4)]:
+        psi = rng.normal(size=d_a * d_b) + 1j * rng.normal(size=d_a * d_b)
+        got = kernels._truncate_rank(psi, d_a, d_b, k)
+        assert np.allclose(got, loop(psi, d_a, d_b, k), atol=1e-14)
+
+
 def test_polar_orthonormalize():
     rng = np.random.default_rng(52)
     m = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
@@ -69,68 +94,50 @@ def test_polar_orthonormalize():
     assert np.allclose(q.conj().T @ q, np.eye(2), atol=1e-12)
 
 
-def test_numpy_backend_subprocess():
-    script = (
-        "import numpy as np\n"
-        "import schmidtkit as sk\n"
-        "assert sk.BACKEND == 'numpy'\n"
-        "res = sk.kpositivity_probe(sk.reduction_family(3, 0.6), 2, restarts=3, seed=0)\n"
-        "assert res.violation and abs(res.min_eigenvalue + 0.1) < 1e-6\n"
-        "tw = sk.twirl_mc(sk.isotropic(2, 0.4), 2000, seed=1)\n"
-        "assert np.linalg.norm(tw.matrix - sk.isotropic(2, 0.4).matrix) < 1e-12\n"
-        "fb = sk.fidelity_max(sk.isotropic(2, 0.7), restarts=4, seed=0)\n"
-        "assert abs(fb.f_hat - 0.7) < 1e-6\n"
-        "print('numpy backend ok')\n"
-    )
-    env = dict(os.environ, SCHMIDTKIT_BACKEND="numpy")
-    proc = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert "numpy backend ok" in proc.stdout
+def _projected_gradient(gram, bvec, p, iters=200):
+    """The fixed-step weight loop the exact refit replaced."""
+    lip = np.linalg.eigvalsh(gram)[-1] + 1e-12
+    for _ in range(iters):
+        p = kernels.simplex_project(p - (gram @ p - bvec) / lip)
+    return p
 
 
-def _run_without_numba(script, backend=None):
-    """Run ``script`` in a child Python in which ``import numba`` fails."""
-    env = dict(os.environ)
-    env.pop("SCHMIDTKIT_BACKEND", None)
-    if backend is not None:
-        env["SCHMIDTKIT_BACKEND"] = backend
-    prelude = "import sys\nsys.modules['numba'] = None\n"
-    return subprocess.run(
-        [sys.executable, "-c", prelude + script],
-        env=env,
-        capture_output=True,
-        text=True,
-    )
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(2, 6),
+    m=st.integers(1, 24),
+    copies=st.integers(0, 3),
+)
+def test_simplex_qp_is_optimal(seed, d, m, copies):
+    # G and b as ensemble_alt_min builds them: G is the Gram matrix of the
+    # projectors |psi_i><psi_i|, b_i = <psi_i|rho|psi_i>. Duplicated members
+    # make G singular.
+    rng = np.random.default_rng(seed)
+    psis = rng.normal(size=(m, d)) + 1j * rng.normal(size=(m, d))
+    for _ in range(copies):
+        psis[rng.integers(m)] = psis[rng.integers(m)]
+    psis /= np.linalg.norm(psis, axis=1, keepdims=True)
+    x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    rho = x @ x.conj().T
+    rho /= np.trace(rho).real
+    gram = np.abs(psis @ psis.conj().T) ** 2
+    bvec = np.sum(((psis.conj() @ rho) * psis).real, axis=1)
+    p0 = kernels.simplex_project(rng.normal(size=m))
 
+    p = kernels.simplex_qp(gram, bvec, p0)
 
-def test_auto_backend_falls_back_without_numba_subprocess():
-    script = (
-        "import warnings\n"
-        "with warnings.catch_warnings(record=True) as caught:\n"
-        "    warnings.simplefilter('always')\n"
-        "    import schmidtkit as sk\n"
-        "assert sk.BACKEND == 'numpy' and not sk.USE_NUMBA, sk.BACKEND\n"
-        "msgs = [str(w.message) for w in caught if w.category is UserWarning]\n"
-        "assert any('numba unavailable' in m for m in msgs), msgs\n"
-        "print('numpy fallback ok')\n"
-    )
-    proc = _run_without_numba(script)
-    assert proc.returncode == 0, proc.stderr
-    assert "numpy fallback ok" in proc.stdout
+    assert abs(p.sum() - 1.0) <= 1e-12
+    assert np.all(p >= 0.0)
+    # KKT with multiplier nu = min_i g_i for the sum constraint: every
+    # g_i - nu >= 0 holds by construction; complementary slackness
+    # p_i (g_i - nu) = 0 and stationarity on the support are checked.
+    g = gram @ p - bvec
+    nu = g.min()
+    assert np.all(p * (g - nu) <= 1e-10)
+    assert np.all(g[p > 1e-6] - nu <= 1e-10)
 
+    def objective(q):
+        return 0.5 * q @ gram @ q - bvec @ q
 
-def test_numba_backend_requires_numba_subprocess():
-    script = (
-        "try:\n"
-        "    import schmidtkit\n"
-        "except ImportError as exc:\n"
-        "    assert 'numba is not importable' in str(exc), exc\n"
-        "    print('import error ok')\n"
-        "else:\n"
-        "    raise SystemExit('schmidtkit imported without numba')\n"
-    )
-    proc = _run_without_numba(script, backend="numba")
-    assert proc.returncode == 0, proc.stderr + proc.stdout
-    assert "import error ok" in proc.stdout
+    assert objective(p) <= objective(_projected_gradient(gram, bvec, p0)) + 1e-14

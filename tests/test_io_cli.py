@@ -7,11 +7,11 @@ import pytest
 
 from helpers import random_density
 from schmidtkit import io
-from schmidtkit.certify import verify_report
+from schmidtkit.certify import analyze, verify_report
 from schmidtkit.cli import main
 from schmidtkit.linalg import BipartiteIndex, InvariantViolation
-from schmidtkit.states import isotropic, tensor_copies
-from schmidtkit.twirl import two_copy_construction
+from schmidtkit.states import isotropic, max_entangled, tensor_copies
+from schmidtkit.twirl import PureEnsemble, two_copy_construction
 
 F_TIGHT = 1 / np.sqrt(2)
 
@@ -62,6 +62,56 @@ def test_ensemble_file_round_trip(tmp_path):
     assert len(loaded.states) == len(ensemble.states)
     assert np.array_equal(loaded.probs, ensemble.probs)
     assert np.array_equal(loaded.states[17].amplitudes, ensemble.states[17].amplitudes)
+
+
+def _ensemble_file_with(tmp_path, edit):
+    # No command reads an ensemble file, so the readers are called directly;
+    # the CLI turns their InvariantViolation into exit code 2, "invalid input".
+    path = tmp_path / "ens.json"
+    io.write_ensemble_file(path, PureEnsemble(np.ones(1), (max_entangled(2),)))
+    payload = json.loads(path.read_text())
+    edit(payload)
+    path.write_text(json.dumps(payload))
+    return path
+
+
+@pytest.mark.parametrize("entry", [float("nan"), float("inf")])
+def test_ensemble_file_rejects_non_finite_amplitude(tmp_path, entry):
+    def edit(payload):
+        payload["members"][0]["re"][0] = entry
+
+    with pytest.raises(InvariantViolation, match="NaN or infinite"):
+        io.read_ensemble_file(_ensemble_file_with(tmp_path, edit))
+
+
+@pytest.mark.parametrize("edit", [
+    lambda payload: payload.pop("d_b"),
+    lambda payload: payload.pop("members"),
+    lambda payload: payload["members"][0].pop("p"),
+    lambda payload: payload["members"][0].pop("im"),
+    lambda payload: payload.__setitem__("members", [1.0]),
+    lambda payload: [payload.pop(key) for key in ("d_b", "members")],  # {"d_a": 2}
+])
+def test_ensemble_file_rejects_missing_fields(tmp_path, edit):
+    with pytest.raises(InvariantViolation):
+        io.read_ensemble_file(_ensemble_file_with(tmp_path, edit))
+
+
+@pytest.mark.parametrize("drop", [
+    ("lower_bound",), ("certificates",), ("certificates", 0, "kind"),
+    ("certificates", 0, "k"), ("certificates", 1, "min_eigenvalue"),
+])
+def test_report_file_rejects_missing_fields(tmp_path, drop):
+    path = tmp_path / "report.json"
+    io.write_report_file(path, analyze(isotropic(2, 0.8), restarts=2, seed=0))
+    payload = json.loads(path.read_text())
+    target = payload
+    for key in drop[:-1]:
+        target = target[key]
+    del target[drop[-1]]
+    path.write_text(json.dumps(payload))
+    with pytest.raises(InvariantViolation, match="missing field"):
+        io.read_report_file(path)
 
 
 def test_report_round_trip_and_reverify(tmp_path):
@@ -153,6 +203,7 @@ def test_cli_analyze_rejects_non_numeric_entries(tmp_path, capsys):
     assert "invalid input" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("part", ["re", "im"])
 @pytest.mark.parametrize("entry", [float("nan"), float("inf"), -float("inf")])
 def test_cli_rejects_non_finite_entries(tmp_path, capsys, part, entry):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
+from . import io, kernels
 from .linalg import BipartiteIndex, InvariantViolation, min_eigenvalue
 from .maps import (
     NEGATIVITY_THRESHOLD,
@@ -32,12 +32,15 @@ from .twirl import (
     PureEnsemble,
     clifford_ensemble_qubit,
     fidelity_with_max_entangled,
+    haar_unitary,
     twirl_exact,
     twirl_pure_ensemble,
 )
 
 BOUNDARY_TOL = 1e-12
 FIDELITY_BOUND_SLACK = 1e-9
+ISOTROPIC_DETECTION_TOL = 1e-12
+VERIFY_ATOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -51,6 +54,45 @@ class MapWitness:
 
     kind = "map_witness"
 
+    def __post_init__(self):
+        if self.map_kind not in ("reduction", "transpose"):
+            raise InvariantViolation(f"unknown witness map {self.map_kind!r}")
+        if (self.map_kind != "transpose") == (self.p is None):
+            raise InvariantViolation(f"{self.map_kind} witness with p={self.p!r}")
+
+    def verify(self, rho: DensityMatrix, atol: float = VERIFY_ATOL) -> bool:
+        n = rho.idx.d_b
+        if self.p is None:
+            lam, k_positive = transpose_map(n), 1
+        else:
+            lam = reduction_family(n, self.p)
+            k_positive = lambda_p_class(n, self.p).k_positive_up_to
+        if self.k > k_positive:
+            return False
+        lo = min_eigenvalue(apply_id_tensor_map(lam, rho))
+        return abs(lo - self.min_eigenvalue) <= atol and lo < NEGATIVITY_THRESHOLD
+
+    def to_payload(self) -> dict:
+        return {"kind": self.kind, "map": self.map_kind, "p": self.p, "k": self.k,
+                "min_eigenvalue": self.min_eigenvalue}
+
+    @classmethod
+    def from_payload(cls, payload) -> MapWitness:
+        io._require(payload, ("map", "p", "k", "min_eigenvalue"), "map_witness certificate")
+        return cls(
+            map_kind=payload["map"],
+            p=None if payload["p"] is None else io._parse_number(payload, "p"),
+            k=io._parse_number(payload, "k", int),
+            min_eigenvalue=io._parse_number(payload, "min_eigenvalue"),
+        )
+
+    def describe(self) -> str:
+        label = "transpose map" if self.p is None else "reduction map p=%.6g" % self.p
+        return f"witness[{label}, k={self.k}]: min eigenvalue {self.min_eigenvalue:.6e}"
+
+    def bounds(self) -> tuple[int, int | None]:
+        return self.k + 1, None
+
 
 @dataclass(frozen=True)
 class FidelityBound:
@@ -61,6 +103,41 @@ class FidelityBound:
     sn_bound: int
 
     kind = "fidelity_bound"
+
+    def verify(self, rho: DensityMatrix, atol: float = VERIFY_ATOL) -> bool:
+        amp = self.state.amplitudes
+        achieved = float((amp.conj() @ rho.matrix @ amp).real)
+        if abs(achieved - self.f_hat) > atol:
+            return False
+        n = self.state.idx.d_a
+        x = self.state.amplitude_matrix() * np.sqrt(n)
+        if float(np.max(np.abs(x.conj().T @ x - np.eye(n)))) > 1e-8:
+            return False
+        return self.sn_bound == fidelity_to_sn_bound(self.f_hat, n)
+
+    def to_payload(self) -> dict:
+        amp, idx = self.state.amplitudes, self.state.idx
+        return {"kind": self.kind, "f_hat": self.f_hat, "sn_bound": self.sn_bound,
+                "d_a": idx.d_a, "d_b": idx.d_b,
+                "psi_re": amp.real.tolist(), "psi_im": amp.imag.tolist()}
+
+    @classmethod
+    def from_payload(cls, payload) -> FidelityBound:
+        io._require(payload, ("f_hat", "sn_bound", "d_a", "d_b", "psi_re", "psi_im"),
+                    "fidelity_bound certificate")
+        idx = io._parse_index(payload)
+        amp = io._parse_blocks(payload, "psi_re", "psi_im", (idx.dim,))
+        return cls(
+            f_hat=io._parse_number(payload, "f_hat"),
+            state=PureBipartiteState(amp, idx),
+            sn_bound=io._parse_number(payload, "sn_bound", int),
+        )
+
+    def describe(self) -> str:
+        return f"fidelity bound: f_hat={self.f_hat:.12g} -> SN >= {self.sn_bound}"
+
+    def bounds(self) -> tuple[int, int | None]:
+        return self.sn_bound, None
 
 
 @dataclass(frozen=True)
@@ -73,6 +150,30 @@ class EnsembleUpper:
 
     kind = "ensemble_upper"
 
+    def verify(self, rho: DensityMatrix, atol: float = VERIFY_ATOL) -> bool:
+        tol = max(self.residual * (1.0 + 1e-6), 1e-11)
+        return verify_decomposition(self.ensemble, rho, self.k, tol)
+
+    def to_payload(self) -> dict:
+        return {"kind": self.kind, "k": self.k, "residual": self.residual,
+                "ensemble": io.ensemble_payload(self.ensemble)}
+
+    @classmethod
+    def from_payload(cls, payload) -> EnsembleUpper:
+        io._require(payload, ("k", "residual", "ensemble"), "ensemble_upper certificate")
+        return cls(
+            ensemble=io.parse_ensemble_payload(payload["ensemble"]),
+            k=io._parse_number(payload, "k", int),
+            residual=io._parse_number(payload, "residual"),
+        )
+
+    def describe(self) -> str:
+        return (f"ensemble upper: rank <= {self.k}, "
+                f"{len(self.ensemble.states)} members, residual {self.residual:.3e}")
+
+    def bounds(self) -> tuple[int, int | None]:
+        return 1, self.k
+
 
 @dataclass(frozen=True)
 class IsotropicExact:
@@ -84,19 +185,85 @@ class IsotropicExact:
 
     kind = "isotropic_exact"
 
+    def verify(self, rho: DensityMatrix, atol: float = VERIFY_ATOL) -> bool:
+        if rho.idx.d_a != rho.idx.d_b or rho.idx.d_a != self.n:
+            return False
+        if abs(fidelity_with_max_entangled(rho) - self.f) > atol:
+            return False
+        if float(np.linalg.norm(rho.matrix - twirl_exact(rho).matrix)) > ISOTROPIC_DETECTION_TOL:
+            return False
+        return self.k == isotropic_sn(self.n, self.f)
+
+    def to_payload(self) -> dict:
+        return {"kind": self.kind, "n": self.n, "f": self.f, "k": self.k}
+
+    @classmethod
+    def from_payload(cls, payload) -> IsotropicExact:
+        io._require(payload, ("n", "f", "k"), "isotropic_exact certificate")
+        return cls(
+            n=io._parse_number(payload, "n", int),
+            f=io._parse_number(payload, "f"),
+            k=io._parse_number(payload, "k", int),
+        )
+
+    def describe(self) -> str:
+        return f"isotropic state: N={self.n}, F={self.f:.12g}, SN = {self.k} exactly"
+
+    def bounds(self) -> tuple[int, int | None]:
+        return self.k, self.k
+
+
+# Adding a certificate kind means adding its class here and nowhere else.
+CERTIFICATES = {c.kind: c for c in (MapWitness, FidelityBound, EnsembleUpper, IsotropicExact)}
+
+
+def proven_bounds(certificates) -> tuple[int, int | None]:
+    """The Schmidt-number bounds the certificates prove together: the largest
+    lower bound (at least 1) and the smallest upper bound (None if none)."""
+    bounds = [c.bounds() for c in certificates]
+    lower = max([1] + [lo for lo, _ in bounds])
+    upper = min([up for _, up in bounds if up is not None], default=None)
+    if upper is not None and lower > upper:
+        raise InvariantViolation(f"inconsistent bounds: lower {lower} > upper {upper}")
+    return lower, upper
+
 
 @dataclass(frozen=True)
 class SnReport:
+    """Schmidt-number bounds with their certificates; the stated bounds must
+    be exactly proven_bounds(certificates)."""
+
     lower_bound: int
     upper_bound: int | None
     certificates: tuple
 
     def __post_init__(self):
-        if self.upper_bound is not None and self.lower_bound > self.upper_bound:
-            raise InvariantViolation(
-                f"inconsistent bounds: lower {self.lower_bound} > upper {self.upper_bound}"
-            )
         object.__setattr__(self, "certificates", tuple(self.certificates))
+        proven = proven_bounds(self.certificates)
+        if (self.lower_bound, self.upper_bound) != proven:
+            raise InvariantViolation(f"stated bounds {(self.lower_bound, self.upper_bound)} "
+                                     f"differ from the bounds {proven} the certificates prove")
+
+    def to_payload(self) -> dict:
+        return {"lower_bound": self.lower_bound, "upper_bound": self.upper_bound,
+                "certificates": [c.to_payload() for c in self.certificates]}
+
+    @classmethod
+    def from_payload(cls, payload) -> SnReport:
+        io._require(payload, ("lower_bound", "upper_bound", "certificates"), "report")
+        certificates = []
+        for cert in payload["certificates"]:
+            io._require(cert, ("kind",), "certificate")
+            cert_class = CERTIFICATES.get(str(cert["kind"]))
+            if cert_class is None:
+                raise InvariantViolation(f"unknown certificate kind {cert['kind']!r}")
+            certificates.append(cert_class.from_payload(cert))
+        upper = payload["upper_bound"]
+        return cls(
+            lower_bound=io._parse_number(payload, "lower_bound", int),
+            upper_bound=None if upper is None else io._parse_number(payload, "upper_bound", int),
+            certificates=certificates,
+        )
 
 
 def sn_lower_via_map(rho: DensityMatrix, k: int) -> MapWitness | None:
@@ -144,11 +311,7 @@ def fidelity_max(
             f"fidelity ascent needs d_a == d_b, got ({rho.idx.d_a}, {rho.idx.d_b})"
         )
     starts = [np.eye(n, dtype=np.complex128)]
-    for r in range(max(restarts - 1, 0)):
-        rng = np.random.default_rng(seed + r)
-        z = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) / np.sqrt(2)
-        q, rr = np.linalg.qr(z)
-        starts.append(q * (np.diag(rr) / np.abs(np.diag(rr))))
+    starts += [haar_unitary(n, seed + r) for r in range(max(restarts - 1, 0))]
     best_val = -np.inf
     best_u = starts[0]
     for u0 in starts:
@@ -181,7 +344,7 @@ def isotropic_sn(n: int, f: float) -> int:
     """
     if n < 2:
         raise InvariantViolation(f"isotropic states need N >= 2, got N={n}")
-    if not 0.0 <= f <= 1.0:
+    if not -BOUNDARY_TOL <= f <= 1.0 + BOUNDARY_TOL:
         raise InvariantViolation(f"fidelity must lie in [0, 1], got {f}")
     k = int(np.ceil(n * f - BOUNDARY_TOL))
     return min(max(k, 1), n)
@@ -308,9 +471,6 @@ def verify_decomposition(
     return dist < tol
 
 
-ISOTROPIC_DETECTION_TOL = 1e-12
-
-
 def analyze(
     rho: DensityMatrix,
     search_upper: int | None = None,
@@ -329,90 +489,29 @@ def analyze(
     rank-<=k decomposition search supplies the upper bound.
     """
     certificates = []
-    lower = 1
-    upper = None
-
     n = rho.idx.d_a
     square = rho.idx.d_a == rho.idx.d_b and n >= 2
     if square:
         f = fidelity_with_max_entangled(rho)
         if float(np.linalg.norm(rho.matrix - twirl_exact(rho).matrix)) <= ISOTROPIC_DETECTION_TOL:
-            k_iso = isotropic_sn(n, f)
-            certificates.append(IsotropicExact(n=n, f=f, k=k_iso))
-            lower = max(lower, k_iso)
-            upper = k_iso
-
+            certificates.append(IsotropicExact(n=n, f=f, k=isotropic_sn(n, f)))
     if rho.idx.d_b >= 2:
-        w = peres_witness(rho)
-        if w is not None:
-            certificates.append(w)
-            lower = max(lower, 2)
-
+        certificates.append(peres_witness(rho))
     if square:
-        for k in range(1, n):
-            cert = sn_lower_via_map(rho, k)
-            if cert is not None:
-                certificates.append(cert)
-                lower = max(lower, k + 1)
-        fb = fidelity_max(rho, restarts=restarts, seed=seed)
-        certificates.append(fb)
-        lower = max(lower, fb.sn_bound)
-
+        certificates += [sn_lower_via_map(rho, k) for k in range(1, n)]
+        certificates.append(fidelity_max(rho, restarts=restarts, seed=seed))
     if search_upper is not None:
-        found = ensemble_search(
-            rho,
-            search_upper,
-            m_vectors=search_m_vectors,
-            restarts=search_restarts,
-            max_iters=search_max_iters,
-            tol=search_tol,
-            seed=seed,
-        )
-        if found is not None:
-            certificates.append(found)
-            upper = found.k if upper is None else min(upper, found.k)
-
-    return SnReport(lower_bound=lower, upper_bound=upper, certificates=tuple(certificates))
+        certificates.append(ensemble_search(
+            rho, search_upper, m_vectors=search_m_vectors, restarts=search_restarts,
+            max_iters=search_max_iters, tol=search_tol, seed=seed,
+        ))
+    certificates = tuple(c for c in certificates if c is not None)
+    return SnReport(*proven_bounds(certificates), certificates)
 
 
-def verify_certificate(cert, rho: DensityMatrix, atol: float = 1e-10) -> bool:
+def verify_certificate(cert, rho: DensityMatrix, atol: float = VERIFY_ATOL) -> bool:
     """Recompute a certificate's numeric evidence against rho."""
-    if cert.kind == "map_witness":
-        if cert.map_kind == "reduction":
-            lam = reduction_family(rho.idx.d_b, cert.p)
-            if lambda_p_class(rho.idx.d_b, cert.p).k_positive_up_to < cert.k:
-                return False
-        elif cert.map_kind == "transpose":
-            lam = transpose_map(rho.idx.d_b)
-            if cert.k != 1:
-                return False
-        else:
-            return False
-        lo = min_eigenvalue(apply_id_tensor_map(lam, rho))
-        return abs(lo - cert.min_eigenvalue) <= atol and lo < NEGATIVITY_THRESHOLD
-    if cert.kind == "fidelity_bound":
-        amp = cert.state.amplitudes
-        achieved = float((amp.conj() @ rho.matrix @ amp).real)
-        if abs(achieved - cert.f_hat) > atol:
-            return False
-        n = cert.state.idx.d_a
-        x = cert.state.amplitude_matrix() * np.sqrt(n)
-        if float(np.max(np.abs(x.conj().T @ x - np.eye(n)))) > 1e-8:
-            return False
-        return cert.sn_bound == fidelity_to_sn_bound(cert.f_hat, n)
-    if cert.kind == "ensemble_upper":
-        tol = max(cert.residual * (1.0 + 1e-6), 1e-11)
-        return verify_decomposition(cert.ensemble, rho, cert.k, tol)
-    if cert.kind == "isotropic_exact":
-        if rho.idx.d_a != rho.idx.d_b or rho.idx.d_a != cert.n:
-            return False
-        f = fidelity_with_max_entangled(rho)
-        if abs(f - cert.f) > atol:
-            return False
-        if float(np.linalg.norm(rho.matrix - twirl_exact(rho).matrix)) > ISOTROPIC_DETECTION_TOL:
-            return False
-        return cert.k == isotropic_sn(cert.n, cert.f)
-    return False
+    return cert.verify(rho, atol)
 
 
 def verify_report(report: SnReport, rho: DensityMatrix) -> bool:

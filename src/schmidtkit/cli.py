@@ -110,7 +110,7 @@ def _cmd_analyze(args) -> int:
         seed=seed,
         search_m_vectors=args.search_vectors,
     )
-    text = io.dumps(io.report_payload(report))
+    text = io.dumps(report.to_payload())
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -121,16 +121,7 @@ def _cmd_analyze(args) -> int:
         print(f"schmidt number lower bound: {report.lower_bound}")
         print(f"schmidt number upper bound: {upper}")
         for cert in report.certificates:
-            if cert.kind == "map_witness":
-                label = "reduction map p=%.6g" % cert.p if cert.p is not None else "transpose map"
-                print(f"  witness[{label}, k={cert.k}]: min eigenvalue {cert.min_eigenvalue:.6e}")
-            elif cert.kind == "fidelity_bound":
-                print(f"  fidelity bound: f_hat={cert.f_hat:.12g} -> SN >= {cert.sn_bound}")
-            elif cert.kind == "ensemble_upper":
-                print(f"  ensemble upper: rank <= {cert.k}, "
-                      f"{len(cert.ensemble.states)} members, residual {cert.residual:.3e}")
-            elif cert.kind == "isotropic_exact":
-                print(f"  isotropic state: N={cert.n}, F={cert.f:.12g}, SN = {cert.k} exactly")
+            print(f"  {cert.describe()}")
     return EXIT_OK
 
 

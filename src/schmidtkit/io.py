@@ -3,6 +3,8 @@
 Floats are serialized with 17 significant decimal digits, which round-trips
 IEEE-754 doubles exactly, so writing and re-reading a matrix reproduces the
 binary entries bit for bit and repeated runs produce byte-identical files.
+The certificate classes in certify build their own payloads and parse them
+with the field parsers here, which raise InvariantViolation on bad input.
 """
 
 from __future__ import annotations
@@ -12,13 +14,6 @@ import math
 
 import numpy as np
 
-from .certify import (
-    EnsembleUpper,
-    FidelityBound,
-    IsotropicExact,
-    MapWitness,
-    SnReport,
-)
 from .linalg import BipartiteIndex, InvariantViolation
 from .states import DensityMatrix, PureBipartiteState
 from .twirl import PureEnsemble
@@ -89,12 +84,7 @@ def _scalar(v) -> str:
 
 def matrix_payload(matrix: np.ndarray, idx: BipartiteIndex) -> dict:
     m = np.asarray(matrix, dtype=np.complex128)
-    return {
-        "d_a": idx.d_a,
-        "d_b": idx.d_b,
-        "re": [[float(x) for x in row] for row in m.real],
-        "im": [[float(x) for x in row] for row in m.imag],
-    }
+    return {"d_a": idx.d_a, "d_b": idx.d_b, "re": m.real.tolist(), "im": m.imag.tolist()}
 
 
 def _require(payload, fields, what: str) -> None:
@@ -107,35 +97,56 @@ def _require(payload, fields, what: str) -> None:
             raise InvariantViolation(f"{what} is missing field {field!r}")
 
 
+def _parse_number(payload, field: str, cast=float):
+    """payload[field] as a finite float, or as an int with cast=int."""
+    value = payload[field]
+    kinds = int if cast is int else (int, float)
+    if (isinstance(value, bool) or not isinstance(value, kinds)
+            or (isinstance(value, float) and not math.isfinite(value))):
+        expected = "an integer" if cast is int else "a finite number"
+        raise InvariantViolation(f"{field} must be {expected}, got {value!r}")
+    return cast(value)
+
+
 def _parse_index(payload) -> BipartiteIndex:
-    dims = []
-    for field in ("d_a", "d_b"):
-        try:
-            dims.append(int(payload[field]))
-        except (TypeError, ValueError) as exc:
-            raise InvariantViolation(
-                f"{field} must be an integer, got {payload[field]!r}"
-            ) from exc
-    return BipartiteIndex(*dims)
+    return BipartiteIndex(_parse_number(payload, "d_a", int), _parse_number(payload, "d_b", int))
+
+
+def _parse_blocks(payload, re_field: str, im_field: str, shape: tuple) -> np.ndarray:
+    """payload[re_field] + 1j * payload[im_field]; both blocks must be arrays
+    of finite numbers of the given shape."""
+    try:
+        re = np.asarray(payload[re_field], dtype=np.float64)
+        im = np.asarray(payload[im_field], dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise InvariantViolation(f"{re_field}/{im_field} are not arrays of numbers: {exc}") from exc
+    if re.shape != shape or im.shape != shape:
+        raise InvariantViolation(f"{re_field}/{im_field} have shape {re.shape}/{im.shape}, "
+                                 f"expected {shape}")
+    # Checked before combining: re + 1j * im warns on an infinite entry.
+    if not (np.isfinite(re).all() and np.isfinite(im).all()):
+        raise InvariantViolation(f"{re_field}/{im_field} have a NaN or infinite entry")
+    return re + 1j * im
+
+
+def loads(text: str):
+    """Parse JSON text. The "-0" that dumps writes for -0.0 reads back as
+    -0.0, not as the integer 0, so negative zeros round-trip too."""
+    try:
+        return json.loads(text, parse_int=lambda s: -0.0 if s == "-0" else int(s))
+    except json.JSONDecodeError as exc:
+        raise InvariantViolation(f"malformed JSON: {exc}") from exc
+
+
+def _load_json(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        return loads(fh.read())
 
 
 def parse_matrix_payload(payload) -> tuple[np.ndarray, BipartiteIndex]:
     _require(payload, ("d_a", "d_b", "re", "im"), "matrix file")
     idx = _parse_index(payload)
-    try:
-        re = np.asarray(payload["re"], dtype=np.float64)
-        im = np.asarray(payload["im"], dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise InvariantViolation(f"matrix blocks are not arrays of numbers: {exc}") from exc
-    d = idx.dim
-    if re.shape != (d, d) or im.shape != (d, d):
-        raise InvariantViolation(
-            f"matrix blocks have shape {re.shape}/{im.shape}, expected ({d}, {d})"
-        )
-    # Checked before combining: re + 1j * im warns on an infinite entry.
-    if not (np.isfinite(re).all() and np.isfinite(im).all()):
-        raise InvariantViolation("matrix has a NaN or infinite entry")
-    return re + 1j * im, idx
+    return _parse_blocks(payload, "re", "im", (idx.dim, idx.dim)), idx
 
 
 def write_matrix_file(path, matrix: np.ndarray, idx: BipartiteIndex) -> None:
@@ -147,12 +158,7 @@ def read_matrix_file(path, raw: bool = False):
     """Load a matrix file. By default the content must be a valid density
     matrix; with raw=True any (Hermitian or not) matrix is returned as
     (matrix, idx)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InvariantViolation(f"malformed JSON: {exc}") from exc
-    matrix, idx = parse_matrix_payload(payload)
+    matrix, idx = parse_matrix_payload(_load_json(path))
     if raw:
         return matrix, idx
     return DensityMatrix(matrix, idx)
@@ -162,18 +168,9 @@ def read_matrix_file(path, raw: bool = False):
 
 
 def ensemble_payload(ens: PureEnsemble) -> dict:
-    return {
-        "d_a": ens.idx.d_a,
-        "d_b": ens.idx.d_b,
-        "members": [
-            {
-                "p": float(p),
-                "re": [float(x) for x in st.amplitudes.real],
-                "im": [float(x) for x in st.amplitudes.imag],
-            }
-            for p, st in zip(ens.probs, ens.states)
-        ],
-    }
+    members = [{"p": p, "re": st.amplitudes.real.tolist(), "im": st.amplitudes.imag.tolist()}
+               for p, st in zip(ens.probs.tolist(), ens.states)]
+    return {"d_a": ens.idx.d_a, "d_b": ens.idx.d_b, "members": members}
 
 
 def parse_ensemble_payload(payload) -> PureEnsemble:
@@ -183,11 +180,8 @@ def parse_ensemble_payload(payload) -> PureEnsemble:
     states = []
     for member in payload["members"]:
         _require(member, ("p", "re", "im"), "ensemble member")
-        probs.append(float(member["p"]))
-        amp = np.asarray(member["re"], dtype=np.float64) + 1j * np.asarray(
-            member["im"], dtype=np.float64
-        )
-        states.append(PureBipartiteState(amp, idx))
+        probs.append(_parse_number(member, "p"))
+        states.append(PureBipartiteState(_parse_blocks(member, "re", "im", (idx.dim,)), idx))
     return PureEnsemble(np.asarray(probs), tuple(states))
 
 
@@ -197,115 +191,18 @@ def write_ensemble_file(path, ens: PureEnsemble) -> None:
 
 
 def read_ensemble_file(path) -> PureEnsemble:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InvariantViolation(f"malformed JSON: {exc}") from exc
-    return parse_ensemble_payload(payload)
+    return parse_ensemble_payload(_load_json(path))
 
 
 # ------------------------------------------------------------------ reports
 
 
-def _certificate_payload(cert) -> dict:
-    if cert.kind == "map_witness":
-        return {
-            "kind": "map_witness",
-            "map": cert.map_kind,
-            "p": None if cert.p is None else float(cert.p),
-            "k": cert.k,
-            "min_eigenvalue": float(cert.min_eigenvalue),
-        }
-    if cert.kind == "fidelity_bound":
-        return {
-            "kind": "fidelity_bound",
-            "f_hat": float(cert.f_hat),
-            "sn_bound": cert.sn_bound,
-            "d_a": cert.state.idx.d_a,
-            "d_b": cert.state.idx.d_b,
-            "psi_re": [float(x) for x in cert.state.amplitudes.real],
-            "psi_im": [float(x) for x in cert.state.amplitudes.imag],
-        }
-    if cert.kind == "ensemble_upper":
-        return {
-            "kind": "ensemble_upper",
-            "k": cert.k,
-            "residual": float(cert.residual),
-            "ensemble": ensemble_payload(cert.ensemble),
-        }
-    if cert.kind == "isotropic_exact":
-        return {
-            "kind": "isotropic_exact",
-            "n": cert.n,
-            "f": float(cert.f),
-            "k": cert.k,
-        }
-    raise InvariantViolation(f"unknown certificate kind {cert.kind!r}")
-
-
-def _parse_certificate(payload):
-    _require(payload, ("kind",), "certificate")
-    kind = payload["kind"]
-    if kind == "map_witness":
-        _require(payload, ("map", "p", "k", "min_eigenvalue"), "map_witness certificate")
-        return MapWitness(
-            map_kind=payload["map"],
-            p=None if payload["p"] is None else float(payload["p"]),
-            k=int(payload["k"]),
-            min_eigenvalue=float(payload["min_eigenvalue"]),
-        )
-    if kind == "fidelity_bound":
-        _require(payload, ("f_hat", "sn_bound", "d_a", "d_b", "psi_re", "psi_im"),
-                 "fidelity_bound certificate")
-        idx = BipartiteIndex(int(payload["d_a"]), int(payload["d_b"]))
-        amp = np.asarray(payload["psi_re"], dtype=np.float64) + 1j * np.asarray(
-            payload["psi_im"], dtype=np.float64
-        )
-        return FidelityBound(
-            f_hat=float(payload["f_hat"]),
-            state=PureBipartiteState(amp, idx),
-            sn_bound=int(payload["sn_bound"]),
-        )
-    if kind == "ensemble_upper":
-        _require(payload, ("k", "residual", "ensemble"), "ensemble_upper certificate")
-        return EnsembleUpper(
-            ensemble=parse_ensemble_payload(payload["ensemble"]),
-            k=int(payload["k"]),
-            residual=float(payload["residual"]),
-        )
-    if kind == "isotropic_exact":
-        _require(payload, ("n", "f", "k"), "isotropic_exact certificate")
-        return IsotropicExact(n=int(payload["n"]), f=float(payload["f"]), k=int(payload["k"]))
-    raise InvariantViolation(f"unknown certificate kind {kind!r}")
-
-
-def report_payload(report: SnReport) -> dict:
-    return {
-        "lower_bound": report.lower_bound,
-        "upper_bound": report.upper_bound,
-        "certificates": [_certificate_payload(c) for c in report.certificates],
-    }
-
-
-def parse_report_payload(payload) -> SnReport:
-    _require(payload, ("lower_bound", "upper_bound", "certificates"), "report")
-    return SnReport(
-        lower_bound=int(payload["lower_bound"]),
-        upper_bound=None if payload["upper_bound"] is None else int(payload["upper_bound"]),
-        certificates=tuple(_parse_certificate(c) for c in payload["certificates"]),
-    )
-
-
-def write_report_file(path, report: SnReport) -> None:
+def write_report_file(path, report) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(report_payload(report)))
+        fh.write(dumps(report.to_payload()))
 
 
-def read_report_file(path) -> SnReport:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InvariantViolation(f"malformed JSON: {exc}") from exc
-    return parse_report_payload(payload)
+def read_report_file(path):
+    from .certify import SnReport  # certify imports this module at load time
+
+    return SnReport.from_payload(_load_json(path))

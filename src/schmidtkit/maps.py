@@ -147,8 +147,7 @@ def lambda_p_class(n: int, p: float) -> PositivityClass:
     """
     if not 0.0 < p <= 1.0:
         raise InvariantViolation(f"need 0 < p <= 1, got {p}")
-    k = int(np.floor(1.0 / p + 1e-12))
-    k = min(k, n)
+    k = int(np.floor(min(1.0 / p, n) + 1e-12))
     return PositivityClass(k_positive_up_to=k, completely_positive=k >= n)
 
 

@@ -299,3 +299,18 @@ def test_report_rejects_inconsistent_bounds():
 
     with pytest.raises(InvariantViolation):
         SnReport(lower_bound=3, upper_bound=2, certificates=())
+
+
+def test_report_rejects_unbacked_bounds():
+    from schmidtkit import SnReport
+
+    rho = random_separable(2, 2, 4, np.random.default_rng(42))
+    with pytest.raises(InvariantViolation, match="differ"):
+        verify_report(SnReport(lower_bound=2, upper_bound=None, certificates=()), rho)
+
+
+def test_analyze_isotropic_endpoints():
+    # The measured fidelity of these states lies a rounding error outside [0, 1].
+    for f, sn in ((0.0, 1), (1.0, 3)):
+        rep = analyze(isotropic(3, f), restarts=2, seed=0)
+        assert (rep.lower_bound, rep.upper_bound) == (sn, sn)

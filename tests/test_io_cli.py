@@ -1,13 +1,14 @@
 import json
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from helpers import random_density
+from helpers import random_density, random_separable
 from schmidtkit import io
-from schmidtkit.certify import analyze, verify_report
+from schmidtkit.certify import MapWitness, analyze, verify_report
 from schmidtkit.cli import main
 from schmidtkit.linalg import BipartiteIndex, InvariantViolation
 from schmidtkit.states import isotropic, max_entangled, tensor_copies
@@ -30,6 +31,13 @@ def test_format_float_round_trip():
         assert float(io.format_float(x)) == x
     with pytest.raises(InvariantViolation):
         io.format_float(float("nan"))
+
+
+def test_negative_zero_round_trips():
+    text = io.dumps({"x": -0.0, "ys": [0.0, -0.0, -0.5]})
+    back = io.loads(text)
+    assert [np.copysign(1.0, v) for v in [back["x"], *back["ys"]]] == [-1.0, 1.0, -1.0, -1.0]
+    assert io.dumps(back) == text
 
 
 def test_matrix_file_round_trip_exact(tmp_path):
@@ -112,6 +120,60 @@ def test_report_file_rejects_missing_fields(tmp_path, drop):
     path.write_text(json.dumps(payload))
     with pytest.raises(InvariantViolation, match="missing field"):
         io.read_report_file(path)
+
+
+def _report_file_with(tmp_path, edit, rho=None):
+    path = tmp_path / "report.json"
+    io.write_report_file(path, analyze(isotropic(2, 0.8) if rho is None else rho, restarts=2, seed=0))
+    payload = json.loads(path.read_text())
+    edit(payload)
+    path.write_text(json.dumps(payload))
+    return path
+
+
+def _certificate(payload, **fields):
+    return next(c for c in payload["certificates"]
+                if all(c.get(key) == value for key, value in fields.items()))
+
+
+@pytest.mark.parametrize("reader, make, edit", [
+    (io.read_ensemble_file, _ensemble_file_with,
+     lambda payload: payload["members"][0].__setitem__("p", "x")),
+    (io.read_ensemble_file, _ensemble_file_with,
+     lambda payload: payload["members"][0].__setitem__("re", ["x", 0, 0, 0])),
+    (io.read_report_file, _report_file_with,
+     lambda payload: payload.__setitem__("lower_bound", "x")),
+    (io.read_report_file, _report_file_with,
+     lambda payload: _certificate(payload, kind="isotropic_exact").__setitem__("n", "x")),
+    (io.read_report_file, _report_file_with,
+     lambda payload: _certificate(payload, kind="fidelity_bound").__setitem__("d_a", "x")),
+])
+def test_readers_reject_non_numeric_values(tmp_path, reader, make, edit):
+    with pytest.raises(InvariantViolation):
+        reader(make(tmp_path, edit))
+
+
+def test_report_file_rejects_unbacked_bound(tmp_path):
+    rho = random_separable(2, 2, 4, np.random.default_rng(42))
+
+    def raise_lower(payload):
+        assert (payload["lower_bound"], payload["upper_bound"]) == (1, None)
+        payload["lower_bound"] = 2
+
+    with pytest.raises(InvariantViolation, match="differ"):
+        io.read_report_file(_report_file_with(tmp_path, raise_lower, rho))
+
+
+def test_map_witness_rejects_bad_map(tmp_path):
+    for map_kind, p in (("reduction", None), ("transpose", 0.5), ("swap", None)):
+        with pytest.raises(InvariantViolation, match="witness"):
+            MapWitness(map_kind, p, 1, -0.1)
+    for fields in ({"p": None}, {"map": "swap"}):
+        path = _report_file_with(
+            tmp_path, lambda payload: _certificate(payload, map="reduction").update(fields)
+        )
+        with pytest.raises(InvariantViolation, match="witness"):
+            io.read_report_file(path)
 
 
 def test_report_round_trip_and_reverify(tmp_path):
@@ -217,6 +279,24 @@ def test_cli_rejects_non_finite_entries(tmp_path, capsys, part, entry):
                  ["probe-map", "--choi", str(path), "--k", "1", "--restarts", "1"]):
         assert main(argv) == 2
         assert "NaN or infinite" in capsys.readouterr().err
+
+
+def test_cli_analyze_text_summary(tmp_path, capsys):
+    # The tight point with a rank-2 search yields all four certificate kinds.
+    path = write_state(tmp_path / "in.json", isotropic(2, F_TIGHT))
+    assert main(["analyze", "--input", path, "--search-upper", "2", "--seed", "0"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:6] == [
+        "schmidt number lower bound: 2",
+        "schmidt number upper bound: 2",
+        "  isotropic state: N=2, F=0.707106781187, SN = 2 exactly",
+        "  witness[transpose map, k=1]: min eigenvalue -2.071068e-01",
+        "  witness[reduction map p=1, k=1]: min eigenvalue -2.071068e-01",
+        "  fidelity bound: f_hat=0.707106781187 -> SN >= 2",
+    ]
+    assert len(lines) == 7
+    assert re.fullmatch(r"  ensemble upper: rank <= 2, \d+ members, residual \d\.\d{3}e-\d\d",
+                        lines[6])
 
 
 def test_cli_analyze_deterministic_json(tmp_path, capsys):

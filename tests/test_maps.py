@@ -245,6 +245,11 @@ def test_lambda_p_class_examples():
         lambda_p_class(3, 1.5)
 
 
+def test_lambda_p_class_tiny_p():
+    # 1 / p overflows to inf at the smallest subnormal p.
+    assert lambda_p_class(2, 5e-324).completely_positive
+
+
 # ------------------------------------------------------------ bilinear form
 
 

@@ -104,6 +104,13 @@ class FidelityBound:
 
     kind = "fidelity_bound"
 
+    def __post_init__(self):
+        idx = self.state.idx
+        if idx.d_a != idx.d_b:
+            raise InvariantViolation(
+                f"fidelity bound needs a square state, got ({idx.d_a}, {idx.d_b})"
+            )
+
     def verify(self, rho: DensityMatrix, atol: float = VERIFY_ATOL) -> bool:
         amp = self.state.amplitudes
         achieved = float((amp.conj() @ rho.matrix @ amp).real)
@@ -252,7 +259,7 @@ class SnReport:
     def from_payload(cls, payload) -> SnReport:
         io._require(payload, ("lower_bound", "upper_bound", "certificates"), "report")
         certificates = []
-        for cert in payload["certificates"]:
+        for cert in io._require_list(payload, "certificates", "report"):
             io._require(cert, ("kind",), "certificate")
             cert_class = CERTIFICATES.get(str(cert["kind"]))
             if cert_class is None:
@@ -299,25 +306,26 @@ def fidelity_max(
     tol: float = 1e-10,
     seed: int = 0,
 ) -> FidelityBound:
-    """Lower-bound the fully entangled fraction by gradient ascent over
+    """Lower-bound the fully entangled fraction by ascent over
     Psi_U = (1 (x) U)|Psi+> on the unitary manifold.
 
     Multi-start (restart r seeds with seed + r, plus a deterministic identity
-    start); the best achieved value is returned. One-sided: f_hat <= f(rho).
+    start), all ascended together; the best achieved value is returned, the
+    first start to reach it on a tie. One-sided: f_hat <= f(rho).
     """
     n = rho.idx.d_a
     if n != rho.idx.d_b:
         raise InvariantViolation(
             f"fidelity ascent needs d_a == d_b, got ({rho.idx.d_a}, {rho.idx.d_b})"
         )
+    _check_restarts(restarts)
+    if max_iters < 1:
+        raise InvariantViolation(f"need at least one iteration, got {max_iters}")
     starts = [np.eye(n, dtype=np.complex128)]
-    starts += [haar_unitary(n, seed + r) for r in range(max(restarts - 1, 0))]
-    best_val = -np.inf
-    best_u = starts[0]
-    for u0 in starts:
-        val, u = kernels.fidelity_ascent(rho.matrix, n, u0, max_iters, tol)
-        if val > best_val:
-            best_val, best_u = float(val), u
+    starts += [haar_unitary(n, seed + r) for r in range(restarts - 1)]
+    vals, us = kernels.fidelity_ascent(rho.matrix, n, np.array(starts), max_iters, tol)
+    best = int(np.argmax(vals))
+    best_val, best_u = float(vals[best]), us[best]
     amp = (best_u.T / np.sqrt(n)).reshape(n * n)
     state = PureBipartiteState(amp / np.linalg.norm(amp), rho.idx)
     return FidelityBound(
@@ -325,6 +333,11 @@ def fidelity_max(
         state=state,
         sn_bound=fidelity_to_sn_bound(best_val, n),
     )
+
+
+def _check_restarts(restarts: int) -> None:
+    if restarts < 1:
+        raise InvariantViolation(f"need at least one restart, got {restarts}")
 
 
 def fidelity_to_sn_bound(f_hat: float, n: int) -> int:
@@ -418,6 +431,7 @@ def ensemble_search(
         m_vectors = 2 * d_a * d_b
     if m_vectors < 1:
         raise InvariantViolation(f"need at least one ansatz vector, got {m_vectors}")
+    _check_restarts(restarts)
     best = None
     for r in range(restarts):
         rng = np.random.default_rng(seed + r)
@@ -488,6 +502,7 @@ def analyze(
     isotropic input is classified exactly. When search_upper=k is given, a
     rank-<=k decomposition search supplies the upper bound.
     """
+    _check_restarts(restarts)
     certificates = []
     n = rho.idx.d_a
     square = rho.idx.d_a == rho.idx.d_b and n >= 2

@@ -97,6 +97,14 @@ def _require(payload, fields, what: str) -> None:
             raise InvariantViolation(f"{what} is missing field {field!r}")
 
 
+def _require_list(payload, field: str, what: str) -> list:
+    """payload[field], which must be a JSON array."""
+    value = payload[field]
+    if not isinstance(value, list):
+        raise InvariantViolation(f"{what} field {field!r} must be an array, got {value!r}")
+    return value
+
+
 def _parse_number(payload, field: str, cast=float):
     """payload[field] as a finite float, or as an int with cast=int."""
     value = payload[field]
@@ -178,7 +186,7 @@ def parse_ensemble_payload(payload) -> PureEnsemble:
     idx = _parse_index(payload)
     probs = []
     states = []
-    for member in payload["members"]:
+    for member in _require_list(payload, "members", "ensemble"):
         _require(member, ("p", "re", "im"), "ensemble member")
         probs.append(_parse_number(member, "p"))
         states.append(PureBipartiteState(_parse_blocks(member, "re", "im", (idx.dim,)), idx))

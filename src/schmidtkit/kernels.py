@@ -11,7 +11,8 @@ import numpy as np
 
 
 def polar_orthonormalize(m):
-    """Closest isometry to m (polar factor), via thin SVD."""
+    """Closest isometry to m, or to each matrix of a stack m (polar factor),
+    via thin SVD."""
     u, s, vh = np.linalg.svd(m, full_matrices=False)
     return np.ascontiguousarray(u @ vh)
 
@@ -108,35 +109,32 @@ def probe_descent(c_rows, c_adj_rows, n, k, a0, b0, pert_a, pert_b, max_iters, s
 
 
 def _psi_of_unitary(u, n):
-    return (np.ascontiguousarray(u.T) / np.sqrt(n)).reshape(n * n)
+    """Psi_U = vec(U^T) / sqrt(N) for each U of the stack u."""
+    return u.transpose(0, 2, 1).reshape(-1, n * n) / np.sqrt(n)
 
 
 def fidelity_ascent(rho, n, u0, max_iters, ftol):
-    """Maximize <Psi_U| rho |Psi_U> over unitaries, Psi_U = (1 (x) U)|Psi+>.
+    """Maximize <Psi_U| rho |Psi_U> over unitaries, Psi_U = (1 (x) U)|Psi+>,
+    from every start of the stack u0 (R, N, N) at once.
 
-    Gradient ascent with polar retraction and adaptive step. Returns
-    (value, U).
+    Each step is U <- polar(G) with G = (rho Psi_U).reshape(N, N)^T / sqrt(N),
+    one batched SVD for all starts. rho >= 0 makes f(U) convex, so
+    f(U') >= f(U) + 2 Re tr(G^dag (U' - U)), and polar(G) maximizes that
+    linear term over unitaries: no step lowers any start's value. Stops when
+    no start gains more than ftol, or after max_iters steps. Returns
+    (values (R,), U (R, N, N)).
     """
-    u = u0.copy()
+    u = u0
     psi = _psi_of_unitary(u, n)
-    val = (psi.conj() @ rho @ psi).real
-    eta = 1.0
+    rpsi = psi @ rho.T
+    val = np.einsum("rd,rd->r", psi.conj(), rpsi).real
     for _ in range(max_iters):
-        g = np.ascontiguousarray((rho @ psi).reshape(n, n).T) / np.sqrt(n)
-        improved = False
-        for _ in range(40):
-            u2 = polar_orthonormalize(u + eta * g)
-            psi2 = _psi_of_unitary(u2, n)
-            val2 = (psi2.conj() @ rho @ psi2).real
-            if val2 > val + ftol:
-                u, psi, val = u2, psi2, val2
-                eta = min(eta * 1.4, 1e6)
-                improved = True
-                break
-            eta *= 0.5
-            if eta < 1e-16:
-                break
-        if not improved:
+        # G without its 1/sqrt(N): a positive factor leaves polar(G) unchanged.
+        u = polar_orthonormalize(rpsi.reshape(-1, n, n).transpose(0, 2, 1))
+        psi = _psi_of_unitary(u, n)
+        rpsi = psi @ rho.T
+        prev, val = val, np.einsum("rd,rd->r", psi.conj(), rpsi).real
+        if np.all(val - prev <= ftol):
             break
     return val, u
 

@@ -25,7 +25,7 @@ from schmidtkit import (
     verify_decomposition,
     verify_report,
 )
-from schmidtkit.certify import peres_witness, verify_certificate
+from schmidtkit.certify import FidelityBound, peres_witness, verify_certificate
 
 F_TIGHT = 1 / np.sqrt(2)
 
@@ -89,6 +89,18 @@ def test_fidelity_certificate_verifies():
     assert verify_certificate(fb, rho)
     achieved = (fb.state.amplitudes.conj() @ rho.matrix @ fb.state.amplitudes).real
     assert abs(achieved - fb.f_hat) < 1e-10
+
+
+@pytest.mark.parametrize("options", [{"restarts": 0}, {"restarts": -3}, {"max_iters": 0}])
+def test_fidelity_max_rejects_no_restarts_or_iterations(options):
+    with pytest.raises(InvariantViolation, match="at least one"):
+        fidelity_max(isotropic(2, 0.7), **options)
+
+
+def test_fidelity_bound_rejects_non_square_state():
+    state = random_pure(2, 3, np.random.default_rng(33))
+    with pytest.raises(InvariantViolation, match="square"):
+        FidelityBound(1.0, state, 2)
 
 
 def test_fidelity_to_sn_bound():
@@ -180,6 +192,11 @@ def test_ensemble_search_trivial_full_rank():
 def test_ensemble_search_rejects_bad_rank():
     with pytest.raises(InvariantViolation):
         ensemble_search(isotropic(2, 0.5), 3)
+
+
+def test_ensemble_search_rejects_no_restarts():
+    with pytest.raises(InvariantViolation, match="at least one restart"):
+        ensemble_search(isotropic(2, 0.5), 1, restarts=0)
 
 
 def test_two_copy_rank3_sector_obstruction():

@@ -153,6 +153,26 @@ def test_readers_reject_non_numeric_values(tmp_path, reader, make, edit):
         reader(make(tmp_path, edit))
 
 
+@pytest.mark.parametrize("reader, make, field", [
+    (io.read_ensemble_file, _ensemble_file_with, "members"),
+    (io.read_report_file, _report_file_with, "certificates"),
+])
+def test_readers_reject_non_array_lists(tmp_path, reader, make, field):
+    with pytest.raises(InvariantViolation, match="must be an array"):
+        reader(make(tmp_path, lambda payload: payload.__setitem__(field, 5)))
+
+
+def test_report_file_rejects_non_square_fidelity_bound(tmp_path):
+    def widen(payload):
+        cert = _certificate(payload, kind="fidelity_bound")
+        cert["d_b"] = 3
+        cert["psi_re"] += [0.0, 0.0]
+        cert["psi_im"] += [0.0, 0.0]
+
+    with pytest.raises(InvariantViolation, match="square"):
+        io.read_report_file(_report_file_with(tmp_path, widen))
+
+
 def test_report_file_rejects_unbacked_bound(tmp_path):
     rho = random_separable(2, 2, 4, np.random.default_rng(42))
 
@@ -237,6 +257,15 @@ def test_cli_analyze_rejects_bad_search_vectors(tmp_path, capsys, vectors):
     path = write_state(tmp_path / "in.json", isotropic(2, 0.3))
     assert main(["analyze", "--input", path, "--search-upper", "1",
                  "--search-vectors", vectors]) == 2
+    assert "invalid input" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("restarts", ["0", "-3"])
+@pytest.mark.parametrize("d_a, d_b", [(2, 2), (2, 3)])
+def test_cli_analyze_rejects_bad_restarts(tmp_path, capsys, restarts, d_a, d_b):
+    rho = random_density(d_a, d_b, np.random.default_rng(34))
+    path = write_state(tmp_path / "in.json", rho)
+    assert main(["analyze", "--input", path, "--restarts", restarts]) == 2
     assert "invalid input" in capsys.readouterr().err
 
 

@@ -38,7 +38,10 @@ from .twirl import (
 )
 
 BOUNDARY_TOL = 1e-12
+ENSEMBLE_TOL = 1e-4
 FIDELITY_BOUND_SLACK = 1e-9
+FIDELITY_MAX_ITERS = 500
+FIDELITY_TOL = 1e-10
 ISOTROPIC_DETECTION_TOL = 1e-12
 VERIFY_ATOL = 1e-10
 
@@ -59,6 +62,8 @@ class MapWitness:
             raise InvariantViolation(f"unknown witness map {self.map_kind!r}")
         if (self.map_kind != "transpose") == (self.p is None):
             raise InvariantViolation(f"{self.map_kind} witness with p={self.p!r}")
+        if self.p is not None and not 0.0 < self.p <= 1.0:
+            raise InvariantViolation(f"reduction witness needs 0 < p <= 1, got p={self.p!r}")
 
     def verify(self, rho: DensityMatrix, atol: float = VERIFY_ATOL) -> bool:
         n = rho.idx.d_b
@@ -149,7 +154,8 @@ class FidelityBound:
 
 @dataclass(frozen=True)
 class EnsembleUpper:
-    """Explicit rank-<=k decomposition with its Frobenius residual."""
+    """Explicit rank-<=k decomposition with its Frobenius residual, which
+    must lie below ENSEMBLE_TOL."""
 
     ensemble: PureEnsemble
     k: int
@@ -158,6 +164,8 @@ class EnsembleUpper:
     kind = "ensemble_upper"
 
     def verify(self, rho: DensityMatrix, atol: float = VERIFY_ATOL) -> bool:
+        if not 0.0 <= self.residual < ENSEMBLE_TOL:
+            return False
         tol = max(self.residual * (1.0 + 1e-6), 1e-11)
         return verify_decomposition(self.ensemble, rho, self.k, tol)
 
@@ -302,8 +310,6 @@ def peres_witness(rho: DensityMatrix) -> MapWitness | None:
 def fidelity_max(
     rho: DensityMatrix,
     restarts: int = 20,
-    max_iters: int = 500,
-    tol: float = 1e-10,
     seed: int = 0,
 ) -> FidelityBound:
     """Lower-bound the fully entangled fraction by ascent over
@@ -319,11 +325,11 @@ def fidelity_max(
             f"fidelity ascent needs d_a == d_b, got ({rho.idx.d_a}, {rho.idx.d_b})"
         )
     _check_restarts(restarts)
-    if max_iters < 1:
-        raise InvariantViolation(f"need at least one iteration, got {max_iters}")
     starts = [np.eye(n, dtype=np.complex128)]
     starts += [haar_unitary(n, seed + r) for r in range(restarts - 1)]
-    vals, us = kernels.fidelity_ascent(rho.matrix, n, np.array(starts), max_iters, tol)
+    vals, us = kernels.fidelity_ascent(
+        rho.matrix, n, np.array(starts), FIDELITY_MAX_ITERS, FIDELITY_TOL
+    )
     best = int(np.argmax(vals))
     best_val, best_u = float(vals[best]), us[best]
     amp = (best_u.T / np.sqrt(n)).reshape(n * n)
@@ -411,7 +417,6 @@ def ensemble_search(
     m_vectors: int | None = None,
     restarts: int = 10,
     max_iters: int = 2000,
-    tol: float = 1e-4,
     seed: int = 0,
 ) -> EnsembleUpper | None:
     """Search for a rank-<=k decomposition by alternating minimization.
@@ -419,7 +424,7 @@ def ensemble_search(
     Ansatz vectors start as random sums of k product terms and are
     re-projected onto Schmidt rank <= k each sweep; weights are refit as the
     exact least-squares optimum on the probability simplex. Success requires
-    the Frobenius residual to beat tol and the result to pass
+    the Frobenius residual to beat ENSEMBLE_TOL and the result to pass
     verify_decomposition; a failed search proves nothing.
     """
     d_a, d_b = rho.idx.d_a, rho.idx.d_b
@@ -440,14 +445,14 @@ def ensemble_search(
         )
         probs0 = np.full(m_vectors, 1.0 / m_vectors)
         res, probs, psis, _ = kernels.ensemble_alt_min(
-            rho.matrix, d_a, d_b, k, psis0, probs0, max_iters, tol
+            rho.matrix, d_a, d_b, k, psis0, probs0, max_iters, ENSEMBLE_TOL
         )
         if best is None or res < best[0]:
             best = (float(res), probs, psis)
-        if res < 0.7 * tol:
+        if res < 0.7 * ENSEMBLE_TOL:
             break
     res, probs, psis = best
-    if res >= tol:
+    if res >= ENSEMBLE_TOL:
         return None
     keep = probs > 1e-12
     probs = probs[keep] / probs[keep].sum()
@@ -456,7 +461,7 @@ def ensemble_search(
     )
     ensemble = PureEnsemble(probs, states)
     candidate = EnsembleUpper(ensemble=ensemble, k=k, residual=res)
-    if not verify_decomposition(ensemble, rho, k, tol):
+    if not verify_decomposition(ensemble, rho, k, ENSEMBLE_TOL):
         return None
     return candidate
 
@@ -490,9 +495,6 @@ def analyze(
     search_upper: int | None = None,
     restarts: int = 20,
     seed: int = 0,
-    search_restarts: int = 10,
-    search_max_iters: int = 2000,
-    search_tol: float = 1e-4,
     search_m_vectors: int | None = None,
 ) -> SnReport:
     """Assemble Schmidt-number bounds and their certificates.
@@ -516,10 +518,9 @@ def analyze(
         certificates += [sn_lower_via_map(rho, k) for k in range(1, n)]
         certificates.append(fidelity_max(rho, restarts=restarts, seed=seed))
     if search_upper is not None:
-        certificates.append(ensemble_search(
-            rho, search_upper, m_vectors=search_m_vectors, restarts=search_restarts,
-            max_iters=search_max_iters, tol=search_tol, seed=seed,
-        ))
+        certificates.append(
+            ensemble_search(rho, search_upper, m_vectors=search_m_vectors, seed=seed)
+        )
     certificates = tuple(c for c in certificates if c is not None)
     return SnReport(*proven_bounds(certificates), certificates)
 

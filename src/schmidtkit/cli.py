@@ -1,14 +1,12 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 internal numeric failure, 2 invalid input. All JSON
-output is deterministic for a fixed --seed (which falls back to the
-SCHMIDTKIT_SEED environment variable, then to 0).
+output is deterministic for a fixed --seed (default 0).
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 import numpy as np
@@ -38,14 +36,6 @@ F_TIGHT = 1.0 / np.sqrt(2.0)
 F_CONJECTURED = np.sqrt(3.0) / 2.0
 
 
-def _default_seed() -> int:
-    env = os.environ.get("SCHMIDTKIT_SEED")
-    try:
-        return int(env) if env else 0
-    except ValueError:
-        return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="schmidtkit",
@@ -57,7 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="density-matrix JSON file")
     p.add_argument("--search-upper", type=int, default=None, metavar="K",
                    help="also search for a rank-<=K upper-bound decomposition")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--restarts", type=int, default=20)
     p.add_argument("--search-vectors", type=int, default=None,
                    help="ansatz size for the upper-bound search")
@@ -87,14 +77,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--choi", required=True, help="Hermitian Choi-matrix JSON file (raw)")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--restarts", type=int, default=50)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("twirl", help="project a state onto the isotropic family")
     p.add_argument("--input", required=True)
     p.add_argument("--mode", choices=("exact", "mc"), default="exact")
     p.add_argument("--samples", type=int, default=100000)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
 
     return parser
@@ -102,12 +92,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_analyze(args) -> int:
     rho = io.read_matrix_file(args.input)
-    seed = args.seed if args.seed is not None else _default_seed()
     report = analyze(
         rho,
         search_upper=args.search_upper,
         restarts=args.restarts,
-        seed=seed,
+        seed=args.seed,
         search_m_vectors=args.search_vectors,
     )
     text = io.dumps(report.to_payload())
@@ -207,8 +196,7 @@ def _cmd_figure(args) -> int:
 def _cmd_probe(args) -> int:
     matrix, idx = io.read_matrix_file(args.choi, raw=True)
     lam = map_from_choi(matrix, idx.d_a, idx.d_b)
-    seed = args.seed if args.seed is not None else _default_seed()
-    result = kpositivity_probe(lam, args.k, restarts=args.restarts, seed=seed)
+    result = kpositivity_probe(lam, args.k, restarts=args.restarts, seed=args.seed)
     if args.json:
         amps = result.state.amplitudes
         sys.stdout.write(io.dumps({
@@ -229,11 +217,10 @@ def _cmd_probe(args) -> int:
 
 def _cmd_twirl(args) -> int:
     rho = io.read_matrix_file(args.input)
-    seed = args.seed if args.seed is not None else _default_seed()
     if args.mode == "exact":
         out = twirl_exact(rho)
     else:
-        out = twirl_mc(rho, samples=args.samples, seed=seed)
+        out = twirl_mc(rho, samples=args.samples, seed=args.seed)
         exact = twirl_exact(rho)
         dist = float(np.linalg.norm(out.matrix - exact.matrix))
         print(f"distance to exact twirl: {dist:.6e}")

@@ -50,61 +50,49 @@ def map_rank_one(c_rows, x):
 
 
 def _min_eig_pair(c_rows, psi, n):
-    """Min eigenpair of (1 (x) L)(|psi><psi|) and the gap above it."""
+    """Min eigenpair of (1 (x) L)(|psi><psi|)."""
     m = map_rank_one(c_rows, psi.reshape(n, n))
     m = (m + m.conj().T) / 2.0
     w, v = np.linalg.eigh(m)
-    return w[0], np.ascontiguousarray(v[:, 0]), w[1] - w[0]
+    return w[0], np.ascontiguousarray(v[:, 0])
 
 
-def probe_descent(c_rows, c_adj_rows, n, k, a0, b0, pert_a, pert_b, max_iters, step0):
+def probe_descent(c_rows, c_adj_rows, n, k, a0, b0, max_iters, step0):
     """Minimize the smallest eigenvalue of (1 (x) Map)(|Psi><Psi|) over
     Psi = (1/sqrt(k)) sum_n a_n (x) b_n, with A, B column-orthonormal N x k.
 
     ``c_rows`` and ``c_adj_rows`` are the Choi tensors of the map and of its
     adjoint in the layout of map_rank_one. Gradient descent with polar
-    retraction; near-degenerate minimal eigenvalues trigger a small
-    pre-drawn perturbation of the isometries. Returns (best value, A, B).
+    retraction and a backtracking step; stops when the line search finds no
+    decrease. Returns (best value, A, B).
     """
     d = n * n
     sk = np.sqrt(k)
     a = a0.copy()
     b = b0.copy()
     psi = ((a @ b.T) / sk).reshape(d)
-    val, vec, gap = _min_eig_pair(c_rows, psi, n)
+    val, vec = _min_eig_pair(c_rows, psi, n)
     eta = step0
-    n_pert = pert_a.shape[0]
-    used_pert = 0
     for _ in range(max_iters):
         wmat = map_rank_one(c_adj_rows, vec.reshape(n, n))
         wmat = (wmat + wmat.conj().T) / 2.0
         g = (wmat @ psi).reshape(n, n)
         ga = (g @ b.conj()) / sk
         gb = (g.T @ a.conj()) / sk
-        improved = False
         for _ in range(40):
             a2 = polar_orthonormalize(a - eta * ga)
             b2 = polar_orthonormalize(b - eta * gb)
             psi2 = ((a2 @ b2.T) / sk).reshape(d)
-            val2, vec2, gap2 = _min_eig_pair(c_rows, psi2, n)
+            val2, vec2 = _min_eig_pair(c_rows, psi2, n)
             if val2 < val - 1e-14:
-                a, b, psi, val, vec, gap = a2, b2, psi2, val2, vec2, gap2
+                a, b, psi, val, vec = a2, b2, psi2, val2, vec2
                 eta = min(eta * 1.4, 1e3)
-                improved = True
                 break
             eta *= 0.5
             if eta < 1e-15:
-                break
-        if not improved:
-            if gap < 1e-9 and used_pert < n_pert:
-                a = polar_orthonormalize(a + 1e-8 * pert_a[used_pert])
-                b = polar_orthonormalize(b + 1e-8 * pert_b[used_pert])
-                psi = ((a @ b.T) / sk).reshape(d)
-                val, vec, gap = _min_eig_pair(c_rows, psi, n)
-                used_pert += 1
-                eta = step0
-            else:
-                break
+                return val, a, b
+        else:
+            return val, a, b
     return val, a, b
 
 

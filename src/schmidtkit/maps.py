@@ -23,6 +23,8 @@ from .states import (
 )
 
 NEGATIVITY_THRESHOLD = -1e-8
+PROBE_MAX_ITERS = 500
+PROBE_STEP = 0.1
 
 
 @dataclass(frozen=True)
@@ -184,8 +186,6 @@ def kpositivity_probe(
     lam: MatrixMap,
     k: int,
     restarts: int = 50,
-    max_iters: int = 500,
-    step: float = 0.1,
     seed: int = 0,
 ) -> ProbeResult:
     """Search for a maximally entangled Schmidt-rank-k state |Psi_k> with
@@ -214,10 +214,8 @@ def kpositivity_probe(
         rng = np.random.default_rng(seed + r)
         a0 = np.linalg.qr(_ginibre(n, k, rng))[0]
         b0 = np.linalg.qr(_ginibre(n, k, rng))[0]
-        pert_a = _ginibre_batch(8, n, k, rng)
-        pert_b = _ginibre_batch(8, n, k, rng)
         val, a, b = kernels.probe_descent(
-            c_rows, c_adj_rows, n, k, a0, b0, pert_a, pert_b, max_iters, step
+            c_rows, c_adj_rows, n, k, a0, b0, PROBE_MAX_ITERS, PROBE_STEP
         )
         if val < best_val:
             best_val = float(val)
@@ -236,8 +234,3 @@ def kpositivity_probe(
 def _ginibre(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
     return (rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))) / np.sqrt(2)
 
-
-def _ginibre_batch(count: int, rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
-    return (
-        rng.normal(size=(count, rows, cols)) + 1j * rng.normal(size=(count, rows, cols))
-    ) / np.sqrt(2)

@@ -91,7 +91,7 @@ def test_fidelity_certificate_verifies():
     assert abs(achieved - fb.f_hat) < 1e-10
 
 
-@pytest.mark.parametrize("options", [{"restarts": 0}, {"restarts": -3}, {"max_iters": 0}])
+@pytest.mark.parametrize("options", [{"restarts": 0}, {"restarts": -3}])
 def test_fidelity_max_rejects_no_restarts_or_iterations(options):
     with pytest.raises(InvariantViolation, match="at least one"):
         fidelity_max(isotropic(2, 0.7), **options)
@@ -324,6 +324,23 @@ def test_report_rejects_unbacked_bounds():
     rho = random_separable(2, 2, 4, np.random.default_rng(42))
     with pytest.raises(InvariantViolation, match="differ"):
         verify_report(SnReport(lower_bound=2, upper_bound=None, certificates=()), rho)
+
+
+def test_ensemble_certificate_rejects_large_residual():
+    # |00> is within residual 1.0 of the Bell state, whose Peres witness proves SN >= 2.
+    from schmidtkit import SnReport
+    from schmidtkit.certify import ENSEMBLE_TOL, EnsembleUpper
+
+    bell = max_entangled(2).density()
+    product = PureBipartiteState(np.array([1, 0, 0, 0], dtype=np.complex128), bell.idx)
+    ensemble = PureEnsemble(np.array([1.0]), (product,))
+    cert = EnsembleUpper(ensemble, k=1, residual=1.0)
+    assert peres_witness(bell) is not None
+    assert not verify_report(SnReport(1, 1, (cert,)), bell)
+    for residual, valid in ((0.0, True), (ENSEMBLE_TOL / 2, True),
+                            (ENSEMBLE_TOL, False), (-1e-3, False), (np.nan, False)):
+        cert = EnsembleUpper(ensemble, k=1, residual=residual)
+        assert verify_certificate(cert, product.density()) == valid
 
 
 def test_analyze_isotropic_endpoints():

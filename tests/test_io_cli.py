@@ -185,10 +185,11 @@ def test_report_file_rejects_unbacked_bound(tmp_path):
 
 
 def test_map_witness_rejects_bad_map(tmp_path):
-    for map_kind, p in (("reduction", None), ("transpose", 0.5), ("swap", None)):
+    for map_kind, p in (("reduction", None), ("transpose", 0.5), ("swap", None),
+                        ("reduction", 2.0), ("reduction", 0.0), ("reduction", -1.0)):
         with pytest.raises(InvariantViolation, match="witness"):
             MapWitness(map_kind, p, 1, -0.1)
-    for fields in ({"p": None}, {"map": "swap"}):
+    for fields in ({"p": None}, {"map": "swap"}, {"p": 2.0}):
         path = _report_file_with(
             tmp_path, lambda payload: _certificate(payload, map="reduction").update(fields)
         )

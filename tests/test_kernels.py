@@ -4,9 +4,17 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_density, random_unitary
+from helpers import random_density, random_hermitian, random_unitary
 from schmidtkit import kernels
 from schmidtkit.certify import fidelity_to_sn_bound
+from schmidtkit.maps import (
+    NEGATIVITY_THRESHOLD,
+    MatrixMap,
+    adjoint_map,
+    kpositivity_probe,
+    reduction_family,
+    transpose_map,
+)
 from schmidtkit.states import isotropic
 
 
@@ -221,3 +229,136 @@ def test_fidelity_ascent_never_descends(seed, n, rank, starts, max_iters):
     eye = np.eye(n)
     for u in us:
         assert np.max(np.abs(u.conj().T @ u - eye)) <= 1e-12
+
+
+def _min_eig_pair_with_gap(c_rows, psi, n):
+    m = kernels.map_rank_one(c_rows, psi.reshape(n, n))
+    w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
+    return w[0], v[:, 0], w[1] - w[0]
+
+
+def _perturbed_probe_descent(c_rows, c_adj_rows, n, k, a0, b0, pert_a, pert_b, max_iters, step0):
+    """The probe descent before its perturbation branch was deleted: when the
+    line search fails at a near-degenerate minimum (gap < 1e-9), nudge A and B
+    by the next pre-drawn perturbation and restart the step size."""
+    d = n * n
+    sk = np.sqrt(k)
+    a, b = a0.copy(), b0.copy()
+    psi = ((a @ b.T) / sk).reshape(d)
+    val, vec, gap = _min_eig_pair_with_gap(c_rows, psi, n)
+    eta = step0
+    used_pert = 0
+    for _ in range(max_iters):
+        wmat = kernels.map_rank_one(c_adj_rows, vec.reshape(n, n))
+        g = (((wmat + wmat.conj().T) / 2.0) @ psi).reshape(n, n)
+        ga = (g @ b.conj()) / sk
+        gb = (g.T @ a.conj()) / sk
+        improved = False
+        for _ in range(40):
+            a2 = kernels.polar_orthonormalize(a - eta * ga)
+            b2 = kernels.polar_orthonormalize(b - eta * gb)
+            psi2 = ((a2 @ b2.T) / sk).reshape(d)
+            val2, vec2, gap2 = _min_eig_pair_with_gap(c_rows, psi2, n)
+            if val2 < val - 1e-14:
+                a, b, psi, val, vec, gap = a2, b2, psi2, val2, vec2, gap2
+                eta = min(eta * 1.4, 1e3)
+                improved = True
+                break
+            eta *= 0.5
+            if eta < 1e-15:
+                break
+        if improved:
+            continue
+        if gap >= 1e-9 or used_pert == pert_a.shape[0]:
+            break
+        a = kernels.polar_orthonormalize(a + 1e-8 * pert_a[used_pert])
+        b = kernels.polar_orthonormalize(b + 1e-8 * pert_b[used_pert])
+        psi = ((a @ b.T) / sk).reshape(d)
+        val, vec, gap = _min_eig_pair_with_gap(c_rows, psi, n)
+        used_pert += 1
+        eta = step0
+    return val, a, b
+
+
+def _ginibre(rng, *shape):
+    return (rng.normal(size=shape) + 1j * rng.normal(size=shape)) / np.sqrt(2)
+
+
+def _choi_of(action, n):
+    """Choi matrix (1/N) sum_ij |i><j| (x) L(|i><j|) of the map X -> action(X)."""
+    choi = np.zeros((n * n, n * n), dtype=np.complex128)
+    for i in range(n):
+        for j in range(n):
+            unit = np.zeros((n, n), dtype=np.complex128)
+            unit[i, j] = 1.0
+            choi += np.kron(unit, action(unit)) / n
+    return MatrixMap(n, n, choi)
+
+
+def _choi_map(x):
+    # Choi's positive, not 2-positive map on M3: diag(x11+x33, x22+x11, x33+x22) - offdiag(x).
+    d = np.diag(x)
+    return np.diag([d[0] + d[2], d[1] + d[0], d[2] + d[1]]) - (x - np.diag(d))
+
+
+def _breuer_hall(x):
+    # Tr(X) 1 - X - U X^T U^dag with the antisymmetric unitary U = J (+) J.
+    u = np.kron(np.eye(2), np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    return np.trace(x) * np.eye(4) - x - u @ x.T @ u.conj().T
+
+
+def test_probe_matches_perturbed_descent_on_non_covariant_maps():
+    # Conjugated reduction and transpose maps start at their optimum; these
+    # maps make the descent move, so they exercise it.
+    mixture = MatrixMap(3, 3, 0.6 * reduction_family(3, 0.7).choi + 0.4 * transpose_map(3).choi)
+    moved = 0.0
+    for lam in (_choi_of(_choi_map, 3), _choi_of(_breuer_hall, 4), mixture):
+        n = lam.n_in
+        c_rows = kernels.choi_rows(n * lam.choi4())
+        c_adj_rows = kernels.choi_rows(n * adjoint_map(lam).choi4())
+        for k in range(1, n + 1):
+            got = kpositivity_probe(lam, k, restarts=2, seed=0)
+            ref = np.inf
+            for r in range(2):
+                rng = np.random.default_rng(r)
+                a0 = np.linalg.qr(_ginibre(rng, n, k))[0]
+                b0 = np.linalg.qr(_ginibre(rng, n, k))[0]
+                pert_a, pert_b = _ginibre(rng, 8, n, k), _ginibre(rng, 8, n, k)
+                val = _perturbed_probe_descent(
+                    c_rows, c_adj_rows, n, k, a0, b0, pert_a, pert_b, 500, 0.1
+                )[0]
+                ref = min(ref, val)
+                start = kernels._min_eig_pair(c_rows, (a0 @ b0.T).reshape(-1) / np.sqrt(k), n)[0]
+                moved = max(moved, start - val)
+            assert got.violation == (ref < NEGATIVITY_THRESHOLD)
+            assert abs(got.min_eigenvalue - ref) <= 1e-10
+    assert moved > 0.1
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 4),
+    data=st.data(),
+    max_iters=st.integers(1, 100),
+)
+def test_probe_descent_never_ascends(seed, n, data, max_iters):
+    k = data.draw(st.integers(1, n))
+    rng = np.random.default_rng(seed)
+    lam = MatrixMap(n, n, random_hermitian(n * n, rng))
+    c_rows = kernels.choi_rows(n * lam.choi4())
+    c_adj_rows = kernels.choi_rows(n * adjoint_map(lam).choi4())
+    a0 = np.linalg.qr(_ginibre(rng, n, k))[0]
+    b0 = np.linalg.qr(_ginibre(rng, n, k))[0]
+
+    def value(a, b):
+        m = kernels.map_rank_one(c_rows, (a @ b.T) / np.sqrt(k))
+        return np.linalg.eigvalsh((m + m.conj().T) / 2.0)[0]
+
+    val, a, b = kernels.probe_descent(c_rows, c_adj_rows, n, k, a0, b0, max_iters, 0.1)
+
+    assert val <= value(a0, b0) + 1e-12
+    eye = np.eye(k)
+    assert np.max(np.abs(a.conj().T @ a - eye)) <= 1e-12
+    assert np.max(np.abs(b.conj().T @ b - eye)) <= 1e-12
+    assert abs(val - value(a, b)) <= 1e-12

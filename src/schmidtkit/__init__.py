@@ -67,9 +67,12 @@ from .twirl import (
     fidelity_with_max_entangled,
     haar_unitary,
     symmetrize_copies,
+    tetrahedral_ensemble_qubit,
     twirl_exact,
     twirl_mc,
+    twirl_orbit,
     twirl_pure_ensemble,
+    twirl_sectors,
     two_copy_construction,
 )
 

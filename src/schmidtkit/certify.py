@@ -22,19 +22,22 @@ from .maps import (
     transpose_map,
 )
 from .states import (
+    RANK_TOL,
     DensityMatrix,
     PureBipartiteState,
     isotropic,
     psi_k,
-    schmidt_rank,
 )
 from .twirl import (
     PureEnsemble,
     clifford_ensemble_qubit,
     fidelity_with_max_entangled,
     haar_unitary,
+    tetrahedral_ensemble_qubit,
     twirl_exact,
+    twirl_orbit,
     twirl_pure_ensemble,
+    twirl_sectors,
 )
 
 BOUNDARY_TOL = 1e-12
@@ -43,6 +46,11 @@ FIDELITY_BOUND_SLACK = 1e-9
 FIDELITY_MAX_ITERS = 500
 FIDELITY_TOL = 1e-10
 ISOTROPIC_DETECTION_TOL = 1e-12
+ORACLE_ITERS = 500
+ORACLE_STARTS = 4
+ORACLE_TOL = 1e-15
+REDUCED_STEPS = 30
+REDUCED_TOL = 1e-13
 VERIFY_ATOL = 1e-10
 
 
@@ -419,13 +427,16 @@ def ensemble_search(
     max_iters: int = 2000,
     seed: int = 0,
 ) -> EnsembleUpper | None:
-    """Search for a rank-<=k decomposition by alternating minimization.
+    """Search for a rank-<=k decomposition of rho.
 
-    Ansatz vectors start as random sums of k product terms and are
-    re-projected onto Schmidt rank <= k each sweep; weights are refit as the
-    exact least-squares optimum on the probability simplex. Success requires
-    the Frobenius residual to beat ENSEMBLE_TOL and the result to pass
-    verify_decomposition; a failed search proves nothing.
+    At k = min(d_a, d_b) the spectral decomposition is the answer. A state
+    fixed by the local twirl of one or two qubit pairs (twirl_sectors) is
+    first solved in its 2-3 sector weights (_twirl_reduced_search). Otherwise,
+    or when that fails, alternating minimization: ansatz vectors start as
+    random sums of k product terms and are re-projected onto Schmidt rank
+    <= k each sweep; weights are refit as the exact least-squares optimum on
+    the probability simplex. Success requires the stored ensemble to pass
+    EnsembleUpper.verify; a failed search proves nothing.
     """
     d_a, d_b = rho.idx.d_a, rho.idx.d_b
     if not 1 <= k <= min(d_a, d_b):
@@ -437,6 +448,12 @@ def ensemble_search(
     if m_vectors < 1:
         raise InvariantViolation(f"need at least one ansatz vector, got {m_vectors}")
     _check_restarts(restarts)
+    if k == min(d_a, d_b):
+        w, v = np.linalg.eigh(rho.matrix)
+        return _certified(rho, k, np.maximum(w, 0.0), v.T)
+    found = _twirl_reduced_search(rho, k, seed)
+    if found is not None:
+        return found
     best = None
     for r in range(restarts):
         rng = np.random.default_rng(seed + r)
@@ -454,16 +471,80 @@ def ensemble_search(
     res, probs, psis = best
     if res >= ENSEMBLE_TOL:
         return None
+    return _certified(rho, k, probs, psis)
+
+
+def _twirl_reduced_search(rho: DensityMatrix, k: int, seed: int) -> EnsembleUpper | None:
+    """Rank-<=k decomposition of a state fixed by the local twirl, found in
+    its sector weights; None when rho is not such a state or no
+    decomposition is found.
+
+    With E_j the projectors of twirl_sectors and scaled weights
+    u(psi)_j = <psi|E_j|psi> / sqrt(Tr E_j), twirling maps |psi><psi| to
+    sum_j u_j E_j / sqrt(Tr E_j), and the Frobenius distance of two such
+    operators is the Euclidean distance of their weights. So rho is a
+    mixture of twirled rank-<=k seeds iff its weights lie in the convex hull
+    of their u. A fully-corrective Frank-Wolfe search finds them: each step
+    adds the seed that rank_k_oracle finds for the linear step, and
+    simplex_qp refits the seed weights. Each seed is then expanded over its
+    orbit under the 12-element qubit 2-design.
+    """
+    sectors = twirl_sectors(rho.idx)
+    if sectors is None:
+        return None
+    scale = 1.0 / np.sqrt(np.einsum("jaa->j", sectors).real)
+    target = np.einsum("jab,ba->j", sectors, rho.matrix).real * scale
+    invariant = np.einsum("j,jab->ab", target * scale, sectors)
+    if float(np.linalg.norm(rho.matrix - invariant)) > ISOTROPIC_DETECTION_TOL:
+        return None
+    d_a, d_b = rho.idx.d_a, rho.idx.d_b
+    rng = np.random.default_rng(seed)
+    seeds = np.zeros((0, d_a * d_b), dtype=np.complex128)
+    weights = np.zeros((0, target.size))
+    probs = np.zeros(0)
+    grad = -target
+    for _ in range(REDUCED_STEPS):
+        x = -np.einsum("j,jab->ab", grad * scale, sectors)
+        shape = (ORACLE_STARTS, d_b, k)
+        b0 = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        vals, psis = kernels.rank_k_oracle(x, d_a, d_b, k, b0, ORACLE_ITERS, ORACLE_TOL)
+        psi = psis[np.argmax(vals)]
+        u = np.einsum("a,jab,b->j", psi.conj(), sectors, psi).real * scale
+        # If rho's weights lie in the hull, the best seed u has
+        # grad.u <= grad.target, so the Frank-Wolfe gap
+        # grad.(probs @ weights - u) is at least |grad|^2.
+        if probs.size and grad @ (probs @ weights - u) < 0.5 * (grad @ grad):
+            return None
+        seeds = np.vstack([seeds, psi])
+        weights = np.vstack([weights, u])
+        probs = kernels.simplex_qp(weights @ weights.T, weights @ target,
+                                   np.append(probs, 0.0) if probs.size else np.ones(1))
+        keep = probs > 0.0
+        seeds, weights, probs = seeds[keep], weights[keep], probs[keep]
+        grad = probs @ weights - target
+        if float(np.linalg.norm(grad)) <= REDUCED_TOL:
+            break
+    else:
+        return None
+    orbits = [twirl_orbit(s, rho.idx, tetrahedral_ensemble_qubit()) for s in seeds]
+    member_probs = np.concatenate([np.full(len(o), p / len(o)) for p, o in zip(probs, orbits)])
+    amps = np.concatenate(orbits)
+    return _certified(rho, k, member_probs, amps)
+
+
+def _certified(
+    rho: DensityMatrix, k: int, probs: np.ndarray, amps: np.ndarray
+) -> EnsembleUpper | None:
+    """The certificate for the rows of amps with weights probs, weights
+    <= 1e-12 dropped and the rest renormalized, stating the residual of the
+    ensemble it stores; None unless it verifies."""
     keep = probs > 1e-12
     probs = probs[keep] / probs[keep].sum()
-    states = tuple(
-        PureBipartiteState(p / np.linalg.norm(p), rho.idx) for p in psis[keep]
-    )
+    states = tuple(PureBipartiteState(a / np.linalg.norm(a), rho.idx) for a in amps[keep])
     ensemble = PureEnsemble(probs, states)
-    candidate = EnsembleUpper(ensemble=ensemble, k=k, residual=res)
-    if not verify_decomposition(ensemble, rho, k, ENSEMBLE_TOL):
-        return None
-    return candidate
+    residual = float(np.linalg.norm(ensemble.mixture().matrix - rho.matrix))
+    cert = EnsembleUpper(ensemble=ensemble, k=k, residual=residual)
+    return cert if cert.verify(rho) else None
 
 
 def _random_rank_k(d_a: int, d_b: int, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -484,7 +565,9 @@ def verify_decomposition(
         return False
     if abs(float(ens.probs.sum()) - 1.0) > 1e-10 or np.any(ens.probs < -1e-12):
         return False
-    if any(schmidt_rank(st) > k for st in ens.states):
+    amps = np.array([st.amplitudes for st in ens.states])
+    s = np.linalg.svd(amps.reshape(-1, rho.idx.d_a, rho.idx.d_b), compute_uv=False)
+    if np.any(np.count_nonzero(s > RANK_TOL * s[:, :1], axis=1) > k):
         return False
     dist = float(np.linalg.norm(ens.mixture().matrix - rho.matrix))
     return dist < tol

@@ -194,6 +194,35 @@ def simplex_qp(gram, bvec, p0):
     return p
 
 
+def rank_k_oracle(x, d_a, d_b, k, b0, max_iters, tol):
+    """Maximize <psi|X|psi> over unit psi of Schmidt rank <= k, from every
+    start of the stack b0 (S, d_b, k) at once.
+
+    psi = vec(A B^T) with A d_a x k and B d_b x k. With B column-orthonormal,
+    psi = (1 (x) B) vec(A) and |psi| = |vec(A)|, so the best A is the top
+    eigenvector of (1 (x) B)^dag X (1 (x) B); A is then orthonormalized by
+    QR and B is refit the same way with the roles swapped. Each half-step
+    maximizes over a set that contains the current psi, so no step lowers
+    the value. Stops when no start gains more than tol, or after max_iters
+    rounds. Returns (values (S,), psis (S, d_a d_b)).
+    """
+    x4 = x.reshape(d_a, d_b, d_a, d_b)
+    b = np.linalg.qr(b0)[0]
+    val = None
+    for _ in range(max_iters):
+        m = np.einsum("sjn,ijkl,slm->sinkm", b.conj(), x4, b, optimize=True)
+        v = np.linalg.eigh(m.reshape(-1, d_a * k, d_a * k))[1][:, :, -1]
+        a = np.linalg.qr(v.reshape(-1, d_a, k))[0]
+        m = np.einsum("sin,ijkl,skm->snjml", a.conj(), x4, a, optimize=True)
+        w, v = np.linalg.eigh(m.reshape(-1, k * d_b, k * d_b))
+        bt = v[:, :, -1].reshape(-1, k, d_b)
+        prev, val = val, w[:, -1]
+        if prev is not None and np.all(val - prev <= tol):
+            break
+        b = np.linalg.qr(bt.transpose(0, 2, 1))[0]
+    return val, (a @ bt).reshape(-1, d_a * d_b)
+
+
 def _truncate_rank(psi, d_a, d_b, k):
     """Project a vector onto Schmidt rank <= k and renormalize."""
     u, s, vh = np.linalg.svd(psi.reshape(d_a, d_b), full_matrices=False)

@@ -144,22 +144,16 @@ def _phase_key(u: np.ndarray):
     return tuple(float(x) for z in c for x in (z.real, z.imag))
 
 
-@functools.lru_cache(maxsize=1)
-def clifford_ensemble_qubit() -> UnitaryEnsemble:
-    """The 24-element single-qubit Clifford group (a unitary 2-design).
-
-    Generated by closure of {H, S} modulo global phase, in a deterministic
-    order.
-    """
-    h = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2)
-    s = np.array([[1, 0], [0, 1j]], dtype=np.complex128)
+def _qubit_group(generators) -> UnitaryEnsemble:
+    """Closure of the generators modulo global phase, in a deterministic
+    order; a unitary 2-design for the groups built here."""
     eye = np.eye(2, dtype=np.complex128)
     group = {_phase_key(eye): _canonical_phase(eye)}
     frontier = [eye]
     while frontier:
         new = []
         for u in frontier:
-            for g in (h, s):
+            for g in generators:
                 w = g @ u
                 key = _phase_key(w)
                 if key not in group:
@@ -170,23 +164,60 @@ def clifford_ensemble_qubit() -> UnitaryEnsemble:
     return UnitaryEnsemble(np.array(elems), two_design=True)
 
 
+_H = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2)
+_S = np.array([[1, 0], [0, 1j]], dtype=np.complex128)
+
+
+@functools.lru_cache(maxsize=1)
+def clifford_ensemble_qubit() -> UnitaryEnsemble:
+    """The 24-element single-qubit Clifford group (a unitary 2-design),
+    generated by H and S."""
+    return _qubit_group((_H, _S))
+
+
+@functools.lru_cache(maxsize=1)
+def tetrahedral_ensemble_qubit() -> UnitaryEnsemble:
+    """The 12-element subgroup of the Clifford group generated by X and HS:
+    the Paulis and their images under the cyclic map X -> Y -> Z. Its frame
+    potential is 2, so it is a unitary 2-design with half the members."""
+    x = np.array([[0, 1], [1, 0]], dtype=np.complex128)
+    return _qubit_group((x, _H @ _S))
+
+
+def twirl_orbit(amplitudes: np.ndarray, idx: BipartiteIndex, ens: UnitaryEnsemble) -> np.ndarray:
+    """The orbit of a state vector under the local twirl of ens, one member
+    per row.
+
+    One pair (d_a = d_b = ens.dim): the members (U (x) U*) psi. Two pairs
+    (d_a = d_b = ens.dim^2, factor order A1 A2 B1 B2): the members
+    (U (x) V (x) U* (x) V*) psi for U, V in ens, then the same members with
+    the copies swapped (A1 <-> A2, B1 <-> B2). Every member is a local
+    unitary image of psi and keeps its Schmidt rank; for a 2-design the
+    orbit's equal mixture is the exact twirl of psi, symmetrized over the
+    copies for two pairs.
+    """
+    n, d = ens.dim, idx.d_a
+    if idx.d_b != d or d not in (n, n * n):
+        raise InvariantViolation(
+            f"state dims ({idx.d_a}, {idx.d_b}) do not match ensemble dimension {n}"
+        )
+    cs = ens.unitaries
+    if d == n:
+        return np.array([np.kron(u, u.conj()) @ amplitudes for u in cs])
+    amps = np.array([np.kron(np.kron(u, v), np.kron(u.conj(), v.conj())) @ amplitudes
+                     for u in cs for v in cs])
+    swapped = amps.reshape(-1, n, n, n, n).transpose(0, 2, 1, 4, 3).reshape(amps.shape)
+    return np.concatenate([amps, swapped])
+
+
 def twirl_pure_ensemble(psi: PureBipartiteState, ens: UnitaryEnsemble | None = None) -> PureEnsemble:
-    """Ensemble {(1/|ens|, (U (x) U*) psi)}; for a 2-design its mixture equals
-    the exact twirl, and every member keeps the Schmidt rank of psi."""
+    """Equal-weight ensemble of twirl_orbit(psi) under ens (default: the
+    Clifford group)."""
     if ens is None:
         ens = clifford_ensemble_qubit()
-    n = psi.idx.d_a
-    if psi.idx.d_b != n or ens.dim != n:
-        raise InvariantViolation(
-            f"state dims ({psi.idx.d_a}, {psi.idx.d_b}) do not match "
-            f"ensemble dimension {ens.dim}"
-        )
-    states = []
-    for u in ens.unitaries:
-        w = np.kron(u, u.conj())
-        states.append(PureBipartiteState(w @ psi.amplitudes, psi.idx))
-    probs = np.full(len(ens), 1.0 / len(ens))
-    return PureEnsemble(probs, tuple(states))
+    amps = twirl_orbit(psi.amplitudes, psi.idx, ens)
+    states = tuple(PureBipartiteState(a, psi.idx) for a in amps)
+    return PureEnsemble(np.full(len(states), 1.0 / len(states)), states)
 
 
 def _two_pair_factors(idx: BipartiteIndex) -> int:
@@ -209,9 +240,25 @@ def symmetrize_copies(rho: DensityMatrix) -> DensityMatrix:
     return DensityMatrix((rho.matrix + swapped) / 2.0, rho.idx)
 
 
-def _swap_copies_vector(amp: np.ndarray, n: int) -> np.ndarray:
-    t = amp.reshape(n, n, n, n).transpose(1, 0, 3, 2)
-    return np.ascontiguousarray(t.reshape(n**4))
+def twirl_sectors(idx: BipartiteIndex) -> np.ndarray | None:
+    """The orthogonal projectors E_j, summing to 1, that span the operators
+    fixed by the local twirl of twirl_orbit on qubit pairs; None for
+    other dimensions.
+
+    One pair (2, 2): P and Q = 1 - P, with P = |Phi+><Phi+|. Two pairs
+    (4, 4), factor order A1 A2 B1 B2: P (x) P, P (x) Q + Q (x) P and
+    Q (x) Q in pairwise order. The twirl of |psi><psi| is
+    sum_j <psi|E_j|psi> E_j / Tr E_j.
+    """
+    if idx.d_a != idx.d_b or idx.d_a not in (2, 4):
+        return None
+    v = max_entangled(2).amplitudes
+    p = np.outer(v, v.conj())
+    q = np.eye(4) - p
+    if idx.d_a == 2:
+        return np.array([p, q])
+    pairs = [np.kron(p, p), np.kron(p, q) + np.kron(q, p), np.kron(q, q)]
+    return np.array([permute_subsystems(e, [2, 2, 2, 2], [0, 2, 1, 3]) for e in pairs])
 
 
 def two_copy_construction() -> tuple[PureEnsemble, DensityMatrix]:
@@ -235,20 +282,9 @@ def two_copy_construction() -> tuple[PureEnsemble, DensityMatrix]:
     psi = (kron4(e0, psi0, e0, psi0) + kron4(e1, e0, e1, e0)) / s2
     psi /= np.linalg.norm(psi)
 
-    cliff = clifford_ensemble_qubit().unitaries
     idx = BipartiteIndex(4, 4)
-    members = []
-    for u in cliff:
-        for v in cliff:
-            w = kron4(u, v, u.conj(), v.conj())
-            members.append(w @ psi)
-    amps = np.array(members)
-    swapped = np.array([_swap_copies_vector(a, 2) for a in amps])
-    all_amps = np.concatenate([amps, swapped])
-    states = tuple(PureBipartiteState(a, idx) for a in all_amps)
-    probs = np.full(len(states), 1.0 / len(states))
-    ensemble = PureEnsemble(probs, states)
-
+    ensemble = twirl_pure_ensemble(PureBipartiteState(psi, idx), clifford_ensemble_qubit())
+    amps = np.array([st.amplitudes for st in ensemble.states[: len(ensemble.states) // 2]])
     twirled = np.einsum("mi,mj->ij", amps, amps.conj()) / len(amps)
     mixture = symmetrize_copies(DensityMatrix(twirled, idx))
     return ensemble, mixture

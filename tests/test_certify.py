@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import random_pure, random_separable
+from helpers import random_density, random_pure, random_separable, random_unitary
 from schmidtkit import (
     BipartiteIndex,
     DensityMatrix,
@@ -18,13 +20,17 @@ from schmidtkit import (
     isotropic_sn,
     max_entangled,
     schmidt_decompose,
+    schmidt_rank,
     sn_lower_via_map,
     tensor_copies,
     tensor_copy_bound,
+    tetrahedral_ensemble_qubit,
+    twirl_orbit,
     two_copy_construction,
     verify_decomposition,
     verify_report,
 )
+from schmidtkit import certify, kernels
 from schmidtkit.certify import FidelityBound, peres_witness, verify_certificate
 
 F_TIGHT = 1 / np.sqrt(2)
@@ -243,6 +249,99 @@ def test_two_copy_rank3_sector_obstruction():
         assert abs(fully_entangled_fraction_pure(state) - 0.75) < 1e-12
 
 
+def test_ensemble_search_full_rank_is_the_spectral_decomposition():
+    rng = np.random.default_rng(36)
+    for d_a, d_b, rank in ((2, 2, 4), (2, 3, 3), (3, 3, 9), (3, 2, 1)):
+        rho = random_density(d_a, d_b, rng, rank=rank)
+        found = ensemble_search(rho, min(d_a, d_b), seed=0)
+        w = np.linalg.eigvalsh(rho.matrix)
+        assert len(found.ensemble.states) == rank
+        assert np.allclose(np.sort(found.ensemble.probs), w[-rank:], atol=1e-12)
+        assert found.residual < 1e-13
+        assert verify_certificate(found, rho)
+    pure = ensemble_search(isotropic(2, 1.0), 2)
+    assert len(pure.ensemble.states) == 1 and pure.residual < 1e-13
+
+
+def test_ensemble_search_states_the_residual_of_its_ensemble():
+    rng = np.random.default_rng(38)
+    generic = random_separable(2, 2, 8, rng)
+    cases = ((generic, 1), (isotropic(2, 0.3), 1), (random_density(2, 3, rng), 2),
+             (tensor_copies(isotropic(2, F_TIGHT), 2), 2))
+    for rho, k in cases:
+        found = ensemble_search(rho, k, seed=0)
+        assert found is not None
+        assert found.residual == float(np.linalg.norm(found.ensemble.mixture().matrix
+                                                      - rho.matrix))
+
+
+def _rank_k_amplitudes(d_a, d_b, k, rng):
+    a = rng.normal(size=(d_a, k)) + 1j * rng.normal(size=(d_a, k))
+    b = rng.normal(size=(d_b, k)) + 1j * rng.normal(size=(d_b, k))
+    v = (a @ b.T).reshape(d_a * d_b)
+    return v / np.linalg.norm(v)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), pairs=st.integers(1, 2), data=st.data())
+def test_twirl_reduced_search_solves_invariant_mixtures(seed, pairs, data):
+    d = 2**pairs
+    k = data.draw(st.integers(1, d - 1))
+    terms = data.draw(st.integers(1, 4))
+    rng = np.random.default_rng(seed)
+    idx = BipartiteIndex(d, d)
+    m = np.zeros((d * d, d * d), dtype=np.complex128)
+    for p in rng.dirichlet(np.ones(terms)):
+        amps = twirl_orbit(_rank_k_amplitudes(d, d, k, rng), idx, tetrahedral_ensemble_qubit())
+        m += p * (amps.T @ amps.conj()) / len(amps)
+    rho = DensityMatrix(m, idx)
+    found = certify._twirl_reduced_search(rho, k, seed=0)
+    assert found is not None
+    assert verify_decomposition(found.ensemble, rho, k, 1e-10)
+    assert found.residual <= 1e-10
+    assert max(schmidt_rank(s) for s in found.ensemble.states) <= k
+
+
+def test_two_copy_rank3_search_finds_nothing():
+    # The sector obstruction below proves that no decomposition exists.
+    target = tensor_copies(isotropic(2, np.sqrt(3) / 2), 2)
+    assert certify._twirl_reduced_search(target, 3, seed=0) is None
+    assert ensemble_search(target, 3, restarts=1, max_iters=50, seed=0) is None
+
+
+def test_twirl_route_needs_an_invariant_state(monkeypatch):
+    calls = []
+    oracle = kernels.rank_k_oracle
+    monkeypatch.setattr(kernels, "rank_k_oracle", lambda *a: calls.append(1) or oracle(*a))
+    rng = np.random.default_rng(39)
+    rho = isotropic(4, 0.6)
+    w = np.kron(random_unitary(4, rng), random_unitary(4, rng))
+    rotated = DensityMatrix(w @ rho.matrix @ w.conj().T, rho.idx)
+    ensemble_search(rotated, 3, restarts=1, max_iters=20, seed=0)
+    assert not calls
+    found = ensemble_search(rho, 3, restarts=1, max_iters=20, seed=0)
+    assert calls and found is not None and found.residual < 1e-12
+
+
+def test_verify_decomposition_rank_check_matches_loop():
+    rng = np.random.default_rng(37)
+    idx = BipartiteIndex(3, 4)
+    spectra = ([1, 0, 0], [1, 1, 0], [1, 1, 1], [1, 1.001e-9, 0], [1, 0.999e-9, 0],
+               [1, 0.5, 1.001e-9], [1, 0.5, 0.999e-9], [1, 1e-14, 1e-15])
+    states = []
+    for sv in spectra:
+        x = random_unitary(3, rng) @ np.diag(sv) @ random_unitary(4, rng)[:3]
+        states.append(PureBipartiteState(x.reshape(12) / np.linalg.norm(x), idx))
+    ranks = [schmidt_rank(s) for s in states]
+    assert ranks == [1, 2, 3, 2, 1, 3, 2, 1]
+    for k in (1, 2, 3):
+        for s, r in zip(states, ranks):
+            alone = PureEnsemble(np.array([1.0]), (s,))
+            assert verify_decomposition(alone, s.density(), k, 1.0) == (r <= k)
+        ens = PureEnsemble(np.full(len(states), 1 / len(states)), tuple(states))
+        assert verify_decomposition(ens, ens.mixture(), k, 1.0) == (max(ranks) <= k)
+
+
 def test_verify_decomposition_cases():
     idx = BipartiteIndex(2, 2)
     zero = PureBipartiteState(np.array([1, 0, 0, 0], dtype=complex), idx)
@@ -301,6 +400,9 @@ def test_analyze_two_copy_nonadditivity():
     rep = analyze(rho, search_upper=2, restarts=8, seed=0)
     assert (rep.lower_bound, rep.upper_bound) == (2, 2)
     assert verify_report(rep, rho)
+    (cert,) = [c for c in rep.certificates if c.kind == "ensemble_upper"]
+    assert cert.residual <= 1e-12
+    assert max(schmidt_rank(s) for s in cert.ensemble.states) <= 2
 
 
 def test_analyze_separable_states():

@@ -362,3 +362,48 @@ def test_probe_descent_never_ascends(seed, n, data, max_iters):
     assert np.max(np.abs(a.conj().T @ a - eye)) <= 1e-12
     assert np.max(np.abs(b.conj().T @ b - eye)) <= 1e-12
     assert abs(val - value(a, b)) <= 1e-12
+
+
+def test_rank_k_oracle_on_maximally_entangled_projector():
+    # P (x) P over the cut A1 A2 : B1 B2 is |Phi_4><Phi_4|, whose largest
+    # overlap with a Schmidt-rank-<=k state is k/4.
+    from schmidtkit.twirl import twirl_sectors
+    from schmidtkit.linalg import BipartiteIndex
+
+    pp = twirl_sectors(BipartiteIndex(4, 4))[0]
+    rng = np.random.default_rng(71)
+    for k in range(1, 5):
+        vals, psis = kernels.rank_k_oracle(pp, 4, 4, k, _ginibre(rng, 4, k)[None], 500, 1e-15)
+        assert abs(vals[0] - k / 4) <= 1e-12
+        psi = psis[0]
+        assert abs(np.linalg.norm(psi) - 1.0) <= 1e-12
+        assert abs((psi.conj() @ pp @ psi).real - vals[0]) <= 1e-12
+        assert np.linalg.matrix_rank(psi.reshape(4, 4), tol=1e-9) <= k
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d_a=st.integers(1, 4),
+    d_b=st.integers(1, 4),
+    data=st.data(),
+    max_iters=st.integers(1, 30),
+)
+def test_rank_k_oracle_never_descends(seed, d_a, d_b, data, max_iters):
+    k = data.draw(st.integers(1, min(d_a, d_b)))
+    rng = np.random.default_rng(seed)
+    x = random_hermitian(d_a * d_b, rng)
+    b0 = np.array([_ginibre(rng, d_b, k) for _ in range(3)])
+    vals, psis = kernels.rank_k_oracle(x, d_a, d_b, k, b0, max_iters, 0.0)
+    # The first A step alone reaches the top eigenvalue over span(B0).
+    q = np.linalg.qr(b0)[0]
+    for s in range(3):
+        w = np.kron(np.eye(d_a), q[s])
+        start = np.linalg.eigvalsh(w.conj().T @ x @ w)[-1]
+        psi = psis[s]
+        assert vals[s] >= start - 1e-12
+        assert vals[s] <= np.linalg.eigvalsh(x)[-1] + 1e-12
+        assert abs(np.linalg.norm(psi) - 1.0) <= 1e-12
+        assert abs((psi.conj() @ x @ psi).real - vals[s]) <= 1e-12
+        sv = np.linalg.svd(psi.reshape(d_a, d_b), compute_uv=False)
+        assert np.count_nonzero(sv > 1e-9 * sv[0]) <= k

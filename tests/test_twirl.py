@@ -16,9 +16,12 @@ from schmidtkit import (
     schmidt_rank,
     symmetrize_copies,
     tensor_copies,
+    tetrahedral_ensemble_qubit,
     twirl_exact,
     twirl_mc,
+    twirl_orbit,
     twirl_pure_ensemble,
+    twirl_sectors,
     two_copy_construction,
 )
 from schmidtkit.twirl import fidelity_with_max_entangled, two_copy_coefficients
@@ -172,6 +175,59 @@ def test_clifford_twirl_of_zero_state():
         w = kron(u, u.conj())
         acc += np.outer(w @ v, (w @ v).conj())
     assert frob(acc / len(ens), isotropic(2, 0.5).matrix) < 1e-12
+
+
+def _phase_free(u):
+    i = int(np.argmax(np.abs(u.reshape(-1)) > 1e-8))
+    return u / (u.reshape(-1)[i] / abs(u.reshape(-1)[i]))
+
+
+def test_tetrahedral_ensemble_is_a_clifford_two_design():
+    ens = tetrahedral_ensemble_qubit()
+    assert len(ens) == 12 and ens.two_design
+    cliff = [_phase_free(u) for u in clifford_ensemble_qubit().unitaries]
+    for u in ens.unitaries:
+        assert any(np.allclose(_phase_free(u), c, atol=1e-12) for c in cliff)
+    overlaps = np.abs(np.einsum("sij,tij->st", ens.unitaries.conj(), ens.unitaries)) ** 4
+    assert abs(overlaps.mean() - 2.0) < 1e-12  # frame potential of a 2-design
+
+
+def test_tetrahedral_twirl_is_the_isotropic_projection():
+    ens = tetrahedral_ensemble_qubit()
+    rng = np.random.default_rng(28)
+    for _ in range(20):
+        rho = random_density(2, 2, rng)
+        acc = np.zeros((4, 4), dtype=complex)
+        for u in ens.unitaries:
+            w = kron(u, u.conj())
+            acc += w @ rho.matrix @ w.conj().T
+        assert frob(acc / len(ens), twirl_exact(rho).matrix) < 1e-13
+
+
+def test_two_pair_orbit_mixture_is_the_sector_projection():
+    idx = BipartiteIndex(4, 4)
+    sectors = twirl_sectors(idx)
+    assert frob(sectors.sum(axis=0), np.eye(16)) < 1e-14
+    assert [round(float(np.trace(e).real)) for e in sectors] == [1, 6, 9]
+    rng = np.random.default_rng(29)
+    for ens, size in ((tetrahedral_ensemble_qubit(), 288), (clifford_ensemble_qubit(), 1152)):
+        psi = random_pure(4, 4, rng)
+        amps = twirl_orbit(psi.amplitudes, idx, ens)
+        assert amps.shape == (size, 16)
+        mixture = amps.T @ amps.conj() / size
+        weights = np.einsum("a,jab,b->j", psi.amplitudes.conj(), sectors, psi.amplitudes).real
+        expected = np.einsum("j,jab->ab", weights / np.trace(sectors, axis1=1, axis2=2).real,
+                             sectors)
+        assert frob(mixture, expected) < 1e-13
+        ranks = {schmidt_rank(PureBipartiteState(a, idx)) for a in amps}
+        assert ranks == {schmidt_rank(psi)}
+
+
+def test_twirl_sectors_only_for_qubit_pairs():
+    for d_a, d_b in ((3, 3), (2, 3), (4, 2), (9, 9)):
+        assert twirl_sectors(BipartiteIndex(d_a, d_b)) is None
+    with pytest.raises(InvariantViolation):
+        twirl_orbit(np.ones(9) / 3, BipartiteIndex(3, 3), clifford_ensemble_qubit())
 
 
 # ----------------------------------------------------------- pure ensembles

@@ -16,7 +16,6 @@ from .certify import (
     ensemble_search,
     fidelity_max,
     fidelity_to_sn_bound,
-    isotropic_decomposition,
     isotropic_sn,
     sn_lower_via_map,
     tensor_copy_bound,
@@ -26,13 +25,10 @@ from .certify import (
 from .linalg import (
     BipartiteIndex,
     InvariantViolation,
-    eigh,
-    kron,
     min_eigenvalue,
     partial_trace,
     partial_transpose,
     permute_subsystems,
-    svd,
 )
 from .maps import (
     MatrixMap,
@@ -58,6 +54,7 @@ from .states import (
     psi_k,
     schmidt_decompose,
     schmidt_rank,
+    schmidt_ranks,
     tensor_copies,
 )
 from .twirl import (

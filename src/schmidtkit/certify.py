@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import io, kernels
-from .linalg import BipartiteIndex, InvariantViolation, min_eigenvalue
+from .linalg import InvariantViolation, min_eigenvalue
 from .maps import (
     NEGATIVITY_THRESHOLD,
     apply_id_tensor_map,
@@ -21,22 +21,14 @@ from .maps import (
     reduction_family,
     transpose_map,
 )
-from .states import (
-    RANK_TOL,
-    DensityMatrix,
-    PureBipartiteState,
-    isotropic,
-    psi_k,
-)
+from .states import DensityMatrix, PureBipartiteState, schmidt_ranks
 from .twirl import (
     PureEnsemble,
-    clifford_ensemble_qubit,
     fidelity_with_max_entangled,
     haar_unitary,
     tetrahedral_ensemble_qubit,
     twirl_exact,
     twirl_orbit,
-    twirl_pure_ensemble,
     twirl_sectors,
 )
 
@@ -192,7 +184,7 @@ class EnsembleUpper:
 
     def describe(self) -> str:
         return (f"ensemble upper: rank <= {self.k}, "
-                f"{len(self.ensemble.states)} members, residual {self.residual:.3e}")
+                f"{len(self.ensemble.probs)} members, residual {self.residual:.3e}")
 
     def bounds(self) -> tuple[int, int | None]:
         return 1, self.k
@@ -377,38 +369,6 @@ def isotropic_sn(n: int, f: float) -> int:
     return min(max(k, 1), n)
 
 
-def isotropic_decomposition(k: int, f: float | None = None) -> EnsembleUpper:
-    """Constructive rank-<=k ensemble for the N=2 isotropic state.
-
-    Default target is F = k/2 (the classification boundary), built by
-    Clifford-twirling the rank-k maximally entangled state. Any F < k/2 is
-    reached by mixing in the twirl ensemble of the product state |01>, whose
-    mixture is the F = 0 isotropic state.
-    """
-    n = 2
-    if k not in (1, 2):
-        raise InvariantViolation(f"explicit ensembles exist for k in {{1, 2}}, got {k}")
-    boundary = k / n
-    if f is None:
-        f = boundary
-    if not 0.0 <= f <= boundary + 1e-12:
-        raise InvariantViolation(f"target fidelity {f} outside [0, {boundary}]")
-    ens_k = twirl_pure_ensemble(psi_k(n, k), clifford_ensemble_qubit())
-    w = min(f / boundary, 1.0)
-    if w >= 1.0 - 1e-15:
-        ensemble = ens_k
-    else:
-        zero_state = PureBipartiteState(
-            np.array([0, 1, 0, 0], dtype=np.complex128), BipartiteIndex(n, n)
-        )
-        ens_0 = twirl_pure_ensemble(zero_state, clifford_ensemble_qubit())
-        probs = np.concatenate([w * ens_k.probs, (1.0 - w) * ens_0.probs])
-        ensemble = PureEnsemble(probs, ens_k.states + ens_0.states)
-    target = isotropic(n, f)
-    residual = float(np.linalg.norm(ensemble.mixture().matrix - target.matrix))
-    return EnsembleUpper(ensemble=ensemble, k=k, residual=residual)
-
-
 def tensor_copy_bound(f: float, n: int, m: int) -> int:
     """Schmidt-number lower bound for m tensor copies of the isotropic state,
     from f(rho^(x)m) >= F^m."""
@@ -431,12 +391,14 @@ def ensemble_search(
 
     At k = min(d_a, d_b) the spectral decomposition is the answer. A state
     fixed by the local twirl of one or two qubit pairs (twirl_sectors) is
-    first solved in its 2-3 sector weights (_twirl_reduced_search). Otherwise,
-    or when that fails, alternating minimization: ansatz vectors start as
-    random sums of k product terms and are re-projected onto Schmidt rank
-    <= k each sweep; weights are refit as the exact least-squares optimum on
-    the probability simplex. Success requires the stored ensemble to pass
-    EnsembleUpper.verify; a failed search proves nothing.
+    first solved in its 2-3 sector weights (_twirl_reduced_search); when that
+    search's gap test finds rho outside the reach of rank-<=k seeds, the
+    answer is None. Otherwise, or when it runs out of steps, alternating
+    minimization: ansatz vectors start as random sums of k product terms and
+    are re-projected onto Schmidt rank <= k each sweep; weights are refit as
+    the exact least-squares optimum on the probability simplex. Success
+    requires the stored ensemble to pass EnsembleUpper.verify; a failed
+    search proves nothing.
     """
     d_a, d_b = rho.idx.d_a, rho.idx.d_b
     if not 1 <= k <= min(d_a, d_b):
@@ -451,8 +413,8 @@ def ensemble_search(
     if k == min(d_a, d_b):
         w, v = np.linalg.eigh(rho.matrix)
         return _certified(rho, k, np.maximum(w, 0.0), v.T)
-    found = _twirl_reduced_search(rho, k, seed)
-    if found is not None:
+    found, outside = _twirl_reduced_search(rho, k, seed)
+    if found is not None or outside:
         return found
     best = None
     for r in range(restarts):
@@ -474,10 +436,12 @@ def ensemble_search(
     return _certified(rho, k, probs, psis)
 
 
-def _twirl_reduced_search(rho: DensityMatrix, k: int, seed: int) -> EnsembleUpper | None:
+def _twirl_reduced_search(
+    rho: DensityMatrix, k: int, seed: int
+) -> tuple[EnsembleUpper | None, bool]:
     """Rank-<=k decomposition of a state fixed by the local twirl, found in
-    its sector weights; None when rho is not such a state or no
-    decomposition is found.
+    its sector weights, and whether the gap test stopped the search. The
+    decomposition is None when rho is not such a state or none is found.
 
     With E_j the projectors of twirl_sectors and scaled weights
     u(psi)_j = <psi|E_j|psi> / sqrt(Tr E_j), twirling maps |psi><psi| to
@@ -491,12 +455,12 @@ def _twirl_reduced_search(rho: DensityMatrix, k: int, seed: int) -> EnsembleUppe
     """
     sectors = twirl_sectors(rho.idx)
     if sectors is None:
-        return None
+        return None, False
     scale = 1.0 / np.sqrt(np.einsum("jaa->j", sectors).real)
     target = np.einsum("jab,ba->j", sectors, rho.matrix).real * scale
     invariant = np.einsum("j,jab->ab", target * scale, sectors)
     if float(np.linalg.norm(rho.matrix - invariant)) > ISOTROPIC_DETECTION_TOL:
-        return None
+        return None, False
     d_a, d_b = rho.idx.d_a, rho.idx.d_b
     rng = np.random.default_rng(seed)
     seeds = np.zeros((0, d_a * d_b), dtype=np.complex128)
@@ -514,7 +478,7 @@ def _twirl_reduced_search(rho: DensityMatrix, k: int, seed: int) -> EnsembleUppe
         # grad.u <= grad.target, so the Frank-Wolfe gap
         # grad.(probs @ weights - u) is at least |grad|^2.
         if probs.size and grad @ (probs @ weights - u) < 0.5 * (grad @ grad):
-            return None
+            return None, True
         seeds = np.vstack([seeds, psi])
         weights = np.vstack([weights, u])
         probs = kernels.simplex_qp(weights @ weights.T, weights @ target,
@@ -525,11 +489,11 @@ def _twirl_reduced_search(rho: DensityMatrix, k: int, seed: int) -> EnsembleUppe
         if float(np.linalg.norm(grad)) <= REDUCED_TOL:
             break
     else:
-        return None
+        return None, False
     orbits = [twirl_orbit(s, rho.idx, tetrahedral_ensemble_qubit()) for s in seeds]
     member_probs = np.concatenate([np.full(len(o), p / len(o)) for p, o in zip(probs, orbits)])
     amps = np.concatenate(orbits)
-    return _certified(rho, k, member_probs, amps)
+    return _certified(rho, k, member_probs, amps), False
 
 
 def _certified(
@@ -540,8 +504,10 @@ def _certified(
     ensemble it stores; None unless it verifies."""
     keep = probs > 1e-12
     probs = probs[keep] / probs[keep].sum()
-    states = tuple(PureBipartiteState(a / np.linalg.norm(a), rho.idx) for a in amps[keep])
-    ensemble = PureEnsemble(probs, states)
+    # One norm per row: an axis=1 norm sums in another order and can move
+    # the stored amplitudes in the last bit.
+    amps = np.array([a / np.linalg.norm(a) for a in amps[keep]])
+    ensemble = PureEnsemble(probs, amps, rho.idx)
     residual = float(np.linalg.norm(ensemble.mixture().matrix - rho.matrix))
     cert = EnsembleUpper(ensemble=ensemble, k=k, residual=residual)
     return cert if cert.verify(rho) else None
@@ -565,9 +531,7 @@ def verify_decomposition(
         return False
     if abs(float(ens.probs.sum()) - 1.0) > 1e-10 or np.any(ens.probs < -1e-12):
         return False
-    amps = np.array([st.amplitudes for st in ens.states])
-    s = np.linalg.svd(amps.reshape(-1, rho.idx.d_a, rho.idx.d_b), compute_uv=False)
-    if np.any(np.count_nonzero(s > RANK_TOL * s[:, :1], axis=1) > k):
+    if np.any(schmidt_ranks(ens.amps, ens.idx) > k):
         return False
     dist = float(np.linalg.norm(ens.mixture().matrix - rho.matrix))
     return dist < tol
@@ -608,11 +572,6 @@ def analyze(
     return SnReport(*proven_bounds(certificates), certificates)
 
 
-def verify_certificate(cert, rho: DensityMatrix, atol: float = VERIFY_ATOL) -> bool:
-    """Recompute a certificate's numeric evidence against rho."""
-    return cert.verify(rho, atol)
-
-
 def verify_report(report: SnReport, rho: DensityMatrix) -> bool:
     """Re-verify every certificate in a report against rho."""
-    return all(verify_certificate(c, rho) for c in report.certificates)
+    return all(c.verify(rho) for c in report.certificates)

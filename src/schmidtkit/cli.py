@@ -19,7 +19,7 @@ from .certify import (
 )
 from .linalg import InvariantViolation
 from .maps import kpositivity_probe, map_from_choi
-from .states import isotropic
+from .states import isotropic, schmidt_ranks, tensor_copies
 from .twirl import (
     fidelity_with_max_entangled,
     twirl_exact,
@@ -140,15 +140,10 @@ def _cmd_demo(args) -> int:
     b_expect = (s2 - 1.0) / 6.0
     c_expect = 0.5
     a, b1, b2, c = two_copy_coefficients(mixture)
-
-    from .states import isotropic as iso, tensor_copies
-
-    target = tensor_copies(iso(2, F_TIGHT), 2)
+    target = tensor_copies(isotropic(2, F_TIGHT), 2)
     dist = float(np.linalg.norm(mixture.matrix - target.matrix))
     ens_dist = float(np.linalg.norm(ensemble.mixture().matrix - mixture.matrix))
-    from .states import schmidt_rank
-
-    max_rank = max(schmidt_rank(st) for st in ensemble.states)
+    max_rank = int(schmidt_ranks(ensemble.amps, ensemble.idx).max())
 
     checks = [
         ("coefficient a", abs(a - a_expect) < 1e-10, f"{a:.15g} vs {a_expect:.15g}"),
@@ -165,7 +160,7 @@ def _cmd_demo(args) -> int:
         ok = ok and passed
     if args.dump:
         io.write_ensemble_file(args.dump, ensemble)
-        print(f"ensemble written to {args.dump} ({len(ensemble.states)} members)")
+        print(f"ensemble written to {args.dump} ({len(ensemble.probs)} members)")
     print("RESULT:", "PASS" if ok else "FAIL")
     return EXIT_OK if ok else EXIT_NUMERIC
 

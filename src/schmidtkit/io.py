@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .linalg import BipartiteIndex, InvariantViolation
-from .states import DensityMatrix, PureBipartiteState
+from .states import DensityMatrix
 from .twirl import PureEnsemble
 
 
@@ -176,8 +176,8 @@ def read_matrix_file(path, raw: bool = False):
 
 
 def ensemble_payload(ens: PureEnsemble) -> dict:
-    members = [{"p": p, "re": st.amplitudes.real.tolist(), "im": st.amplitudes.imag.tolist()}
-               for p, st in zip(ens.probs.tolist(), ens.states)]
+    members = [{"p": p, "re": re, "im": im} for p, re, im in
+               zip(ens.probs.tolist(), ens.amps.real.tolist(), ens.amps.imag.tolist())]
     return {"d_a": ens.idx.d_a, "d_b": ens.idx.d_b, "members": members}
 
 
@@ -185,12 +185,12 @@ def parse_ensemble_payload(payload) -> PureEnsemble:
     _require(payload, ("d_a", "d_b", "members"), "ensemble")
     idx = _parse_index(payload)
     probs = []
-    states = []
+    amps = []
     for member in _require_list(payload, "members", "ensemble"):
         _require(member, ("p", "re", "im"), "ensemble member")
         probs.append(_parse_number(member, "p"))
-        states.append(PureBipartiteState(_parse_blocks(member, "re", "im", (idx.dim,)), idx))
-    return PureEnsemble(np.asarray(probs), tuple(states))
+        amps.append(_parse_blocks(member, "re", "im", (idx.dim,)))
+    return PureEnsemble(np.asarray(probs), np.reshape(amps, (len(amps), idx.dim)), idx)
 
 
 def write_ensemble_file(path, ens: PureEnsemble) -> None:

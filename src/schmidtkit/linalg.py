@@ -44,59 +44,31 @@ def as_matrix(m) -> np.ndarray:
     return a
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Tensor (Kronecker) product, (A(x)B)[ir+k, jc+l] = A[i,j] B[k,l]."""
-    return np.kron(as_matrix(a), as_matrix(b))
-
-
 def hermiticity_defect(m: np.ndarray) -> float:
     """Max entrywise deviation |M - M^dagger|."""
     m = as_matrix(m)
     return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
 
 
-def hermitize(m: np.ndarray, atol: float = HERMITICITY_ATOL) -> np.ndarray:
+def hermitize(m: np.ndarray) -> np.ndarray:
     """Return (M + M^dagger)/2; reject inputs that are not Hermitian within
-    atol or that hold a NaN or infinite entry."""
+    HERMITICITY_ATOL or that hold a NaN or infinite entry."""
     m = as_matrix(m)
     if m.shape[0] != m.shape[1]:
         raise InvariantViolation(f"matrix is not square: shape {m.shape}")
     if not np.isfinite(m).all():
         raise InvariantViolation("matrix has a NaN or infinite entry")
     defect = hermiticity_defect(m)
-    if defect > atol:
+    if defect > HERMITICITY_ATOL:
         raise InvariantViolation(
-            f"matrix is not Hermitian: max entrywise defect {defect:.3e} > {atol:.1e}"
+            f"matrix is not Hermitian: max entrywise defect {defect:.3e} > {HERMITICITY_ATOL:.1e}"
         )
     return (m + m.conj().T) / 2.0
 
 
-def eigh(h: np.ndarray, atol: float = HERMITICITY_ATOL):
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns (eigenvalues ascending, eigenvectors as orthonormal columns).
-    The input is symmetrized before solving; non-Hermitian input raises.
-    """
-    h = hermitize(h, atol)
-    w, v = np.linalg.eigh(h)
-    return w, v
-
-
-def min_eigenvalue(h: np.ndarray, atol: float = HERMITICITY_ATOL) -> float:
-    """Smallest eigenvalue of a Hermitian matrix."""
-    h = hermitize(h, atol)
-    return float(np.linalg.eigvalsh(h)[0])
-
-
-def svd(m: np.ndarray):
-    """Singular value decomposition M = U diag(s) V^dagger.
-
-    Returns (U, s, V) with s nonnegative descending and U, V isometries
-    (note: V, not V^dagger).
-    """
-    m = as_matrix(m)
-    u, s, vh = np.linalg.svd(m, full_matrices=False)
-    return u, s, vh.conj().T
+def min_eigenvalue(h: np.ndarray) -> float:
+    """Smallest eigenvalue of a Hermitian matrix; non-Hermitian input raises."""
+    return float(np.linalg.eigvalsh(hermitize(h))[0])
 
 
 def _reshape4(rho: np.ndarray, idx: BipartiteIndex) -> np.ndarray:

@@ -97,26 +97,28 @@ class SchmidtDecomposition:
         return int(self.coefficients.size)
 
 
-def schmidt_decompose(psi: PureBipartiteState, rank_tol: float = RANK_TOL) -> SchmidtDecomposition:
-    """Schmidt decomposition via SVD of the coefficient matrix.
-
-    Coefficients below rank_tol (relative to the largest singular value) are
-    dropped, so the decomposition carries exactly schmidt_rank(psi) terms.
-    """
-    x = psi.amplitude_matrix()
-    u, s, vh = np.linalg.svd(x, full_matrices=False)
-    keep = s > rank_tol * s[0]
+def schmidt_decompose(psi: PureBipartiteState) -> SchmidtDecomposition:
+    """Schmidt decomposition via SVD of the coefficient matrix, carrying
+    exactly schmidt_rank(psi) terms."""
+    u, s, vh = np.linalg.svd(psi.amplitude_matrix(), full_matrices=False)
+    r = schmidt_rank(psi)
     return SchmidtDecomposition(
-        coefficients=s[keep] ** 2,
-        left=np.ascontiguousarray(u[:, keep]),
-        right=np.ascontiguousarray(vh[keep, :].T),
+        coefficients=s[:r] ** 2,
+        left=np.ascontiguousarray(u[:, :r]),
+        right=np.ascontiguousarray(vh[:r, :].T),
     )
 
 
-def schmidt_rank(psi: PureBipartiteState, rank_tol: float = RANK_TOL) -> int:
-    """Number of singular values above rank_tol * (largest singular value)."""
-    s = np.linalg.svd(psi.amplitude_matrix(), compute_uv=False)
-    return int(np.count_nonzero(s > rank_tol * s[0]))
+def schmidt_ranks(amps: np.ndarray, idx: BipartiteIndex) -> np.ndarray:
+    """Schmidt rank of each row of amps: the number of singular values of
+    its d_a x d_b coefficient matrix above RANK_TOL * (the largest)."""
+    s = np.linalg.svd(np.reshape(amps, (-1, idx.d_a, idx.d_b)), compute_uv=False)
+    return np.count_nonzero(s > RANK_TOL * s[:, :1], axis=1)
+
+
+def schmidt_rank(psi: PureBipartiteState) -> int:
+    """Schmidt rank of one state (schmidt_ranks)."""
+    return int(schmidt_ranks(psi.amplitudes, psi.idx)[0])
 
 
 def max_entangled(n: int) -> PureBipartiteState:

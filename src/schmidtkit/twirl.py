@@ -9,8 +9,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .linalg import BipartiteIndex, InvariantViolation, as_matrix, permute_subsystems
+from .linalg import BipartiteIndex, InvariantViolation, permute_subsystems
 from .states import (
+    NORM_ATOL,
     DensityMatrix,
     PureBipartiteState,
     isotropic,
@@ -22,44 +23,48 @@ MC_CHUNK = 2048
 
 @dataclass(frozen=True)
 class PureEnsemble:
-    """Probability-weighted list of pure states; a constructive decomposition."""
+    """Probability-weighted pure states, one unit amplitude vector per row
+    of amps (flat index i*d_b + j); a constructive decomposition."""
 
     probs: np.ndarray
-    states: tuple
+    amps: np.ndarray
+    idx: BipartiteIndex
 
     def __post_init__(self):
         p = np.asarray(self.probs, dtype=np.float64)
-        if p.ndim != 1 or p.size != len(self.states):
+        a = np.ascontiguousarray(np.asarray(self.amps, dtype=np.complex128))
+        if a.ndim != 2 or a.shape[1] != self.idx.dim:
+            raise InvariantViolation(
+                f"amplitude rows have shape {a.shape[1:]}, expected ({self.idx.dim},)"
+            )
+        if p.ndim != 1 or p.size != a.shape[0]:
             raise InvariantViolation("need one probability per state")
+        if not np.isfinite(a).all():
+            raise InvariantViolation("amplitude vector has a NaN or infinite entry")
+        dev = float(np.max(np.abs(np.linalg.norm(a, axis=1) - 1.0), initial=0.0))
+        if dev > NORM_ATOL:
+            raise InvariantViolation(
+                f"state norm deviates from 1 by {dev:.3e} > {NORM_ATOL:.1e}"
+            )
         if np.any(p < -1e-12):
             raise InvariantViolation(f"negative weight {p.min():.3e}")
-        if abs(p.sum() - 1.0) > 1e-10:
+        if not abs(p.sum() - 1.0) <= 1e-10:  # a NaN weight fails here too
             raise InvariantViolation(
                 f"weights sum to 1 off by {abs(p.sum() - 1.0):.3e} > 1e-10"
             )
-        idx = self.states[0].idx
-        for st in self.states:
-            if st.idx != idx:
-                raise InvariantViolation("ensemble members live on different spaces")
         object.__setattr__(self, "probs", p)
-        object.__setattr__(self, "states", tuple(self.states))
-
-    @property
-    def idx(self) -> BipartiteIndex:
-        return self.states[0].idx
+        object.__setattr__(self, "amps", a)
 
     def mixture(self) -> DensityMatrix:
-        amps = np.array([st.amplitudes for st in self.states])
-        m = np.einsum("m,mi,mj->ij", self.probs, amps, amps.conj())
+        m = np.einsum("m,mi,mj->ij", self.probs, self.amps, self.amps.conj())
         return DensityMatrix(m, self.idx)
 
 
 @dataclass(frozen=True)
 class UnitaryEnsemble:
-    """Equal-weight finite set of N x N unitaries; two_design marks exactness."""
+    """Equal-weight finite set of N x N unitaries."""
 
     unitaries: np.ndarray
-    two_design: bool = False
 
     def __post_init__(self):
         u = np.ascontiguousarray(np.asarray(self.unitaries, dtype=np.complex128))
@@ -161,7 +166,7 @@ def _qubit_group(generators) -> UnitaryEnsemble:
                     new.append(w)
         frontier = new
     elems = [group[key] for key in sorted(group)]
-    return UnitaryEnsemble(np.array(elems), two_design=True)
+    return UnitaryEnsemble(np.array(elems))
 
 
 _H = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2)
@@ -216,8 +221,7 @@ def twirl_pure_ensemble(psi: PureBipartiteState, ens: UnitaryEnsemble | None = N
     if ens is None:
         ens = clifford_ensemble_qubit()
     amps = twirl_orbit(psi.amplitudes, psi.idx, ens)
-    states = tuple(PureBipartiteState(a, psi.idx) for a in amps)
-    return PureEnsemble(np.full(len(states), 1.0 / len(states)), states)
+    return PureEnsemble(np.full(len(amps), 1.0 / len(amps)), amps, psi.idx)
 
 
 def _two_pair_factors(idx: BipartiteIndex) -> int:
@@ -284,7 +288,7 @@ def two_copy_construction() -> tuple[PureEnsemble, DensityMatrix]:
 
     idx = BipartiteIndex(4, 4)
     ensemble = twirl_pure_ensemble(PureBipartiteState(psi, idx), clifford_ensemble_qubit())
-    amps = np.array([st.amplitudes for st in ensemble.states[: len(ensemble.states) // 2]])
+    amps = ensemble.amps[: len(ensemble.amps) // 2]
     twirled = np.einsum("mi,mj->ij", amps, amps.conj()) / len(amps)
     mixture = symmetrize_copies(DensityMatrix(twirled, idx))
     return ensemble, mixture

@@ -16,11 +16,11 @@ from schmidtkit import (
     fidelity_to_sn_bound,
     fully_entangled_fraction_pure,
     isotropic,
-    isotropic_decomposition,
     isotropic_sn,
     max_entangled,
     schmidt_decompose,
     schmidt_rank,
+    schmidt_ranks,
     sn_lower_via_map,
     tensor_copies,
     tensor_copy_bound,
@@ -31,7 +31,7 @@ from schmidtkit import (
     verify_report,
 )
 from schmidtkit import certify, kernels
-from schmidtkit.certify import FidelityBound, peres_witness, verify_certificate
+from schmidtkit.certify import FidelityBound, peres_witness
 
 F_TIGHT = 1 / np.sqrt(2)
 
@@ -92,7 +92,7 @@ def test_fidelity_max_one_sided_on_pure_states():
 def test_fidelity_certificate_verifies():
     rho = isotropic(3, 0.7)
     fb = fidelity_max(rho, restarts=6, seed=3)
-    assert verify_certificate(fb, rho)
+    assert fb.verify(rho)
     achieved = (fb.state.amplitudes.conj() @ rho.matrix @ fb.state.amplitudes).real
     assert abs(achieved - fb.f_hat) < 1e-10
 
@@ -138,26 +138,18 @@ def test_isotropic_sn_examples_and_boundaries():
                 assert isotropic_sn(n, k / n + 1e-13) == k
 
 
-def test_isotropic_decomposition_boundary():
-    cert = isotropic_decomposition(1)
-    assert cert.residual < 1e-10
-    assert len(cert.ensemble.states) == 24
-    assert verify_decomposition(cert.ensemble, isotropic(2, 0.5), 1, 1e-10)
-    cert = isotropic_decomposition(2)
-    assert cert.residual < 1e-10
-    assert verify_decomposition(cert.ensemble, isotropic(2, 1.0), 2, 1e-10)
-
-
-def test_isotropic_decomposition_below_boundary():
+def test_ensemble_search_isotropic_qubits_up_to_the_boundary():
+    # SN = k on (k-1)/2 < F <= k/2: a rank-k decomposition exists up to the
+    # boundary, found by the reduced route at k = 1 and spectrally at k = 2.
     for k in (1, 2):
         for f in np.linspace(0.0, k / 2, 7):
-            cert = isotropic_decomposition(k, f)
+            rho = isotropic(2, f)
+            cert = ensemble_search(rho, k, seed=0)
             assert cert.residual < 1e-10
-            assert verify_decomposition(cert.ensemble, isotropic(2, f), k, 1e-10)
+            assert verify_decomposition(cert.ensemble, rho, k, 1e-10)
+    assert ensemble_search(isotropic(2, 0.9), 1, seed=0) is None
     with pytest.raises(InvariantViolation):
-        isotropic_decomposition(1, 0.9)
-    with pytest.raises(InvariantViolation):
-        isotropic_decomposition(3)
+        ensemble_search(isotropic(2, 0.9), 3)
 
 
 # ------------------------------------------------------------ tensor copies
@@ -255,12 +247,12 @@ def test_ensemble_search_full_rank_is_the_spectral_decomposition():
         rho = random_density(d_a, d_b, rng, rank=rank)
         found = ensemble_search(rho, min(d_a, d_b), seed=0)
         w = np.linalg.eigvalsh(rho.matrix)
-        assert len(found.ensemble.states) == rank
+        assert len(found.ensemble.probs) == rank
         assert np.allclose(np.sort(found.ensemble.probs), w[-rank:], atol=1e-12)
         assert found.residual < 1e-13
-        assert verify_certificate(found, rho)
+        assert found.verify(rho)
     pure = ensemble_search(isotropic(2, 1.0), 2)
-    assert len(pure.ensemble.states) == 1 and pure.residual < 1e-13
+    assert len(pure.ensemble.probs) == 1 and pure.residual < 1e-13
 
 
 def test_ensemble_search_states_the_residual_of_its_ensemble():
@@ -295,18 +287,20 @@ def test_twirl_reduced_search_solves_invariant_mixtures(seed, pairs, data):
         amps = twirl_orbit(_rank_k_amplitudes(d, d, k, rng), idx, tetrahedral_ensemble_qubit())
         m += p * (amps.T @ amps.conj()) / len(amps)
     rho = DensityMatrix(m, idx)
-    found = certify._twirl_reduced_search(rho, k, seed=0)
+    found, _ = certify._twirl_reduced_search(rho, k, seed=0)
     assert found is not None
     assert verify_decomposition(found.ensemble, rho, k, 1e-10)
     assert found.residual <= 1e-10
-    assert max(schmidt_rank(s) for s in found.ensemble.states) <= k
+    assert schmidt_ranks(found.ensemble.amps, idx).max() <= k
 
 
-def test_two_copy_rank3_search_finds_nothing():
-    # The sector obstruction below proves that no decomposition exists.
+def test_two_copy_rank3_search_finds_nothing(monkeypatch):
+    # The sector obstruction above proves that no decomposition exists. The
+    # reduced route's gap test says so, and the generic search is skipped.
     target = tensor_copies(isotropic(2, np.sqrt(3) / 2), 2)
-    assert certify._twirl_reduced_search(target, 3, seed=0) is None
-    assert ensemble_search(target, 3, restarts=1, max_iters=50, seed=0) is None
+    assert certify._twirl_reduced_search(target, 3, seed=0) == (None, True)
+    monkeypatch.setattr(kernels, "ensemble_alt_min", None)
+    assert ensemble_search(target, 3, seed=0) is None
 
 
 def test_twirl_route_needs_an_invariant_state(monkeypatch):
@@ -328,24 +322,26 @@ def test_verify_decomposition_rank_check_matches_loop():
     idx = BipartiteIndex(3, 4)
     spectra = ([1, 0, 0], [1, 1, 0], [1, 1, 1], [1, 1.001e-9, 0], [1, 0.999e-9, 0],
                [1, 0.5, 1.001e-9], [1, 0.5, 0.999e-9], [1, 1e-14, 1e-15])
-    states = []
+    amps = []
     for sv in spectra:
         x = random_unitary(3, rng) @ np.diag(sv) @ random_unitary(4, rng)[:3]
-        states.append(PureBipartiteState(x.reshape(12) / np.linalg.norm(x), idx))
-    ranks = [schmidt_rank(s) for s in states]
-    assert ranks == [1, 2, 3, 2, 1, 3, 2, 1]
+        amps.append(x.reshape(12) / np.linalg.norm(x))
+    amps = np.array(amps)
+    ranks = [1, 2, 3, 2, 1, 3, 2, 1]
+    assert schmidt_ranks(amps, idx).tolist() == ranks
+    assert [schmidt_rank(PureBipartiteState(a, idx)) for a in amps] == ranks
     for k in (1, 2, 3):
-        for s, r in zip(states, ranks):
-            alone = PureEnsemble(np.array([1.0]), (s,))
-            assert verify_decomposition(alone, s.density(), k, 1.0) == (r <= k)
-        ens = PureEnsemble(np.full(len(states), 1 / len(states)), tuple(states))
+        for a, r in zip(amps, ranks):
+            alone = PureEnsemble(np.array([1.0]), a[None], idx)
+            assert verify_decomposition(alone, alone.mixture(), k, 1.0) == (r <= k)
+        ens = PureEnsemble(np.full(len(amps), 1 / len(amps)), amps, idx)
         assert verify_decomposition(ens, ens.mixture(), k, 1.0) == (max(ranks) <= k)
 
 
 def test_verify_decomposition_cases():
     idx = BipartiteIndex(2, 2)
     zero = PureBipartiteState(np.array([1, 0, 0, 0], dtype=complex), idx)
-    ens = PureEnsemble(np.array([1.0]), (zero,))
+    ens = PureEnsemble(np.array([1.0]), zero.amplitudes[None], idx)
     assert verify_decomposition(ens, zero.density(), 1, 1e-10)
     assert not verify_decomposition(ens, zero.density(), 1, 0.0)  # zero tolerance
     assert not verify_decomposition(ens, isotropic(2, 0.5), 1, 1e-6)  # wrong state
@@ -362,7 +358,7 @@ def test_verify_decomposition_rank_gate():
     rank3 = sum(np.kron(np.eye(4, dtype=complex)[i], np.eye(4, dtype=complex)[i]) for i in range(3))
     rank3 = rank3 / np.linalg.norm(rank3)
     st = PureBipartiteState(rank3, idx)
-    ens = PureEnsemble(np.array([1.0]), (st,))
+    ens = PureEnsemble(np.array([1.0]), rank3[None], idx)
     assert not verify_decomposition(ens, st.density(), 2, 1.0)
     assert verify_decomposition(ens, st.density(), 3, 1e-10)
 
@@ -402,7 +398,7 @@ def test_analyze_two_copy_nonadditivity():
     assert verify_report(rep, rho)
     (cert,) = [c for c in rep.certificates if c.kind == "ensemble_upper"]
     assert cert.residual <= 1e-12
-    assert max(schmidt_rank(s) for s in cert.ensemble.states) <= 2
+    assert schmidt_ranks(cert.ensemble.amps, rho.idx).max() <= 2
 
 
 def test_analyze_separable_states():
@@ -435,14 +431,14 @@ def test_ensemble_certificate_rejects_large_residual():
 
     bell = max_entangled(2).density()
     product = PureBipartiteState(np.array([1, 0, 0, 0], dtype=np.complex128), bell.idx)
-    ensemble = PureEnsemble(np.array([1.0]), (product,))
+    ensemble = PureEnsemble(np.array([1.0]), product.amplitudes[None], bell.idx)
     cert = EnsembleUpper(ensemble, k=1, residual=1.0)
     assert peres_witness(bell) is not None
     assert not verify_report(SnReport(1, 1, (cert,)), bell)
     for residual, valid in ((0.0, True), (ENSEMBLE_TOL / 2, True),
                             (ENSEMBLE_TOL, False), (-1e-3, False), (np.nan, False)):
         cert = EnsembleUpper(ensemble, k=1, residual=residual)
-        assert verify_certificate(cert, product.density()) == valid
+        assert cert.verify(product.density()) == valid
 
 
 def test_analyze_isotropic_endpoints():

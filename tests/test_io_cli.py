@@ -1,13 +1,17 @@
 import json
+import os
 import re
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import random_density, random_separable
-from schmidtkit import io
+from schmidtkit import cli, io
 from schmidtkit.certify import MapWitness, analyze, verify_report
 from schmidtkit.cli import main
 from schmidtkit.linalg import BipartiteIndex, InvariantViolation
@@ -67,16 +71,17 @@ def test_ensemble_file_round_trip(tmp_path):
     path = tmp_path / "ens.json"
     io.write_ensemble_file(path, ensemble)
     loaded = io.read_ensemble_file(path)
-    assert len(loaded.states) == len(ensemble.states)
+    assert loaded.idx == ensemble.idx
     assert np.array_equal(loaded.probs, ensemble.probs)
-    assert np.array_equal(loaded.states[17].amplitudes, ensemble.states[17].amplitudes)
+    assert np.array_equal(loaded.amps, ensemble.amps)
 
 
 def _ensemble_file_with(tmp_path, edit):
     # No command reads an ensemble file, so the readers are called directly;
     # the CLI turns their InvariantViolation into exit code 2, "invalid input".
     path = tmp_path / "ens.json"
-    io.write_ensemble_file(path, PureEnsemble(np.ones(1), (max_entangled(2),)))
+    bell = max_entangled(2)
+    io.write_ensemble_file(path, PureEnsemble(np.ones(1), bell.amplitudes[None], bell.idx))
     payload = json.loads(path.read_text())
     edit(payload)
     path.write_text(json.dumps(payload))
@@ -103,6 +108,60 @@ def test_ensemble_file_rejects_non_finite_amplitude(tmp_path, entry):
 def test_ensemble_file_rejects_missing_fields(tmp_path, edit):
     with pytest.raises(InvariantViolation):
         io.read_ensemble_file(_ensemble_file_with(tmp_path, edit))
+
+
+def _corrupt_member(payload, kind, i, x):
+    members = payload["members"]
+    member = members[i]
+    if kind == "norm":
+        member["re"] = [v * (1.0 + x) for v in member["re"]]
+        member["im"] = [v * (1.0 + x) for v in member["im"]]
+    elif kind == "non-finite":
+        member["im"][0] = x
+    elif kind == "row length":
+        member["re"] = member["re"][:-1] if x else member["re"] + [0.0]
+        member["im"] = member["im"][:-1] if x else member["im"] + [0.0]
+    elif kind == "negative weight":
+        member["p"] = -x
+        members[i - 1]["p"] += x  # keeps the sum at 1 when there is another member
+    elif kind == "weight sum":
+        member["p"] += x
+    else:
+        payload["members"] = []
+
+
+malformed = st.one_of(
+    st.tuples(st.just("norm"), st.floats(2e-10, 0.5) | st.floats(-0.5, -2e-10)),
+    st.tuples(st.just("non-finite"), st.sampled_from([float("nan"), float("inf"), -float("inf")])),
+    st.tuples(st.just("row length"), st.booleans()),
+    st.tuples(st.just("negative weight"), st.floats(1e-9, 1.0)),
+    st.tuples(st.just("weight sum"), st.sampled_from([1e-9, -1e-9])),
+    st.tuples(st.just("empty"), st.none()),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d_b=st.integers(2, 3), m=st.integers(1, 4),
+       data=st.data(), corruption=malformed)
+def test_malformed_ensemble_files_are_invalid_input(seed, d_b, m, data, corruption):
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=(m, 2 * d_b)) + 1j * rng.normal(size=(m, 2 * d_b))
+    ens = PureEnsemble(rng.dirichlet(np.ones(m)), amps / np.linalg.norm(amps, axis=1)[:, None],
+                       BipartiteIndex(2, d_b))
+    payload = io.loads(io.dumps(io.ensemble_payload(ens)))
+    kind, x = corruption
+    _corrupt_member(payload, kind, data.draw(st.integers(0, m - 1)), x)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "ens.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(payload))
+        with pytest.raises(InvariantViolation):
+            io.read_ensemble_file(path)
+        # No command reads an ensemble file; a handler that does stands in
+        # for one, to show the reader's error becomes exit code 2.
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setitem(cli._HANDLERS, "twirl", lambda args: io.read_ensemble_file(args.input))
+            assert main(["twirl", "--input", path, "--out", path]) == cli.EXIT_INVALID
 
 
 @pytest.mark.parametrize("drop", [
@@ -362,11 +421,14 @@ def test_cli_demo_nonadditivity(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "RESULT: PASS" in out
     loaded = io.read_ensemble_file(dump)
-    assert len(loaded.states) == 1152
+    assert len(loaded.probs) == 1152
     from schmidtkit import verify_decomposition
 
     target = tensor_copies(isotropic(2, F_TIGHT), 2)
     assert verify_decomposition(loaded, target, 2, 1e-8)
+    again = tmp_path / "again.json"
+    io.write_ensemble_file(again, loaded)
+    assert again.read_bytes() == dump.read_bytes()
 
 
 def test_cli_figure_step(tmp_path, capsys):

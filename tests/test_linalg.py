@@ -5,51 +5,13 @@ from helpers import random_density, random_hermitian, random_pure
 from schmidtkit import (
     BipartiteIndex,
     InvariantViolation,
-    eigh,
-    kron,
     max_entangled,
     min_eigenvalue,
     partial_trace,
     partial_transpose,
     permute_subsystems,
-    svd,
 )
 from schmidtkit.maps import apply_id_tensor_map, reduction_family
-
-
-def kron_oracle(a, b):
-    ra, ca = a.shape
-    rb, cb = b.shape
-    out = np.zeros((ra * rb, ca * cb), dtype=complex)
-    for i in range(ra):
-        for j in range(ca):
-            for k in range(rb):
-                for l in range(cb):
-                    out[i * rb + k, j * cb + l] = a[i, j] * b[k, l]
-    return out
-
-
-def test_kron_identity_cases():
-    assert np.array_equal(kron(np.eye(2), np.eye(2)), np.eye(4))
-    p0 = np.diag([1.0, 0.0])
-    assert np.array_equal(kron(p0, np.eye(2)), np.diag([1.0, 1.0, 0.0, 0.0]))
-
-
-def test_kron_matches_defining_formula():
-    rng = np.random.default_rng(0)
-    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    assert np.allclose(kron(a, b), kron_oracle(a, b), atol=1e-14)
-
-
-def test_kron_associative_and_bilinear():
-    rng = np.random.default_rng(1)
-    for _ in range(5):
-        a, b, c = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(3))
-        assert np.allclose(kron(kron(a, b), c), kron(a, kron(b, c)), atol=1e-12)
-        x, y = rng.normal(size=2)
-        assert np.allclose(kron(x * a + y * b, c), x * kron(a, c) + y * kron(b, c), atol=1e-12)
-        assert np.allclose(kron(c, x * a + y * b), x * kron(c, a) + y * kron(c, b), atol=1e-12)
 
 
 def ptrace_oracle(rho, d_a, d_b, traced):
@@ -78,8 +40,8 @@ def test_partial_trace_product_state():
     ra = random_density(2, 1, rng).matrix
     rb = random_density(3, 1, rng).matrix
     idx = BipartiteIndex(2, 3)
-    assert np.allclose(partial_trace(kron(ra, rb), idx, "B"), ra, atol=1e-12)
-    assert np.allclose(partial_trace(kron(ra, rb), idx, "A"), rb, atol=1e-12)
+    assert np.allclose(partial_trace(np.kron(ra, rb), idx, "B"), ra, atol=1e-12)
+    assert np.allclose(partial_trace(np.kron(ra, rb), idx, "A"), rb, atol=1e-12)
 
 
 def test_partial_trace_matches_index_sum():
@@ -102,7 +64,7 @@ def test_partial_transpose_product_positive_and_involutive():
     idx = BipartiteIndex(2, 3)
     ra = random_density(2, 1, rng).matrix
     rb = random_density(3, 1, rng).matrix
-    pt = partial_transpose(kron(ra, rb), idx)
+    pt = partial_transpose(np.kron(ra, rb), idx)
     assert np.linalg.eigvalsh(pt)[0] > -1e-12
     rho = random_density(2, 3, rng).matrix
     assert np.allclose(partial_transpose(partial_transpose(rho, idx), idx), rho, atol=1e-14)
@@ -125,15 +87,15 @@ def test_permute_subsystems_identity_and_swap():
     assert np.allclose(permute_subsystems(rho, [2, 3], [0, 1]), rho)
     a = random_density(2, 1, rng).matrix
     b = random_density(3, 1, rng).matrix
-    assert np.allclose(permute_subsystems(kron(a, b), [2, 3], [1, 0]), kron(b, a), atol=1e-14)
+    assert np.allclose(permute_subsystems(np.kron(a, b), [2, 3], [1, 0]), np.kron(b, a), atol=1e-14)
 
 
 def test_permute_subsystems_four_factors():
     rng = np.random.default_rng(7)
     mats = [random_density(d, 1, rng).matrix for d in (2, 3, 2, 2)]
-    full = kron(kron(mats[0], mats[1]), kron(mats[2], mats[3]))
+    full = np.kron(np.kron(mats[0], mats[1]), np.kron(mats[2], mats[3]))
     perm = [0, 2, 1, 3]
-    expected = kron(kron(mats[0], mats[2]), kron(mats[1], mats[3]))
+    expected = np.kron(np.kron(mats[0], mats[2]), np.kron(mats[1], mats[3]))
     got = permute_subsystems(full, [2, 3, 2, 2], perm)
     assert np.allclose(got, expected, atol=1e-14)
     inverse = [perm.index(t) for t in range(4)]
@@ -141,49 +103,13 @@ def test_permute_subsystems_four_factors():
     assert np.allclose(back, full, atol=1e-14)
 
 
-def test_eigh_contract():
-    w, v = eigh(np.diag([3.0, 1.0, 2.0]).astype(complex))
-    assert np.allclose(w, [1.0, 2.0, 3.0])
-    w, _ = eigh(max_entangled(2).density().matrix)
-    assert np.allclose(np.sort(w), [0, 0, 0, 1], atol=1e-12)
-    rng = np.random.default_rng(8)
-    h = random_hermitian(6, rng)
-    w, v = eigh(h)
-    scale = np.linalg.norm(h, 2)
-    assert np.linalg.norm(v @ np.diag(w) @ v.conj().T - h) < 1e-10 * scale
-    for i in range(6):
-        assert np.linalg.norm(h @ v[:, i] - w[i] * v[:, i]) <= 1e-10 * scale
-    assert abs(np.sum(w) - np.trace(h).real) < 1e-10 * max(scale, 1.0)
-
-
-def test_eigh_rejects_non_hermitian():
-    with pytest.raises(InvariantViolation):
-        eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-def test_svd_contract():
-    u, s, v = svd(np.eye(3).astype(complex))
-    assert np.allclose(s, 1.0)
-    rng = np.random.default_rng(9)
-    x = rng.normal(size=3) + 1j * rng.normal(size=3)
-    y = rng.normal(size=2) + 1j * rng.normal(size=2)
-    outer = np.outer(x, y.conj())
-    _, s, _ = svd(outer)
-    assert np.isclose(s[0], np.linalg.norm(x) * np.linalg.norm(y))
-    assert np.all(s[1:] < 1e-12 * s[0])
-    m = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
-    u, s, v = svd(m)
-    assert np.allclose(u @ np.diag(s) @ v.conj().T, m, atol=1e-10)
-    assert np.all(np.diff(s) <= 0)
-    assert np.allclose(u.conj().T @ u, np.eye(2), atol=1e-12)
-    assert np.allclose(v.conj().T @ v, np.eye(2), atol=1e-12)
-
-
 def test_min_eigenvalue():
     assert np.isclose(min_eigenvalue(np.eye(3)), 1.0)
     assert np.isclose(min_eigenvalue(np.diag([1.0, -2.0])), -2.0)
     mapped = apply_id_tensor_map(reduction_family(2, 1.0), max_entangled(2).density())
     assert np.isclose(min_eigenvalue(mapped), -0.5, atol=1e-12)
+    with pytest.raises(InvariantViolation):
+        min_eigenvalue(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_random_state_norm_tolerance():

@@ -13,7 +13,6 @@ from schmidtkit import (
     isotropic,
     kpos_form,
     kpositivity_probe,
-    kron,
     lambda_p_class,
     map_from_choi,
     max_entangled,
@@ -71,7 +70,7 @@ def test_choi_round_trip():
     rebuilt = np.zeros((9, 9), dtype=complex)
     for i in range(n):
         for j in range(n):
-            rebuilt += kron(unit(i, j, n), apply_map(lam, unit(i, j, n))) / n
+            rebuilt += np.kron(unit(i, j, n), apply_map(lam, unit(i, j, n))) / n
     assert np.allclose(rebuilt, lam.choi, atol=1e-10)
 
 
@@ -191,7 +190,7 @@ def test_apply_id_tensor_map_equals_marginal_form():
         rho = random_density(n, n, rng)
         mapped = apply_id_tensor_map(reduction_family(n, p), rho)
         marginal = partial_trace(rho.matrix, rho.idx, "B")
-        expected = kron(marginal, np.eye(n)) - p * rho.matrix
+        expected = np.kron(marginal, np.eye(n)) - p * rho.matrix
         assert np.allclose(mapped, expected, atol=1e-10)
 
 

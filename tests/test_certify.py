@@ -138,9 +138,17 @@ def test_isotropic_sn_examples_and_boundaries():
                 assert isotropic_sn(n, k / n + 1e-13) == k
 
 
-def test_ensemble_search_isotropic_qubits_up_to_the_boundary():
-    # SN = k on (k-1)/2 < F <= k/2: a rank-k decomposition exists up to the
-    # boundary, found by the reduced route at k = 1 and spectrally at k = 2.
+def test_isotropic_decomposition_boundary():
+    # SN = k up to F = k/2: at the boundary a rank-k decomposition exists,
+    # found by the reduced route at k = 1 and spectrally at k = 2.
+    for k, f in ((1, 0.5), (2, 1.0)):
+        rho = isotropic(2, f)
+        cert = ensemble_search(rho, k, seed=0)
+        assert cert.residual < 1e-10
+        assert verify_decomposition(cert.ensemble, rho, k, 1e-10)
+
+
+def test_isotropic_decomposition_below_boundary():
     for k in (1, 2):
         for f in np.linspace(0.0, k / 2, 7):
             rho = isotropic(2, f)

@@ -11,6 +11,7 @@ from schmidtkit import (
     partial_transpose,
     permute_subsystems,
 )
+from schmidtkit.linalg import hermitize
 from schmidtkit.maps import apply_id_tensor_map, reduction_family
 
 
@@ -110,6 +111,13 @@ def test_min_eigenvalue():
     assert np.isclose(min_eigenvalue(mapped), -0.5, atol=1e-12)
     with pytest.raises(InvariantViolation):
         min_eigenvalue(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def test_eigh_rejects_non_hermitian():
+    # DensityMatrix, MatrixMap and min_eigenvalue take eigenvalues only after
+    # hermitize, which rejects a matrix that is not Hermitian.
+    with pytest.raises(InvariantViolation):
+        hermitize(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_random_state_norm_tolerance():

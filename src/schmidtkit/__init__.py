@@ -37,22 +37,17 @@ from .maps import (
     adjoint_map,
     apply_id_tensor_map,
     apply_map,
-    kpos_form,
     kpositivity_probe,
     lambda_p_class,
-    map_from_choi,
     reduction_family,
     transpose_map,
 )
 from .states import (
     DensityMatrix,
     PureBipartiteState,
-    SchmidtDecomposition,
-    fully_entangled_fraction_pure,
     isotropic,
     max_entangled,
     psi_k,
-    schmidt_decompose,
     schmidt_rank,
     schmidt_ranks,
     tensor_copies,
@@ -63,12 +58,10 @@ from .twirl import (
     clifford_ensemble_qubit,
     fidelity_with_max_entangled,
     haar_unitary,
-    symmetrize_copies,
     tetrahedral_ensemble_qubit,
     twirl_exact,
     twirl_mc,
     twirl_orbit,
-    twirl_pure_ensemble,
     twirl_sectors,
     two_copy_construction,
 )

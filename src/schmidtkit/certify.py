@@ -43,6 +43,8 @@ ORACLE_STARTS = 4
 ORACLE_TOL = 1e-15
 REDUCED_STEPS = 30
 REDUCED_TOL = 1e-13
+SEARCH_ITERS = 2000
+SEARCH_RESTARTS = 10
 VERIFY_ATOL = 1e-10
 
 
@@ -65,7 +67,7 @@ class MapWitness:
         if self.p is not None and not 0.0 < self.p <= 1.0:
             raise InvariantViolation(f"reduction witness needs 0 < p <= 1, got p={self.p!r}")
 
-    def verify(self, rho: DensityMatrix, atol: float = VERIFY_ATOL) -> bool:
+    def verify(self, rho: DensityMatrix) -> bool:
         n = rho.idx.d_b
         if self.p is None:
             lam, k_positive = transpose_map(n), 1
@@ -75,7 +77,7 @@ class MapWitness:
         if self.k > k_positive:
             return False
         lo = min_eigenvalue(apply_id_tensor_map(lam, rho))
-        return abs(lo - self.min_eigenvalue) <= atol and lo < NEGATIVITY_THRESHOLD
+        return abs(lo - self.min_eigenvalue) <= VERIFY_ATOL and lo < NEGATIVITY_THRESHOLD
 
     def to_payload(self) -> dict:
         return {"kind": self.kind, "map": self.map_kind, "p": self.p, "k": self.k,
@@ -116,10 +118,10 @@ class FidelityBound:
                 f"fidelity bound needs a square state, got ({idx.d_a}, {idx.d_b})"
             )
 
-    def verify(self, rho: DensityMatrix, atol: float = VERIFY_ATOL) -> bool:
+    def verify(self, rho: DensityMatrix) -> bool:
         amp = self.state.amplitudes
         achieved = float((amp.conj() @ rho.matrix @ amp).real)
-        if abs(achieved - self.f_hat) > atol:
+        if abs(achieved - self.f_hat) > VERIFY_ATOL:
             return False
         n = self.state.idx.d_a
         x = self.state.amplitude_matrix() * np.sqrt(n)
@@ -163,7 +165,7 @@ class EnsembleUpper:
 
     kind = "ensemble_upper"
 
-    def verify(self, rho: DensityMatrix, atol: float = VERIFY_ATOL) -> bool:
+    def verify(self, rho: DensityMatrix) -> bool:
         if not 0.0 <= self.residual < ENSEMBLE_TOL:
             return False
         tol = max(self.residual * (1.0 + 1e-6), 1e-11)
@@ -200,10 +202,10 @@ class IsotropicExact:
 
     kind = "isotropic_exact"
 
-    def verify(self, rho: DensityMatrix, atol: float = VERIFY_ATOL) -> bool:
+    def verify(self, rho: DensityMatrix) -> bool:
         if rho.idx.d_a != rho.idx.d_b or rho.idx.d_a != self.n:
             return False
-        if abs(fidelity_with_max_entangled(rho) - self.f) > atol:
+        if abs(fidelity_with_max_entangled(rho) - self.f) > VERIFY_ATOL:
             return False
         if float(np.linalg.norm(rho.matrix - twirl_exact(rho).matrix)) > ISOTROPIC_DETECTION_TOL:
             return False
@@ -379,14 +381,7 @@ def tensor_copy_bound(f: float, n: int, m: int) -> int:
     return fidelity_to_sn_bound(f**m, n**m)
 
 
-def ensemble_search(
-    rho: DensityMatrix,
-    k: int,
-    m_vectors: int | None = None,
-    restarts: int = 10,
-    max_iters: int = 2000,
-    seed: int = 0,
-) -> EnsembleUpper | None:
+def ensemble_search(rho: DensityMatrix, k: int, seed: int = 0) -> EnsembleUpper | None:
     """Search for a rank-<=k decomposition of rho.
 
     At k = min(d_a, d_b) the spectral decomposition is the answer. A state
@@ -394,37 +389,34 @@ def ensemble_search(
     first solved in its 2-3 sector weights (_twirl_reduced_search); when that
     search's gap test finds rho outside the reach of rank-<=k seeds, the
     answer is None. Otherwise, or when it runs out of steps, alternating
-    minimization: ansatz vectors start as random sums of k product terms and
-    are re-projected onto Schmidt rank <= k each sweep; weights are refit as
-    the exact least-squares optimum on the probability simplex. Success
-    requires the stored ensemble to pass EnsembleUpper.verify; a failed
-    search proves nothing.
+    minimization from SEARCH_RESTARTS starts (restart r seeds with seed + r)
+    of up to SEARCH_ITERS sweeps: 2 d_a d_b ansatz vectors start as random
+    sums of k product terms and are re-projected onto Schmidt rank <= k each
+    sweep; weights are refit as the exact least-squares optimum on the
+    probability simplex. Success requires the stored ensemble to pass
+    EnsembleUpper.verify; a failed search proves nothing.
     """
     d_a, d_b = rho.idx.d_a, rho.idx.d_b
     if not 1 <= k <= min(d_a, d_b):
         raise InvariantViolation(
             f"rank bound must lie in [1, {min(d_a, d_b)}], got {k}"
         )
-    if m_vectors is None:
-        m_vectors = 2 * d_a * d_b
-    if m_vectors < 1:
-        raise InvariantViolation(f"need at least one ansatz vector, got {m_vectors}")
-    _check_restarts(restarts)
     if k == min(d_a, d_b):
         w, v = np.linalg.eigh(rho.matrix)
         return _certified(rho, k, np.maximum(w, 0.0), v.T)
     found, outside = _twirl_reduced_search(rho, k, seed)
     if found is not None or outside:
         return found
+    m_vectors = 2 * d_a * d_b
     best = None
-    for r in range(restarts):
+    for r in range(SEARCH_RESTARTS):
         rng = np.random.default_rng(seed + r)
         psis0 = np.array(
             [_random_rank_k(d_a, d_b, k, rng) for _ in range(m_vectors)]
         )
         probs0 = np.full(m_vectors, 1.0 / m_vectors)
         res, probs, psis, _ = kernels.ensemble_alt_min(
-            rho.matrix, d_a, d_b, k, psis0, probs0, max_iters, ENSEMBLE_TOL
+            rho.matrix, d_a, d_b, k, psis0, probs0, SEARCH_ITERS, ENSEMBLE_TOL
         )
         if best is None or res < best[0]:
             best = (float(res), probs, psis)
@@ -542,7 +534,6 @@ def analyze(
     search_upper: int | None = None,
     restarts: int = 20,
     seed: int = 0,
-    search_m_vectors: int | None = None,
 ) -> SnReport:
     """Assemble Schmidt-number bounds and their certificates.
 
@@ -565,9 +556,7 @@ def analyze(
         certificates += [sn_lower_via_map(rho, k) for k in range(1, n)]
         certificates.append(fidelity_max(rho, restarts=restarts, seed=seed))
     if search_upper is not None:
-        certificates.append(
-            ensemble_search(rho, search_upper, m_vectors=search_m_vectors, seed=seed)
-        )
+        certificates.append(ensemble_search(rho, search_upper, seed=seed))
     certificates = tuple(c for c in certificates if c is not None)
     return SnReport(*proven_bounds(certificates), certificates)
 

@@ -26,17 +26,18 @@ def format_float(x: float) -> str:
     return f"{x:.17g}"
 
 
-def dumps(obj, indent: int = 1) -> str:
-    """Serialize nested dict/list/scalar data with fixed float formatting."""
+def dumps(obj) -> str:
+    """Serialize nested dict/list/scalar data with fixed float formatting,
+    one space of indent per level."""
     pieces = []
-    _write(obj, pieces, indent, 0)
+    _write(obj, pieces, 0)
     pieces.append("\n")
     return "".join(pieces)
 
 
-def _write(obj, out: list, indent: int, level: int) -> None:
-    pad = " " * (indent * level)
-    inner = " " * (indent * (level + 1))
+def _write(obj, out: list, level: int) -> None:
+    pad = " " * level
+    inner = " " * (level + 1)
     if isinstance(obj, dict):
         if not obj:
             out.append("{}")
@@ -44,7 +45,7 @@ def _write(obj, out: list, indent: int, level: int) -> None:
         out.append("{\n")
         for i, (key, value) in enumerate(obj.items()):
             out.append(f"{inner}{json.dumps(str(key))}: ")
-            _write(value, out, indent, level + 1)
+            _write(value, out, level + 1)
             out.append(",\n" if i < len(obj) - 1 else "\n")
         out.append(pad + "}")
     elif isinstance(obj, (list, tuple)):
@@ -58,7 +59,7 @@ def _write(obj, out: list, indent: int, level: int) -> None:
         out.append("[\n")
         for i, value in enumerate(obj):
             out.append(inner)
-            _write(value, out, indent, level + 1)
+            _write(value, out, level + 1)
             out.append(",\n" if i < len(obj) - 1 else "\n")
         out.append(pad + "]")
     else:
@@ -139,16 +140,22 @@ def _parse_blocks(payload, re_field: str, im_field: str, shape: tuple) -> np.nda
 
 def loads(text: str):
     """Parse JSON text. The "-0" that dumps writes for -0.0 reads back as
-    -0.0, not as the integer 0, so negative zeros round-trip too."""
+    -0.0, not as the integer 0, so negative zeros round-trip too. Nesting
+    too deep for the parser, and an integer too long for int(), are
+    malformed input as well."""
     try:
         return json.loads(text, parse_int=lambda s: -0.0 if s == "-0" else int(s))
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
         raise InvariantViolation(f"malformed JSON: {exc}") from exc
 
 
 def _load_json(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise InvariantViolation(f"file is not UTF-8 text: {exc}") from exc
+    return loads(text)
 
 
 def parse_matrix_payload(payload) -> tuple[np.ndarray, BipartiteIndex]:

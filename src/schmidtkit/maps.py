@@ -71,11 +71,6 @@ class ProbeResult:
     state: PureBipartiteState
 
 
-def map_from_choi(choi: np.ndarray, n_in: int, n_out: int) -> MatrixMap:
-    """Wrap a Hermitian matrix as the Choi matrix of a map."""
-    return MatrixMap(n_in=n_in, n_out=n_out, choi=choi)
-
-
 def reduction_family(n: int, p: float) -> MatrixMap:
     """The family L_p(X) = Tr(X) 1 - p X on M_N; Choi matrix 1/N - p P+."""
     if n < 2:
@@ -151,35 +146,6 @@ def lambda_p_class(n: int, p: float) -> PositivityClass:
         raise InvariantViolation(f"need 0 < p <= 1, got {p}")
     k = int(np.floor(min(1.0 / p, n) + 1e-12))
     return PositivityClass(k_positive_up_to=k, completely_positive=k >= n)
-
-
-def kpos_form(lam: MatrixMap, a_vecs, b_vecs, mu) -> float:
-    """Bilinear positivity form sum_{n,m} sqrt(mu_n mu_m) <b_n| L(|a_n><a_m|) |b_m>.
-
-    Nonnegative for every choice of orthonormal sets and weights iff the map
-    is k-positive (k the number of vectors).
-    """
-    a = np.ascontiguousarray(np.asarray(a_vecs, dtype=np.complex128))
-    b = np.ascontiguousarray(np.asarray(b_vecs, dtype=np.complex128))
-    w = np.asarray(mu, dtype=np.float64)
-    k = w.size
-    if a.shape[0] != k or b.shape[0] != k:
-        raise InvariantViolation("need as many vectors as weights")
-    if np.any(w < -1e-12) or abs(w.sum() - 1.0) > 1e-10:
-        raise InvariantViolation("weights must be a probability vector")
-    for name, vecs in (("a", a), ("b", b)):
-        gram = vecs.conj() @ vecs.T
-        defect = float(np.max(np.abs(gram - np.eye(k))))
-        if defect > 1e-8:
-            raise InvariantViolation(
-                f"{name}-vectors are not orthonormal: Gram defect {defect:.3e}"
-            )
-    total = 0.0 + 0.0j
-    for i in range(k):
-        for j in range(k):
-            op = apply_map(lam, np.outer(a[i], a[j].conj()))
-            total += np.sqrt(w[i] * w[j]) * (b[i].conj() @ op @ b[j])
-    return float(total.real)
 
 
 def kpositivity_probe(

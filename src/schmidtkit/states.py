@@ -1,4 +1,4 @@
-"""Pure bipartite states, Schmidt decompositions, and the isotropic family."""
+"""Pure bipartite states, Schmidt ranks, and the isotropic family."""
 
 from __future__ import annotations
 
@@ -80,35 +80,6 @@ class DensityMatrix:
         object.__setattr__(self, "matrix", m)
 
 
-@dataclass(frozen=True)
-class SchmidtDecomposition:
-    """Coefficients (descending, summing to 1) and orthonormal local bases.
-
-    ``left`` and ``right`` hold the basis vectors as columns; the state is
-    sum_i sqrt(coefficients[i]) left[:, i] (x) right[:, i].
-    """
-
-    coefficients: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
-
-    @property
-    def rank(self) -> int:
-        return int(self.coefficients.size)
-
-
-def schmidt_decompose(psi: PureBipartiteState) -> SchmidtDecomposition:
-    """Schmidt decomposition via SVD of the coefficient matrix, carrying
-    exactly schmidt_rank(psi) terms."""
-    u, s, vh = np.linalg.svd(psi.amplitude_matrix(), full_matrices=False)
-    r = schmidt_rank(psi)
-    return SchmidtDecomposition(
-        coefficients=s[:r] ** 2,
-        left=np.ascontiguousarray(u[:, :r]),
-        right=np.ascontiguousarray(vh[:r, :].T),
-    )
-
-
 def schmidt_ranks(amps: np.ndarray, idx: BipartiteIndex) -> np.ndarray:
     """Schmidt rank of each row of amps: the number of singular values of
     its d_a x d_b coefficient matrix above RANK_TOL * (the largest)."""
@@ -153,16 +124,6 @@ def isotropic(n: int, f: float) -> DensityMatrix:
     p = max_entangled_projector(n)
     m = f * p + (1.0 - f) / (n * n - 1) * (np.eye(n * n) - p)
     return DensityMatrix(m, BipartiteIndex(n, n))
-
-
-def fully_entangled_fraction_pure(psi: PureBipartiteState) -> float:
-    """Largest overlap with a maximally entangled state: (1/N) (sum_i sqrt(lambda_i))^2."""
-    if psi.idx.d_a != psi.idx.d_b:
-        raise InvariantViolation(
-            f"fully entangled fraction needs d_a == d_b, got ({psi.idx.d_a}, {psi.idx.d_b})"
-        )
-    s = np.linalg.svd(psi.amplitude_matrix(), compute_uv=False)
-    return float(np.sum(s) ** 2 / psi.idx.d_a)
 
 
 def tensor_copies(rho: DensityMatrix, m: int) -> DensityMatrix:

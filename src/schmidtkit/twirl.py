@@ -1,5 +1,5 @@
 """U (x) U* twirling: exact projection, Monte-Carlo average, finite 2-designs,
-and the symmetrized two-copy construction."""
+and the two-copy construction as one twirl orbit."""
 
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ from .linalg import BipartiteIndex, InvariantViolation, permute_subsystems
 from .states import (
     NORM_ATOL,
     DensityMatrix,
-    PureBipartiteState,
     isotropic,
     max_entangled,
 )
@@ -215,15 +214,6 @@ def twirl_orbit(amplitudes: np.ndarray, idx: BipartiteIndex, ens: UnitaryEnsembl
     return np.concatenate([amps, swapped])
 
 
-def twirl_pure_ensemble(psi: PureBipartiteState, ens: UnitaryEnsemble | None = None) -> PureEnsemble:
-    """Equal-weight ensemble of twirl_orbit(psi) under ens (default: the
-    Clifford group)."""
-    if ens is None:
-        ens = clifford_ensemble_qubit()
-    amps = twirl_orbit(psi.amplitudes, psi.idx, ens)
-    return PureEnsemble(np.full(len(amps), 1.0 / len(amps)), amps, psi.idx)
-
-
 def _two_pair_factors(idx: BipartiteIndex) -> int:
     n = int(round(np.sqrt(idx.d_a)))
     if idx.d_a != idx.d_b or n * n != idx.d_a:
@@ -231,17 +221,6 @@ def _two_pair_factors(idx: BipartiteIndex) -> int:
             f"expected two square copies, got dims ({idx.d_a}, {idx.d_b})"
         )
     return n
-
-
-def symmetrize_copies(rho: DensityMatrix) -> DensityMatrix:
-    """Average with the simultaneous copy swap A1<->A2, B1<->B2.
-
-    The input is bipartite (N^2, N^2) with factor order A1 A2 B1 B2.
-    """
-    n = _two_pair_factors(rho.idx)
-    dims = [n, n, n, n]
-    swapped = permute_subsystems(rho.matrix, dims, [1, 0, 3, 2])
-    return DensityMatrix((rho.matrix + swapped) / 2.0, rho.idx)
 
 
 def twirl_sectors(idx: BipartiteIndex) -> np.ndarray | None:
@@ -265,14 +244,15 @@ def twirl_sectors(idx: BipartiteIndex) -> np.ndarray | None:
     return np.array([permute_subsystems(e, [2, 2, 2, 2], [0, 2, 1, 3]) for e in pairs])
 
 
-def two_copy_construction() -> tuple[PureEnsemble, DensityMatrix]:
+def two_copy_construction() -> PureEnsemble:
     """Explicit Schmidt-rank-2 decomposition of two copies of the N=2
     isotropic state at F = 1/sqrt(2).
 
-    Starts from a maximally entangled rank-two state across (A1 A2):(B1 B2),
-    twirls pairs (A1, B1) and (A2, B2) independently with the Clifford
-    2-design, then symmetrizes the copies. Returns the 1152-member ensemble
-    and its mixture.
+    Starts from a maximally entangled rank-two state across (A1 A2):(B1 B2)
+    and returns its 1152-member equal-weight orbit (twirl_orbit) under the
+    Clifford 2-design. The orbit twirls pairs (A1, B1) and (A2, B2)
+    independently and holds every member with the copies swapped too, so
+    its mixture is the copy-symmetric twirl of the seed.
     """
     s2 = np.sqrt(2.0)
     psi0 = np.array([s2 * np.sqrt(s2 - 1.0), 1.0 - s2], dtype=np.complex128)
@@ -287,11 +267,8 @@ def two_copy_construction() -> tuple[PureEnsemble, DensityMatrix]:
     psi /= np.linalg.norm(psi)
 
     idx = BipartiteIndex(4, 4)
-    ensemble = twirl_pure_ensemble(PureBipartiteState(psi, idx), clifford_ensemble_qubit())
-    amps = ensemble.amps[: len(ensemble.amps) // 2]
-    twirled = np.einsum("mi,mj->ij", amps, amps.conj()) / len(amps)
-    mixture = symmetrize_copies(DensityMatrix(twirled, idx))
-    return ensemble, mixture
+    amps = twirl_orbit(psi, idx, clifford_ensemble_qubit())
+    return PureEnsemble(np.full(len(amps), 1.0 / len(amps)), amps, idx)
 
 
 def two_copy_coefficients(rho: DensityMatrix) -> tuple[float, float, float, float]:

@@ -14,11 +14,9 @@ from schmidtkit import (
     ensemble_search,
     fidelity_max,
     fidelity_to_sn_bound,
-    fully_entangled_fraction_pure,
     isotropic,
     isotropic_sn,
     max_entangled,
-    schmidt_decompose,
     schmidt_rank,
     schmidt_ranks,
     sn_lower_via_map,
@@ -85,7 +83,8 @@ def test_fidelity_max_one_sided_on_pure_states():
     for _ in range(5):
         psi = random_pure(3, 3, rng)
         fb = fidelity_max(psi.density(), restarts=6, seed=2)
-        truth = fully_entangled_fraction_pure(psi)
+        s = np.linalg.svd(psi.amplitude_matrix(), compute_uv=False)
+        truth = np.sum(s) ** 2 / 3  # (1/N) (sum_i sqrt(lambda_i))^2
         assert fb.f_hat <= truth + 1e-9
 
 
@@ -190,7 +189,7 @@ def test_ensemble_search_separable_boundary():
 
 
 def test_ensemble_search_trivial_full_rank():
-    found = ensemble_search(isotropic(2, 1.0), 2, restarts=2, seed=0)
+    found = ensemble_search(isotropic(2, 1.0), 2, seed=0)
     assert found is not None
     assert found.residual < 1e-4
 
@@ -198,11 +197,6 @@ def test_ensemble_search_trivial_full_rank():
 def test_ensemble_search_rejects_bad_rank():
     with pytest.raises(InvariantViolation):
         ensemble_search(isotropic(2, 0.5), 3)
-
-
-def test_ensemble_search_rejects_no_restarts():
-    with pytest.raises(InvariantViolation, match="at least one restart"):
-        ensemble_search(isotropic(2, 0.5), 1, restarts=0)
 
 
 def test_two_copy_rank3_sector_obstruction():
@@ -245,8 +239,9 @@ def test_two_copy_rank3_sector_obstruction():
         assert weight >= 1 / 12 - 1e-12
         # members saturate the overlap bound and have Schmidt rank 3
         state = PureBipartiteState(psi, BipartiteIndex(4, 4))
-        assert schmidt_decompose(state).rank == 3
-        assert abs(fully_entangled_fraction_pure(state) - 0.75) < 1e-12
+        assert schmidt_rank(state) == 3
+        s = np.linalg.svd(x, compute_uv=False)
+        assert abs(np.sum(s) ** 2 / 4 - 0.75) < 1e-12  # fully entangled fraction
 
 
 def test_ensemble_search_full_rank_is_the_spectral_decomposition():
@@ -319,9 +314,11 @@ def test_twirl_route_needs_an_invariant_state(monkeypatch):
     rho = isotropic(4, 0.6)
     w = np.kron(random_unitary(4, rng), random_unitary(4, rng))
     rotated = DensityMatrix(w @ rho.matrix @ w.conj().T, rho.idx)
-    ensemble_search(rotated, 3, restarts=1, max_iters=20, seed=0)
+    monkeypatch.setattr(certify, "SEARCH_RESTARTS", 1)
+    monkeypatch.setattr(certify, "SEARCH_ITERS", 20)
+    ensemble_search(rotated, 3, seed=0)
     assert not calls
-    found = ensemble_search(rho, 3, restarts=1, max_iters=20, seed=0)
+    found = ensemble_search(rho, 3, seed=0)
     assert calls and found is not None and found.residual < 1e-12
 
 
@@ -354,7 +351,7 @@ def test_verify_decomposition_cases():
     assert not verify_decomposition(ens, zero.density(), 1, 0.0)  # zero tolerance
     assert not verify_decomposition(ens, isotropic(2, 0.5), 1, 1e-6)  # wrong state
 
-    ensemble, _ = two_copy_construction()
+    ensemble = two_copy_construction()
     target = tensor_copies(isotropic(2, F_TIGHT), 2)
     assert verify_decomposition(ensemble, target, 2, 1e-8)
     assert not verify_decomposition(ensemble, target, 1, 1e-8)  # members have rank 2

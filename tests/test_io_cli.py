@@ -67,7 +67,7 @@ def test_matrix_file_rejects_invalid(tmp_path):
 
 
 def test_ensemble_file_round_trip(tmp_path):
-    ensemble, _ = two_copy_construction()
+    ensemble = two_copy_construction()
     path = tmp_path / "ens.json"
     io.write_ensemble_file(path, ensemble)
     loaded = io.read_ensemble_file(path)
@@ -314,9 +314,35 @@ def test_cli_analyze_invalid_exit_code(tmp_path, capsys):
 
 @pytest.mark.parametrize("vectors", ["0", "-1"])
 def test_cli_analyze_rejects_bad_search_vectors(tmp_path, capsys, vectors):
+    # The ansatz size is fixed at 2 d_a d_b; the option no longer exists.
     path = write_state(tmp_path / "in.json", isotropic(2, 0.3))
-    assert main(["analyze", "--input", path, "--search-upper", "1",
-                 "--search-vectors", vectors]) == 2
+    with pytest.raises(SystemExit) as exit_info:
+        main(["analyze", "--input", path, "--search-upper", "1", "--search-vectors", vectors])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --search-vectors" in capsys.readouterr().err
+
+
+def _unreadable_input(tmp_path, kind):
+    if kind == "directory":
+        return str(tmp_path)
+    path = tmp_path / "bad.json"
+    if kind == "not utf-8":
+        path.write_bytes(b'{"d_a": 2, "d_b": \xff}')
+    elif kind == "deep nesting":  # deeper than the JSON parser recurses
+        path.write_text("[" * 100000 + "]" * 100000)
+    else:  # more digits than int() converts
+        path.write_text('{"d_a": ' + "1" * 5000 + "}")
+    return str(path)
+
+
+@pytest.mark.parametrize("kind", ["directory", "not utf-8", "deep nesting", "huge integer"])
+@pytest.mark.parametrize("command", ["analyze", "probe-map", "twirl"])
+def test_cli_unreadable_input_is_invalid_input(tmp_path, capsys, kind, command):
+    path = _unreadable_input(tmp_path, kind)
+    argv = {"analyze": ["analyze", "--input", path],
+            "probe-map": ["probe-map", "--choi", path, "--k", "1"],
+            "twirl": ["twirl", "--input", path, "--out", str(tmp_path / "out.json")]}[command]
+    assert main(argv) == 2
     assert "invalid input" in capsys.readouterr().err
 
 

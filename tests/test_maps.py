@@ -5,16 +5,14 @@ import pytest
 
 from helpers import random_density, random_hermitian, random_product_vector
 from schmidtkit import (
-    BipartiteIndex,
     InvariantViolation,
+    MatrixMap,
     adjoint_map,
     apply_id_tensor_map,
     apply_map,
     isotropic,
-    kpos_form,
     kpositivity_probe,
     lambda_p_class,
-    map_from_choi,
     max_entangled,
     min_eigenvalue,
     partial_trace,
@@ -43,7 +41,7 @@ def test_map_from_choi_max_entangled_is_identity_map():
     # C = |Psi+><Psi+| is the Choi matrix of the identity map: recovery
     # yields L(E_ij) = E_ij on every matrix unit.
     n = 3
-    lam = map_from_choi(max_entangled_projector(n), n, n)
+    lam = MatrixMap(n, n, max_entangled_projector(n))
     for i in range(n):
         for j in range(n):
             assert np.allclose(apply_map(lam, unit(i, j, n)), unit(i, j, n), atol=1e-12)
@@ -51,7 +49,7 @@ def test_map_from_choi_max_entangled_is_identity_map():
 
 def test_map_from_choi_completely_depolarizing():
     n = 3
-    lam = map_from_choi(np.eye(n * n) / n**2, n, n)
+    lam = MatrixMap(n, n, np.eye(n * n) / n**2)
     for i in range(n):
         for j in range(n):
             expected = (1.0 if i == j else 0.0) * np.eye(n) / n
@@ -64,7 +62,7 @@ def test_map_from_choi_completely_depolarizing():
 def test_choi_round_trip():
     rng = np.random.default_rng(1)
     c = random_hermitian(9, rng)
-    lam = map_from_choi(c, 3, 3)
+    lam = MatrixMap(3, 3, c)
     # rebuild the Choi matrix from the recovered action
     n = 3
     rebuilt = np.zeros((9, 9), dtype=complex)
@@ -76,7 +74,7 @@ def test_choi_round_trip():
 
 def test_map_from_choi_rejects_non_hermitian():
     with pytest.raises(InvariantViolation):
-        map_from_choi(np.triu(np.ones((4, 4))), 2, 2)
+        MatrixMap(2, 2, np.triu(np.ones((4, 4))))
 
 
 # --------------------------------------------------------- reduction family
@@ -170,7 +168,7 @@ def test_apply_map_matches_matrix_unit_expansion():
 def test_apply_id_tensor_map_identity_map():
     rng = np.random.default_rng(7)
     rho = random_density(2, 3, rng)
-    ident = map_from_choi(max_entangled_projector(3), 3, 3)
+    ident = MatrixMap(3, 3, max_entangled_projector(3))
     assert np.allclose(apply_id_tensor_map(ident, rho), rho.matrix, atol=1e-12)
 
 
@@ -207,7 +205,7 @@ def test_adjoint_trace_identity():
     maps = [
         reduction_family(3, 0.8),
         transpose_map(3),
-        map_from_choi(random_hermitian(9, rng), 3, 3),
+        MatrixMap(3, 3, random_hermitian(9, rng)),
     ]
     for lam in maps:
         adj = adjoint_map(lam)
@@ -224,7 +222,7 @@ def test_adjoint_self_adjoint_families():
                        reduction_family(3, 0.4).choi, atol=1e-12)
     assert np.allclose(adjoint_map(transpose_map(3)).choi, transpose_map(3).choi, atol=1e-12)
     rng = np.random.default_rng(10)
-    lam = map_from_choi(random_hermitian(9, rng), 3, 3)
+    lam = MatrixMap(3, 3, random_hermitian(9, rng))
     assert np.allclose(adjoint_map(adjoint_map(lam)).choi, lam.choi, atol=1e-12)
 
 
@@ -247,49 +245,6 @@ def test_lambda_p_class_examples():
 def test_lambda_p_class_tiny_p():
     # 1 / p overflows to inf at the smallest subnormal p.
     assert lambda_p_class(2, 5e-324).completely_positive
-
-
-# ------------------------------------------------------------ bilinear form
-
-
-def test_kpos_form_reduction_uniform():
-    for n, k, p in ((3, 2, 0.6), (4, 3, 0.3), (2, 2, 1.0)):
-        lam = reduction_family(n, p)
-        basis = np.eye(n, dtype=complex)
-        val = kpos_form(lam, basis[:k], basis[:k], np.full(k, 1 / k))
-        assert abs(val - (1 - p * k)) < 1e-12
-
-
-def test_kpos_form_rank_one_positive():
-    rng = np.random.default_rng(11)
-    for lam in (reduction_family(3, 1.0), transpose_map(3)):
-        for _ in range(20):
-            a = rng.normal(size=3) + 1j * rng.normal(size=3)
-            b = rng.normal(size=3) + 1j * rng.normal(size=3)
-            a /= np.linalg.norm(a)
-            b /= np.linalg.norm(b)
-            assert kpos_form(lam, a[None, :], b[None, :], np.ones(1)) > -1e-10
-
-
-def test_kpos_form_cross_check_construction():
-    rng = np.random.default_rng(12)
-    n, k = 4, 3
-    lam = map_from_choi(random_hermitian(n * n, rng), n, n)
-    a = np.linalg.qr(rng.normal(size=(n, k)) + 1j * rng.normal(size=(n, k)))[0].T
-    b = np.linalg.qr(rng.normal(size=(n, k)) + 1j * rng.normal(size=(n, k)))[0].T
-    mu = rng.dirichlet(np.ones(k))
-    val = kpos_form(lam, a, b, mu)
-    phi = sum(np.kron(np.eye(n, dtype=complex)[i], a[i]) for i in range(k))
-    chi = sum(np.sqrt(mu[i]) * np.kron(np.eye(n, dtype=complex)[i], b[i]) for i in range(k))
-    big = apply_id_tensor_map(lam, np.outer(phi, phi.conj()))
-    assert abs(val - (chi.conj() @ big @ chi).real) < 1e-10
-
-
-def test_kpos_form_rejects_non_orthonormal():
-    lam = reduction_family(3, 0.5)
-    v = np.array([[1, 0, 0], [1, 0, 0]], dtype=complex)
-    with pytest.raises(InvariantViolation):
-        kpos_form(lam, v, v, np.full(2, 0.5))
 
 
 # -------------------------------------------------------------------- probe
@@ -333,7 +288,7 @@ def test_probe_agrees_with_class_small_grid():
 def test_map_rank_one_matches_apply_id_tensor_map():
     rng = np.random.default_rng(13)
     for n in range(2, 7):
-        lam = map_from_choi(random_hermitian(n * n, rng), n, n)
+        lam = MatrixMap(n, n, random_hermitian(n * n, rng))
         for m in (lam, adjoint_map(lam)):
             for _ in range(3):
                 psi = rng.normal(size=n * n) + 1j * rng.normal(size=n * n)

@@ -1,19 +1,18 @@
 import numpy as np
 import pytest
 
-from helpers import random_density, random_pure
+from helpers import random_density
 from schmidtkit import (
     BipartiteIndex,
     DensityMatrix,
     InvariantViolation,
     PureBipartiteState,
-    fully_entangled_fraction_pure,
+    fidelity_max,
     isotropic,
     max_entangled,
     partial_trace,
     partial_transpose,
     psi_k,
-    schmidt_decompose,
     schmidt_rank,
     tensor_copies,
 )
@@ -24,37 +23,9 @@ def state(amps, d_a=2, d_b=2):
     return PureBipartiteState(np.asarray(amps, dtype=complex), BipartiteIndex(d_a, d_b))
 
 
-def test_schmidt_decompose_product_state():
-    dec = schmidt_decompose(state(amps=[1, 0, 0, 0]))
-    assert dec.rank == 1
-    assert np.allclose(dec.coefficients, [1.0])
-
-
-def test_schmidt_decompose_uniform():
-    dec = schmidt_decompose(max_entangled(3))
-    assert np.allclose(dec.coefficients, [1 / 3, 1 / 3, 1 / 3], atol=1e-12)
-
-
-def test_schmidt_decompose_two_term():
-    dec = schmidt_decompose(state(amps=[np.sqrt(0.9), 0, 0, np.sqrt(0.1)]))
-    assert np.allclose(dec.coefficients, [0.9, 0.1], atol=1e-12)
-
-
-def test_schmidt_decomposition_invariants_random():
-    rng = np.random.default_rng(11)
-    for _ in range(200):
-        d_a, d_b = rng.integers(1, 6, size=2)
-        psi = random_pure(d_a, d_b, rng)
-        dec = schmidt_decompose(psi)
-        assert abs(dec.coefficients.sum() - 1.0) < 1e-10
-        assert np.all(np.diff(dec.coefficients) <= 1e-15)
-        assert np.allclose(dec.left.conj().T @ dec.left, np.eye(dec.rank), atol=1e-10)
-        assert np.allclose(dec.right.conj().T @ dec.right, np.eye(dec.rank), atol=1e-10)
-        rebuilt = sum(
-            np.sqrt(c) * np.kron(dec.left[:, i], dec.right[:, i])
-            for i, c in enumerate(dec.coefficients)
-        )
-        assert np.linalg.norm(rebuilt - psi.amplitudes) < 1e-8
+def schmidt_coefficients(psi):
+    """Squared singular values of the coefficient matrix, descending."""
+    return np.linalg.svd(psi.amplitude_matrix(), compute_uv=False) ** 2
 
 
 def test_schmidt_rank_cases():
@@ -73,8 +44,7 @@ def test_schmidt_rank_two_copy_state():
     ) / s2
     psi = PureBipartiteState(amp / np.linalg.norm(amp), BipartiteIndex(4, 4))
     assert schmidt_rank(psi) == 2
-    dec = schmidt_decompose(psi)
-    assert np.allclose(dec.coefficients, [0.5, 0.5], atol=1e-12)
+    assert np.allclose(schmidt_coefficients(psi), [0.5, 0.5, 0, 0], atol=1e-12)
 
 
 def test_schmidt_rank_matches_reduced_rank():
@@ -95,16 +65,15 @@ def test_schmidt_rank_matches_reduced_rank():
 def test_max_entangled():
     assert np.allclose(max_entangled(1).amplitudes, [1.0])
     assert np.allclose(max_entangled(2).amplitudes, [1, 0, 0, 1] / np.sqrt(2))
-    dec = schmidt_decompose(max_entangled(3))
-    assert np.allclose(dec.coefficients, 1 / 3)
+    assert schmidt_rank(max_entangled(3)) == 3
+    assert np.allclose(schmidt_coefficients(max_entangled(3)), 1 / 3)
 
 
 def test_psi_k():
     for n in (2, 3, 4):
         assert np.allclose(psi_k(n, n).amplitudes, max_entangled(n).amplitudes)
-    dec = schmidt_decompose(psi_k(4, 2))
-    assert dec.rank == 2
-    assert np.allclose(dec.coefficients, [0.5, 0.5], atol=1e-14)
+    assert schmidt_rank(psi_k(4, 2)) == 2
+    assert np.allclose(schmidt_coefficients(psi_k(4, 2)), [0.5, 0.5, 0, 0], atol=1e-14)
     for n in (2, 3, 4):
         for k in range(1, n + 1):
             overlap = sum(
@@ -143,17 +112,6 @@ def test_isotropic_rejects_bad_input():
         isotropic(1, 0.5)
 
 
-def test_fully_entangled_fraction_examples():
-    assert np.isclose(fully_entangled_fraction_pure(max_entangled(3)), 1.0, atol=1e-12)
-    assert np.isclose(
-        fully_entangled_fraction_pure(state(amps=[1, 0, 0, 0])), 0.5, atol=1e-12
-    )
-    psi = state(amps=[np.sqrt(0.9), 0, 0, np.sqrt(0.1)])
-    assert np.isclose(fully_entangled_fraction_pure(psi), 0.8, atol=1e-12)
-    with pytest.raises(InvariantViolation):
-        fully_entangled_fraction_pure(random_pure(2, 3, np.random.default_rng(0)))
-
-
 def test_schmidt_sum_bound_random():
     rng = np.random.default_rng(13)
     for _ in range(200):
@@ -164,9 +122,8 @@ def test_schmidt_sum_bound_random():
         w = rng.dirichlet(np.ones(rank))
         amp = sum(np.sqrt(w[i]) * np.kron(a[:, i], b[:, i]) for i in range(rank))
         psi = PureBipartiteState(amp / np.linalg.norm(amp), BipartiteIndex(n, n))
-        lam = schmidt_decompose(psi).coefficients
-        assert np.sum(np.sqrt(lam)) ** 2 <= rank + 1e-12
-        assert fully_entangled_fraction_pure(psi) <= schmidt_rank(psi) / n + 1e-12
+        assert np.sum(np.sqrt(schmidt_coefficients(psi))) ** 2 <= rank + 1e-12
+        assert fidelity_max(psi.density(), restarts=2).f_hat <= schmidt_rank(psi) / n + 1e-12
 
 
 def test_density_matrix_invariant_messages():

@@ -4,7 +4,6 @@ import pytest
 from helpers import random_density, random_pure, random_unitary
 from schmidtkit import (
     BipartiteIndex,
-    DensityMatrix,
     InvariantViolation,
     PureBipartiteState,
     clifford_ensemble_qubit,
@@ -14,13 +13,11 @@ from schmidtkit import (
     psi_k,
     schmidt_rank,
     schmidt_ranks,
-    symmetrize_copies,
     tensor_copies,
     tetrahedral_ensemble_qubit,
     twirl_exact,
     twirl_mc,
     twirl_orbit,
-    twirl_pure_ensemble,
     twirl_sectors,
     two_copy_construction,
 )
@@ -232,24 +229,32 @@ def test_twirl_sectors_only_for_qubit_pairs():
 # ----------------------------------------------------------- pure ensembles
 
 
+def clifford_orbit(psi):
+    return twirl_orbit(psi.amplitudes, psi.idx, clifford_ensemble_qubit())
+
+
+def orbit_mixture(amps):
+    return amps.T @ amps.conj() / len(amps)
+
+
 def test_twirl_pure_ensemble_invariant_state():
-    ens = twirl_pure_ensemble(max_entangled(2))
+    amps = clifford_orbit(max_entangled(2))
     target = max_entangled(2).amplitudes
-    assert np.allclose(np.abs(ens.amps @ target.conj()), 1.0, atol=1e-12)
-    assert frob(ens.mixture().matrix, max_entangled(2).density().matrix) < 1e-12
+    assert np.allclose(np.abs(amps @ target.conj()), 1.0, atol=1e-12)
+    assert frob(orbit_mixture(amps), max_entangled(2).density().matrix) < 1e-12
 
 
 def test_twirl_pure_ensemble_product_state():
     psi = PureBipartiteState(np.array([1, 0, 0, 0], dtype=complex), BipartiteIndex(2, 2))
-    ens = twirl_pure_ensemble(psi)
-    assert schmidt_ranks(ens.amps, ens.idx).tolist() == [1] * 24
-    assert frob(ens.mixture().matrix, isotropic(2, 0.5).matrix) < 1e-12
+    amps = clifford_orbit(psi)
+    assert schmidt_ranks(amps, psi.idx).tolist() == [1] * 24
+    assert frob(orbit_mixture(amps), isotropic(2, 0.5).matrix) < 1e-12
 
 
 def test_twirl_pure_ensemble_rank_two():
-    ens = twirl_pure_ensemble(psi_k(2, 2))
-    assert schmidt_ranks(ens.amps, ens.idx).tolist() == [2] * 24
-    assert frob(ens.mixture().matrix, isotropic(2, 1.0).matrix) < 1e-12
+    amps = clifford_orbit(psi_k(2, 2))
+    assert schmidt_ranks(amps, psi_k(2, 2).idx).tolist() == [2] * 24
+    assert frob(orbit_mixture(amps), isotropic(2, 1.0).matrix) < 1e-12
 
 
 def test_local_rotations_preserve_schmidt_rank():
@@ -262,41 +267,11 @@ def test_local_rotations_preserve_schmidt_rank():
         assert schmidt_rank(rotated) == schmidt_rank(psi)
 
 
-# ------------------------------------------------------------ symmetrization
-
-
-def test_symmetrize_copies_cases():
-    rng = np.random.default_rng(26)
-    rho_a = random_density(2, 2, rng)
-    rho_b = random_density(2, 2, rng)
-    sym_in = tensor_copies(rho_a, 2)
-    assert frob(symmetrize_copies(sym_in).matrix, sym_in.matrix) < 1e-13
-
-    # copy-wise product: (rho_a (x) rho_b + rho_b (x) rho_a) / 2 in grouped order
-    mixed = np.kron(rho_a.matrix, rho_b.matrix).reshape([2] * 8)
-    grouped = np.einsum("abcdefgh->acbdegfh", mixed).reshape(16, 16)
-    swapped = np.kron(rho_b.matrix, rho_a.matrix).reshape([2] * 8)
-    grouped_swapped = np.einsum("abcdefgh->acbdegfh", swapped).reshape(16, 16)
-    dm = DensityMatrix(grouped, BipartiteIndex(4, 4))
-    expected = (grouped + grouped_swapped) / 2
-    got = symmetrize_copies(dm)
-    assert frob(got.matrix, expected) < 1e-13
-    assert frob(symmetrize_copies(got).matrix, got.matrix) < 1e-13
-
-
-def test_symmetrize_copies_rejects_bad_dims():
-    rng = np.random.default_rng(27)
-    with pytest.raises(InvariantViolation):
-        symmetrize_copies(random_density(2, 3, rng))
-    with pytest.raises(InvariantViolation):
-        symmetrize_copies(random_density(3, 3, rng))
-
-
 # --------------------------------------------------------- two-copy builder
 
 
 def test_two_copy_construction_coefficients():
-    _, mixture = two_copy_construction()
+    mixture = two_copy_construction().mixture()
     s2 = np.sqrt(2)
     a, b1, b2, c = two_copy_coefficients(mixture)
     assert abs(a - (s2 - 1) ** 2 / 18) < 1e-10
@@ -306,11 +281,10 @@ def test_two_copy_construction_coefficients():
 
 
 def test_two_copy_construction_mixture():
-    ensemble, mixture = two_copy_construction()
+    mixture = two_copy_construction().mixture()
     f = F_TIGHT
     target = tensor_copies(isotropic(2, f), 2)
     assert frob(mixture.matrix, target.matrix) < 1e-10
-    assert frob(ensemble.mixture().matrix, mixture.matrix) < 1e-12
     # independent oracle for the pattern coefficients
     c, b, a = f * f, f * (1 - f) / 3, ((1 - f) / 3) ** 2
     s2 = np.sqrt(2)
@@ -320,6 +294,6 @@ def test_two_copy_construction_mixture():
 
 
 def test_two_copy_construction_member_ranks():
-    ensemble, _ = two_copy_construction()
+    ensemble = two_copy_construction()
     assert np.isclose(ensemble.probs.sum(), 1.0, atol=1e-12)
     assert schmidt_ranks(ensemble.amps, ensemble.idx).tolist() == [2] * (24 * 24 * 2)

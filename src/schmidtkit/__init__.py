@@ -34,7 +34,6 @@ from .maps import (
     MatrixMap,
     PositivityClass,
     ProbeResult,
-    adjoint_map,
     apply_id_tensor_map,
     apply_map,
     kpositivity_probe,

@@ -16,6 +16,8 @@ from . import io, kernels
 from .linalg import InvariantViolation, min_eigenvalue
 from .maps import (
     NEGATIVITY_THRESHOLD,
+    ORACLE_ITERS,
+    ORACLE_TOL,
     apply_id_tensor_map,
     lambda_p_class,
     reduction_family,
@@ -38,9 +40,7 @@ FIDELITY_BOUND_SLACK = 1e-9
 FIDELITY_MAX_ITERS = 500
 FIDELITY_TOL = 1e-10
 ISOTROPIC_DETECTION_TOL = 1e-12
-ORACLE_ITERS = 500
 ORACLE_STARTS = 4
-ORACLE_TOL = 1e-15
 REDUCED_STEPS = 30
 REDUCED_TOL = 1e-13
 SEARCH_ITERS = 2000
@@ -119,6 +119,8 @@ class FidelityBound:
             )
 
     def verify(self, rho: DensityMatrix) -> bool:
+        if self.state.idx != rho.idx:
+            return False
         amp = self.state.amplitudes
         achieved = float((amp.conj() @ rho.matrix @ amp).real)
         if abs(achieved - self.f_hat) > VERIFY_ATOL:

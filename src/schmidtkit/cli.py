@@ -49,9 +49,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also search for a rank-<=K upper-bound decomposition")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--restarts", type=int, default=20)
-    fmt = p.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true", help="print the report as JSON")
-    fmt.add_argument("--text", action="store_true", help="print a text summary (default)")
+    p.add_argument("--json", action="store_true",
+                   help="print the report as JSON instead of a text summary")
     p.add_argument("--out", default=None, help="also write the JSON report here")
 
     p = sub.add_parser("isotropic", help="classify an isotropic state exactly")
@@ -65,9 +64,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dump", default=None, metavar="FILE",
                    help="write the 1152-member ensemble to FILE")
 
-    p = sub.add_parser("figure-step", help="emit Schmidt-number step data as CSV")
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--copies", type=int, default=2, choices=(1, 2))
+    p = sub.add_parser("figure-step",
+                       help="emit N=2 one- and two-copy Schmidt-number step data as CSV")
     p.add_argument("--grid", type=int, default=400)
     p.add_argument("--out", required=True)
 
@@ -157,8 +155,6 @@ def _cmd_demo(args) -> int:
 
 
 def _cmd_figure(args) -> int:
-    if args.n != 2:
-        raise InvariantViolation(f"step data is emitted for N=2 only, got N={args.n}")
     if args.grid < 2:
         raise InvariantViolation(f"grid must have at least 2 points, got {args.grid}")
     specials = [0.5, F_TIGHT, F_CONJECTURED]
@@ -166,7 +162,7 @@ def _cmd_figure(args) -> int:
     lines = ["F,sn_one_copy,sn_two_copy_lower,marker"]
     for f in fs:
         one = isotropic_sn(2, f)
-        two = tensor_copy_bound(f, 2, 2) if args.copies == 2 else ""
+        two = tensor_copy_bound(f, 2, 2)
         marker = ""
         if f == F_TIGHT:
             marker = "tight:sn2"

@@ -29,73 +29,6 @@ def mc_twirl_sum(rho, gin):
     return np.einsum("sab,bc,sdc->ad", w, rho, w.conj(), optimize=True)
 
 
-def choi_rows(c4):
-    """Lay out a Choi tensor c4[k, a, l, b] for map_rank_one: [k, a, b, l]
-    reshaped to (N, N^3)."""
-    n = c4.shape[0]
-    return np.ascontiguousarray(c4.transpose(0, 1, 3, 2).reshape(n, n**3))
-
-
-def map_rank_one(c_rows, x):
-    """(1 (x) L)(|x><x|) for |x> = vec(X), from the map's Choi tensor.
-
-    ``c_rows`` is choi_rows(n_in * C) for the map's Choi tensor C[k, a, l, b];
-    X is the N x N amplitude matrix. The result is
-    sum_{k,l} X[i,k] (n_in C)[k,a,l,b] conj(X[j,l]) at [(i,a), (j,b)]: two
-    matmuls and one transpose, O(N^5) flops and O(N^4) memory.
-    """
-    n = x.shape[0]
-    t = (x @ c_rows).reshape(n * n * n, n) @ x.conj().T
-    return t.reshape(n, n, n, n).transpose(0, 1, 3, 2).reshape(n * n, n * n)
-
-
-def _min_eig_pair(c_rows, psi, n):
-    """Min eigenpair of (1 (x) L)(|psi><psi|)."""
-    m = map_rank_one(c_rows, psi.reshape(n, n))
-    m = (m + m.conj().T) / 2.0
-    w, v = np.linalg.eigh(m)
-    return w[0], np.ascontiguousarray(v[:, 0])
-
-
-def probe_descent(c_rows, c_adj_rows, n, k, a0, b0, max_iters, step0):
-    """Minimize the smallest eigenvalue of (1 (x) Map)(|Psi><Psi|) over
-    Psi = (1/sqrt(k)) sum_n a_n (x) b_n, with A, B column-orthonormal N x k.
-
-    ``c_rows`` and ``c_adj_rows`` are the Choi tensors of the map and of its
-    adjoint in the layout of map_rank_one. Gradient descent with polar
-    retraction and a backtracking step; stops when the line search finds no
-    decrease. Returns (best value, A, B).
-    """
-    d = n * n
-    sk = np.sqrt(k)
-    a = a0.copy()
-    b = b0.copy()
-    psi = ((a @ b.T) / sk).reshape(d)
-    val, vec = _min_eig_pair(c_rows, psi, n)
-    eta = step0
-    for _ in range(max_iters):
-        wmat = map_rank_one(c_adj_rows, vec.reshape(n, n))
-        wmat = (wmat + wmat.conj().T) / 2.0
-        g = (wmat @ psi).reshape(n, n)
-        ga = (g @ b.conj()) / sk
-        gb = (g.T @ a.conj()) / sk
-        for _ in range(40):
-            a2 = polar_orthonormalize(a - eta * ga)
-            b2 = polar_orthonormalize(b - eta * gb)
-            psi2 = ((a2 @ b2.T) / sk).reshape(d)
-            val2, vec2 = _min_eig_pair(c_rows, psi2, n)
-            if val2 < val - 1e-14:
-                a, b, psi, val, vec = a2, b2, psi2, val2, vec2
-                eta = min(eta * 1.4, 1e3)
-                break
-            eta *= 0.5
-            if eta < 1e-15:
-                return val, a, b
-        else:
-            return val, a, b
-    return val, a, b
-
-
 def _psi_of_unitary(u, n):
     """Psi_U = vec(U^T) / sqrt(N) for each U of the stack u."""
     return u.transpose(0, 2, 1).reshape(-1, n * n) / np.sqrt(n)

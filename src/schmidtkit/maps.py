@@ -2,10 +2,11 @@
 
 A map L : M_{n_in} -> M_{n_out} is stored by its Choi matrix
 C = (1 (x) L)(|Psi+><Psi+|) with |Psi+> on H_{n_in} (x) H_{n_in}; the
-action is recovered as L(X) = n_in * Tr_A[(X^T (x) 1) C]. The
-k-positivity probe applies 1 (x) L to rank-one projectors straight from the
-Choi tensor, at O(N^5) flops per application; no N^2 x N^2 superoperator
-(N^8 entries) is ever built.
+action is recovered as L(X) = n_in * Tr_A[(X^T (x) 1) C]. L is k-positive
+exactly when <phi|C|phi> >= 0 for every phi of Schmidt rank <= k, so the
+k-positivity probe is one rank-constrained extremum of C
+(kernels.rank_k_oracle); no N^2 x N^2 superoperator (N^8 entries) is ever
+built.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .linalg import BipartiteIndex, InvariantViolation, as_matrix, hermitize
+from .linalg import BipartiteIndex, InvariantViolation, as_matrix, hermitize, min_eigenvalue
 from .states import (
     DensityMatrix,
     PureBipartiteState,
@@ -23,8 +24,8 @@ from .states import (
 )
 
 NEGATIVITY_THRESHOLD = -1e-8
-PROBE_MAX_ITERS = 500
-PROBE_STEP = 0.1
+ORACLE_ITERS = 500
+ORACLE_TOL = 1e-15
 
 
 @dataclass(frozen=True)
@@ -62,6 +63,8 @@ class PositivityClass:
 class ProbeResult:
     """Outcome of the numerical k-positivity falsifier.
 
+    ``state`` is a maximally entangled Schmidt-rank-k state and
+    ``min_eigenvalue`` the smallest eigenvalue of (1 (x) L) applied to it.
     ``violation`` is one-sided: True comes with a certified counterexample;
     False only means the search found none and certifies nothing.
     """
@@ -128,14 +131,6 @@ def apply_id_tensor_map(lam: MatrixMap, rho) -> np.ndarray:
     return np.ascontiguousarray(out.reshape(d_out, d_out))
 
 
-def adjoint_map(lam: MatrixMap) -> MatrixMap:
-    """Hilbert-Schmidt adjoint: Tr[A^dag L(B)] = Tr[L^dag(A^dag) B]."""
-    c4 = lam.choi4()
-    adj = c4.transpose(3, 2, 1, 0) * (lam.n_in / lam.n_out)
-    d = lam.n_in * lam.n_out
-    return MatrixMap(lam.n_out, lam.n_in, np.ascontiguousarray(adj.reshape(d, d)))
-
-
 def lambda_p_class(n: int, p: float) -> PositivityClass:
     """Exact positivity class of the reduction family.
 
@@ -158,12 +153,19 @@ def kpositivity_probe(
     (1 (x) L)(|Psi_k><Psi_k|) having an eigenvalue below -1e-8.
 
     One-sided falsifier: a violation comes with the witnessing state; a clean
-    run is not a k-positivity certificate. Restart r uses seed + r; results
-    merge in restart order.
+    run is not a k-positivity certificate.
 
-    Each application of 1 (x) L (or of its adjoint) to a rank-one projector
-    works on the N x N^3 Choi layout: O(N^5) flops, and nothing of size N^8
-    is formed or stored.
+    For Psi = vec(G)/sqrt(k) with G = A B^T, A and B N x k isometries,
+    (1 (x) L)(|Psi><Psi|) = (N/k) (G (x) 1) C (G (x) 1)^dag. Its smallest
+    eigenvalue is (N/k) times the least <phi|C|phi> over unit phi in
+    range(conj(B)) (x) H_N, capped at 0 when k < N. Every phi of Schmidt
+    rank <= k lies in such a subspace, so the minimum over all such Psi is
+    (N/k) times the least <phi|C|phi> over Schmidt rank <= k, capped the
+    same way. The probe finds that phi with rank_k_oracle on -C, one start
+    per restart in one batch (restart r draws its start with seed + r), and
+    takes the best, the first restart on a tie. Then G = I_{N x k} U_k^dag,
+    with U_k the top k left singular vectors of phi's coefficient matrix,
+    and min_eigenvalue is recomputed from that state.
     """
     if lam.n_in != lam.n_out:
         raise InvariantViolation("probe requires a square map")
@@ -172,31 +174,19 @@ def kpositivity_probe(
         raise InvariantViolation(f"need 1 <= k <= N, got k={k}, N={n}")
     if restarts < 1:
         raise InvariantViolation(f"need at least one restart, got {restarts}")
-    c_rows = kernels.choi_rows(n * lam.choi4())
-    c_adj_rows = kernels.choi_rows(n * adjoint_map(lam).choi4())
-    best_val = np.inf
-    best_ab = None
-    for r in range(restarts):
-        rng = np.random.default_rng(seed + r)
-        a0 = np.linalg.qr(_ginibre(n, k, rng))[0]
-        b0 = np.linalg.qr(_ginibre(n, k, rng))[0]
-        val, a, b = kernels.probe_descent(
-            c_rows, c_adj_rows, n, k, a0, b0, PROBE_MAX_ITERS, PROBE_STEP
-        )
-        if val < best_val:
-            best_val = float(val)
-            best_ab = (a, b)
-    a, b = best_ab
-    psi = ((a @ b.T) / np.sqrt(k)).reshape(n * n)
-    psi = psi / np.linalg.norm(psi)
-    state = PureBipartiteState(psi, BipartiteIndex(n, n))
+    b0 = np.array([_ginibre(n, k, np.random.default_rng(seed + r)) for r in range(restarts)])
+    vals, phis = kernels.rank_k_oracle(-lam.choi, n, n, k, b0, ORACLE_ITERS, ORACLE_TOL)
+    u_k = np.linalg.svd(phis[np.argmax(vals)].reshape(n, n))[0][:, :k]
+    g = np.zeros((n, n), dtype=np.complex128)
+    g[:k] = u_k.conj().T
+    psi = g.reshape(n * n) / np.sqrt(k)
+    val = min_eigenvalue(apply_id_tensor_map(lam, np.outer(psi, psi.conj())))
     return ProbeResult(
-        violation=best_val < NEGATIVITY_THRESHOLD,
-        min_eigenvalue=best_val,
-        state=state,
+        violation=val < NEGATIVITY_THRESHOLD,
+        min_eigenvalue=val,
+        state=PureBipartiteState(psi, BipartiteIndex(n, n)),
     )
 
 
 def _ginibre(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
     return (rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))) / np.sqrt(2)
-

@@ -96,7 +96,12 @@ def max_entangled(n: int) -> PureBipartiteState:
     """(1/sqrt(N)) sum_i |ii> on H_N (x) H_N."""
     if n < 1:
         raise InvariantViolation(f"dimension must be positive, got {n}")
-    return psi_k(n, n)
+    return PureBipartiteState(max_entangled_vector(n), BipartiteIndex(n, n))
+
+
+def max_entangled_vector(n: int) -> np.ndarray:
+    """The amplitudes of max_entangled(n), without a validated state."""
+    return np.eye(n, dtype=np.complex128).reshape(n * n) / np.sqrt(n)
 
 
 def psi_k(n: int, k: int) -> PureBipartiteState:
@@ -111,7 +116,7 @@ def psi_k(n: int, k: int) -> PureBipartiteState:
 
 def max_entangled_projector(n: int) -> np.ndarray:
     """Rank-1 projector onto the maximally entangled state, as a plain matrix."""
-    v = max_entangled(n).amplitudes
+    v = max_entangled_vector(n)
     return np.outer(v, v.conj())
 
 

@@ -14,7 +14,8 @@ from .states import (
     NORM_ATOL,
     DensityMatrix,
     isotropic,
-    max_entangled,
+    max_entangled_projector,
+    max_entangled_vector,
 )
 
 MC_CHUNK = 2048
@@ -89,7 +90,7 @@ def fidelity_with_max_entangled(rho: DensityMatrix) -> float:
         raise InvariantViolation(
             f"twirling needs d_a == d_b, got ({rho.idx.d_a}, {rho.idx.d_b})"
         )
-    v = max_entangled(rho.idx.d_a).amplitudes
+    v = max_entangled_vector(rho.idx.d_a)
     return float((v.conj() @ rho.matrix @ v).real)
 
 
@@ -235,8 +236,7 @@ def twirl_sectors(idx: BipartiteIndex) -> np.ndarray | None:
     """
     if idx.d_a != idx.d_b or idx.d_a not in (2, 4):
         return None
-    v = max_entangled(2).amplitudes
-    p = np.outer(v, v.conj())
+    p = max_entangled_projector(2)
     q = np.eye(4) - p
     if idx.d_a == 2:
         return np.array([p, q])
@@ -277,8 +277,7 @@ def two_copy_coefficients(rho: DensityMatrix) -> tuple[float, float, float, floa
     n = _two_pair_factors(rho.idx)
     dims = [n, n, n, n]
     pairwise = permute_subsystems(rho.matrix, dims, [0, 2, 1, 3])
-    v = max_entangled(n).amplitudes
-    pplus = np.outer(v, v.conj())
+    pplus = max_entangled_projector(n)
     q = np.eye(n * n) - pplus
     qdim = n * n - 1
     a = float(np.trace(np.kron(q, q) @ pairwise).real) / qdim**2

@@ -7,7 +7,7 @@ PUBLIC_NAMES = [
     "InvariantViolation", "IsotropicExact", "MapWitness", "MatrixMap",
     "PositivityClass", "ProbeResult", "PureBipartiteState", "PureEnsemble",
     "SnReport", "UnitaryEnsemble",
-    "adjoint_map", "analyze", "apply_id_tensor_map", "apply_map",
+    "analyze", "apply_id_tensor_map", "apply_map",
     "clifford_ensemble_qubit", "ensemble_search", "fidelity_max",
     "fidelity_to_sn_bound", "fidelity_with_max_entangled", "haar_unitary",
     "isotropic", "isotropic_sn", "kpositivity_probe", "lambda_p_class",

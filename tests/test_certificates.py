@@ -11,6 +11,7 @@ from schmidtkit.certify import (
     FidelityBound,
     IsotropicExact,
     MapWitness,
+    analyze,
     fidelity_max,
     isotropic_sn,
     peres_witness,
@@ -76,3 +77,13 @@ def test_certificate_payload_round_trip(certificates, data):
     back = type(cert).from_payload(io.loads(text))
     assert io.dumps(back.to_payload()) == text
     assert back.verify(rho) == cert.verify(rho)
+
+
+def test_certificates_reject_a_state_of_other_dimensions():
+    rho, other = isotropic(3, 0.8), isotropic(2, 0.8)
+    report = analyze(rho, search_upper=3)
+    kinds = {c.kind for c in report.certificates}
+    assert kinds == {"map_witness", "fidelity_bound", "ensemble_upper", "isotropic_exact"}
+    for cert in report.certificates:
+        assert cert.verify(rho)
+        assert cert.verify(other) is False

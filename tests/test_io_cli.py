@@ -484,7 +484,11 @@ def test_cli_figure_step(tmp_path, capsys):
 
 
 def test_cli_figure_rejects_bad_n(capsys, tmp_path):
-    assert main(["figure-step", "--n", "3", "--out", str(tmp_path / "x.csv")]) == 2
+    # Step data is for N=2 only; the option no longer exists.
+    with pytest.raises(SystemExit) as exit_info:
+        main(["figure-step", "--n", "3", "--out", str(tmp_path / "x.csv")])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --n" in capsys.readouterr().err
 
 
 def test_cli_probe_map(tmp_path, capsys):

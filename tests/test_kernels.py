@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 from helpers import random_density, random_hermitian, random_unitary
 from schmidtkit import kernels
 from schmidtkit.certify import fidelity_to_sn_bound
+from schmidtkit.linalg import min_eigenvalue
 from schmidtkit.maps import (
     NEGATIVITY_THRESHOLD,
     MatrixMap,
-    adjoint_map,
+    apply_id_tensor_map,
     kpositivity_probe,
     reduction_family,
     transpose_map,
@@ -231,34 +232,44 @@ def test_fidelity_ascent_never_descends(seed, n, rank, starts, max_iters):
         assert np.max(np.abs(u.conj().T @ u - eye)) <= 1e-12
 
 
-def _min_eig_pair_with_gap(c_rows, psi, n):
-    m = kernels.map_rank_one(c_rows, psi.reshape(n, n))
+def _min_eig_pair_with_gap(lam, psi):
+    m = apply_id_tensor_map(lam, np.outer(psi, psi.conj()))
     w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
     return w[0], v[:, 0], w[1] - w[0]
 
 
-def _perturbed_probe_descent(c_rows, c_adj_rows, n, k, a0, b0, pert_a, pert_b, max_iters, step0):
-    """The probe descent before its perturbation branch was deleted: when the
-    line search fails at a near-degenerate minimum (gap < 1e-9), nudge A and B
-    by the next pre-drawn perturbation and restart the step size."""
-    d = n * n
+def _adjoint(lam):
+    """Hilbert-Schmidt adjoint of a square map: Choi tensor C[i, a, j, b]
+    becomes C[b, j, a, i]."""
+    n = lam.n_in
+    return MatrixMap(n, n, lam.choi4().transpose(3, 2, 1, 0).reshape(n * n, n * n))
+
+
+def _perturbed_probe_descent(lam, k, a0, b0, pert_a, pert_b, max_iters, step0):
+    """The Stiefel-gradient probe descent that kpositivity_probe replaced,
+    with the perturbation branch it had before that: Psi = vec(A B^T)/sqrt(k)
+    with A, B column-orthonormal, polar retraction and a backtracking step;
+    when the line search fails at a near-degenerate minimum (gap < 1e-9),
+    nudge A and B by the next pre-drawn perturbation and restart the step
+    size."""
+    adj = _adjoint(lam)
     sk = np.sqrt(k)
     a, b = a0.copy(), b0.copy()
-    psi = ((a @ b.T) / sk).reshape(d)
-    val, vec, gap = _min_eig_pair_with_gap(c_rows, psi, n)
+    psi = ((a @ b.T) / sk).reshape(-1)
+    val, vec, gap = _min_eig_pair_with_gap(lam, psi)
     eta = step0
     used_pert = 0
     for _ in range(max_iters):
-        wmat = kernels.map_rank_one(c_adj_rows, vec.reshape(n, n))
-        g = (((wmat + wmat.conj().T) / 2.0) @ psi).reshape(n, n)
+        wmat = apply_id_tensor_map(adj, np.outer(vec, vec.conj()))
+        g = (((wmat + wmat.conj().T) / 2.0) @ psi).reshape(a.shape[0], -1)
         ga = (g @ b.conj()) / sk
         gb = (g.T @ a.conj()) / sk
         improved = False
         for _ in range(40):
             a2 = kernels.polar_orthonormalize(a - eta * ga)
             b2 = kernels.polar_orthonormalize(b - eta * gb)
-            psi2 = ((a2 @ b2.T) / sk).reshape(d)
-            val2, vec2, gap2 = _min_eig_pair_with_gap(c_rows, psi2, n)
+            psi2 = ((a2 @ b2.T) / sk).reshape(-1)
+            val2, vec2, gap2 = _min_eig_pair_with_gap(lam, psi2)
             if val2 < val - 1e-14:
                 a, b, psi, val, vec, gap = a2, b2, psi2, val2, vec2, gap2
                 eta = min(eta * 1.4, 1e3)
@@ -273,8 +284,8 @@ def _perturbed_probe_descent(c_rows, c_adj_rows, n, k, a0, b0, pert_a, pert_b, m
             break
         a = kernels.polar_orthonormalize(a + 1e-8 * pert_a[used_pert])
         b = kernels.polar_orthonormalize(b + 1e-8 * pert_b[used_pert])
-        psi = ((a @ b.T) / sk).reshape(d)
-        val, vec, gap = _min_eig_pair_with_gap(c_rows, psi, n)
+        psi = ((a @ b.T) / sk).reshape(-1)
+        val, vec, gap = _min_eig_pair_with_gap(lam, psi)
         used_pert += 1
         eta = step0
     return val, a, b
@@ -314,8 +325,6 @@ def test_probe_matches_perturbed_descent_on_non_covariant_maps():
     moved = 0.0
     for lam in (_choi_of(_choi_map, 3), _choi_of(_breuer_hall, 4), mixture):
         n = lam.n_in
-        c_rows = kernels.choi_rows(n * lam.choi4())
-        c_adj_rows = kernels.choi_rows(n * adjoint_map(lam).choi4())
         for k in range(1, n + 1):
             got = kpositivity_probe(lam, k, restarts=2, seed=0)
             ref = np.inf
@@ -324,11 +333,9 @@ def test_probe_matches_perturbed_descent_on_non_covariant_maps():
                 a0 = np.linalg.qr(_ginibre(rng, n, k))[0]
                 b0 = np.linalg.qr(_ginibre(rng, n, k))[0]
                 pert_a, pert_b = _ginibre(rng, 8, n, k), _ginibre(rng, 8, n, k)
-                val = _perturbed_probe_descent(
-                    c_rows, c_adj_rows, n, k, a0, b0, pert_a, pert_b, 500, 0.1
-                )[0]
+                val = _perturbed_probe_descent(lam, k, a0, b0, pert_a, pert_b, 500, 0.1)[0]
                 ref = min(ref, val)
-                start = kernels._min_eig_pair(c_rows, (a0 @ b0.T).reshape(-1) / np.sqrt(k), n)[0]
+                start = _min_eig_pair_with_gap(lam, (a0 @ b0.T).reshape(-1) / np.sqrt(k))[0]
                 moved = max(moved, start - val)
             assert got.violation == (ref < NEGATIVITY_THRESHOLD)
             assert abs(got.min_eigenvalue - ref) <= 1e-10
@@ -340,28 +347,28 @@ def test_probe_matches_perturbed_descent_on_non_covariant_maps():
     seed=st.integers(0, 2**32 - 1),
     n=st.integers(2, 4),
     data=st.data(),
-    max_iters=st.integers(1, 100),
+    restarts=st.integers(1, 4),
 )
-def test_probe_descent_never_ascends(seed, n, data, max_iters):
+def test_probe_state_is_flat_and_recomputes(seed, n, data, restarts):
     k = data.draw(st.integers(1, n))
     rng = np.random.default_rng(seed)
     lam = MatrixMap(n, n, random_hermitian(n * n, rng))
-    c_rows = kernels.choi_rows(n * lam.choi4())
-    c_adj_rows = kernels.choi_rows(n * adjoint_map(lam).choi4())
-    a0 = np.linalg.qr(_ginibre(rng, n, k))[0]
-    b0 = np.linalg.qr(_ginibre(rng, n, k))[0]
+    res = kpositivity_probe(lam, k, restarts=restarts, seed=seed)
 
-    def value(a, b):
-        m = kernels.map_rank_one(c_rows, (a @ b.T) / np.sqrt(k))
-        return np.linalg.eigvalsh((m + m.conj().T) / 2.0)[0]
-
-    val, a, b = kernels.probe_descent(c_rows, c_adj_rows, n, k, a0, b0, max_iters, 0.1)
-
-    assert val <= value(a0, b0) + 1e-12
-    eye = np.eye(k)
-    assert np.max(np.abs(a.conj().T @ a - eye)) <= 1e-12
-    assert np.max(np.abs(b.conj().T @ b - eye)) <= 1e-12
-    assert abs(val - value(a, b)) <= 1e-12
+    sv = np.linalg.svd(res.state.amplitude_matrix(), compute_uv=False)
+    assert np.max(np.abs(sv[:k] - 1.0 / np.sqrt(k))) <= 1e-12
+    assert np.all(sv[k:] <= 1e-12)
+    lo = min_eigenvalue(apply_id_tensor_map(lam, res.state.density().matrix))
+    assert abs(lo - res.min_eigenvalue) <= 1e-10
+    assert res.violation == (res.min_eigenvalue < NEGATIVITY_THRESHOLD)
+    # (1 (x) L)(|Psi><Psi|) is (N/k) C compressed to a Schmidt-rank-k
+    # subspace, padded with zeros when k < N.
+    c_min = np.linalg.eigvalsh(lam.choi)[0]
+    assert res.min_eigenvalue >= n / k * c_min - 1e-10
+    if k < n:
+        assert res.min_eigenvalue <= 1e-12
+    else:
+        assert abs(res.min_eigenvalue - c_min) <= 1e-10
 
 
 def test_rank_k_oracle_on_maximally_entangled_projector():

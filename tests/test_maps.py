@@ -7,7 +7,6 @@ from helpers import random_density, random_hermitian, random_product_vector
 from schmidtkit import (
     InvariantViolation,
     MatrixMap,
-    adjoint_map,
     apply_id_tensor_map,
     apply_map,
     isotropic,
@@ -20,7 +19,6 @@ from schmidtkit import (
     reduction_family,
     transpose_map,
 )
-from schmidtkit.kernels import choi_rows, map_rank_one
 from schmidtkit.states import max_entangled_projector
 
 
@@ -197,35 +195,6 @@ def test_apply_id_tensor_map_bell_transpose():
     assert np.isclose(min_eigenvalue(mapped), -0.5, atol=1e-12)
 
 
-# ----------------------------------------------------------------- adjoints
-
-
-def test_adjoint_trace_identity():
-    rng = np.random.default_rng(9)
-    maps = [
-        reduction_family(3, 0.8),
-        transpose_map(3),
-        MatrixMap(3, 3, random_hermitian(9, rng)),
-    ]
-    for lam in maps:
-        adj = adjoint_map(lam)
-        for _ in range(100):
-            a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-            b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-            lhs = np.trace(a.conj().T @ apply_map(lam, b))
-            rhs = np.trace(apply_map(adj, a.conj().T) @ b)
-            assert abs(lhs - rhs) < 1e-10
-
-
-def test_adjoint_self_adjoint_families():
-    assert np.allclose(adjoint_map(reduction_family(3, 0.4)).choi,
-                       reduction_family(3, 0.4).choi, atol=1e-12)
-    assert np.allclose(adjoint_map(transpose_map(3)).choi, transpose_map(3).choi, atol=1e-12)
-    rng = np.random.default_rng(10)
-    lam = MatrixMap(3, 3, random_hermitian(9, rng))
-    assert np.allclose(adjoint_map(adjoint_map(lam)).choi, lam.choi, atol=1e-12)
-
-
 # --------------------------------------------------------- positivity class
 
 
@@ -283,19 +252,6 @@ def test_probe_agrees_with_class_small_grid():
             for k in range(1, n + 1):
                 res = kpositivity_probe(lam, k, restarts=4, seed=1)
                 assert res.violation == (k > expected_k)
-
-
-def test_map_rank_one_matches_apply_id_tensor_map():
-    rng = np.random.default_rng(13)
-    for n in range(2, 7):
-        lam = MatrixMap(n, n, random_hermitian(n * n, rng))
-        for m in (lam, adjoint_map(lam)):
-            for _ in range(3):
-                psi = rng.normal(size=n * n) + 1j * rng.normal(size=n * n)
-                psi /= np.linalg.norm(psi)
-                expected = apply_id_tensor_map(m, np.outer(psi, psi.conj()))
-                got = map_rank_one(choi_rows(n * m.choi4()), psi.reshape(n, n))
-                assert np.max(np.abs(got - expected)) < 1e-12
 
 
 def test_probe_memory_has_no_superoperator():

@@ -32,7 +32,6 @@ from .linalg import (
 )
 from .maps import (
     MatrixMap,
-    PositivityClass,
     ProbeResult,
     apply_id_tensor_map,
     apply_map,
@@ -53,7 +52,6 @@ from .states import (
 )
 from .twirl import (
     PureEnsemble,
-    UnitaryEnsemble,
     clifford_ensemble_qubit,
     fidelity_with_max_entangled,
     haar_unitary,

@@ -38,6 +38,7 @@ BOUNDARY_TOL = 1e-12
 ENSEMBLE_TOL = 1e-4
 FIDELITY_BOUND_SLACK = 1e-9
 FIDELITY_MAX_ITERS = 500
+FIDELITY_RESTARTS = 20
 FIDELITY_TOL = 1e-10
 ISOTROPIC_DETECTION_TOL = 1e-12
 ORACLE_STARTS = 4
@@ -68,15 +69,10 @@ class MapWitness:
             raise InvariantViolation(f"reduction witness needs 0 < p <= 1, got p={self.p!r}")
 
     def verify(self, rho: DensityMatrix) -> bool:
-        n = rho.idx.d_b
-        if self.p is None:
-            lam, k_positive = transpose_map(n), 1
-        else:
-            lam = reduction_family(n, self.p)
-            k_positive = lambda_p_class(n, self.p).k_positive_up_to
+        k_positive = 1 if self.p is None else lambda_p_class(rho.idx.d_b, self.p)
         if self.k > k_positive:
             return False
-        lo = min_eigenvalue(apply_id_tensor_map(lam, rho))
+        lo = _witness_min_eigenvalue(rho, self.p)
         return abs(lo - self.min_eigenvalue) <= VERIFY_ATOL and lo < NEGATIVITY_THRESHOLD
 
     def to_payload(self) -> dict:
@@ -285,52 +281,52 @@ class SnReport:
         )
 
 
+def _witness_min_eigenvalue(rho: DensityMatrix, p: float | None) -> float:
+    """lambda_min((1 (x) L)(rho)) for the reduction map L_p on B, or for the
+    transpose map when p is None."""
+    n = rho.idx.d_b
+    lam = transpose_map(n) if p is None else reduction_family(n, p)
+    return min_eigenvalue(apply_id_tensor_map(lam, rho))
+
+
 def sn_lower_via_map(rho: DensityMatrix, k: int) -> MapWitness | None:
     """Witness SN >= k+1 with the extreme k-positive member L_{p=1/k}.
 
     Returns a certificate iff (1 (x) L_{1/k})(rho) has an eigenvalue below
     the negativity threshold.
     """
-    n = rho.idx.d_b
     if not 1 <= k < min(rho.idx.d_a, rho.idx.d_b):
         raise InvariantViolation(f"need 1 <= k < N, got k={k}")
-    p = 1.0 / k
-    mapped = apply_id_tensor_map(reduction_family(n, p), rho)
-    lo = min_eigenvalue(mapped)
+    lo = _witness_min_eigenvalue(rho, 1.0 / k)
     if lo < NEGATIVITY_THRESHOLD:
-        return MapWitness(map_kind="reduction", p=p, k=k, min_eigenvalue=lo)
+        return MapWitness(map_kind="reduction", p=1.0 / k, k=k, min_eigenvalue=lo)
     return None
 
 
 def peres_witness(rho: DensityMatrix) -> MapWitness | None:
     """Partial-transposition negativity; proves SN >= 2."""
-    mapped = apply_id_tensor_map(transpose_map(rho.idx.d_b), rho)
-    lo = min_eigenvalue(mapped)
+    lo = _witness_min_eigenvalue(rho, None)
     if lo < NEGATIVITY_THRESHOLD:
         return MapWitness(map_kind="transpose", p=None, k=1, min_eigenvalue=lo)
     return None
 
 
-def fidelity_max(
-    rho: DensityMatrix,
-    restarts: int = 20,
-    seed: int = 0,
-) -> FidelityBound:
+def fidelity_max(rho: DensityMatrix, seed: int = 0) -> FidelityBound:
     """Lower-bound the fully entangled fraction by ascent over
     Psi_U = (1 (x) U)|Psi+> on the unitary manifold.
 
-    Multi-start (restart r seeds with seed + r, plus a deterministic identity
-    start), all ascended together; the best achieved value is returned, the
-    first start to reach it on a tie. One-sided: f_hat <= f(rho).
+    FIDELITY_RESTARTS starts, ascended together: a deterministic identity
+    start, then Haar starts seeded with seed + r for r = 0, 1, ...; the best
+    achieved value is returned, the first start to reach it on a tie.
+    One-sided: f_hat <= f(rho).
     """
     n = rho.idx.d_a
     if n != rho.idx.d_b:
         raise InvariantViolation(
             f"fidelity ascent needs d_a == d_b, got ({rho.idx.d_a}, {rho.idx.d_b})"
         )
-    _check_restarts(restarts)
     starts = [np.eye(n, dtype=np.complex128)]
-    starts += [haar_unitary(n, seed + r) for r in range(restarts - 1)]
+    starts += [haar_unitary(n, seed + r) for r in range(FIDELITY_RESTARTS - 1)]
     vals, us = kernels.fidelity_ascent(
         rho.matrix, n, np.array(starts), FIDELITY_MAX_ITERS, FIDELITY_TOL
     )
@@ -343,11 +339,6 @@ def fidelity_max(
         state=state,
         sn_bound=fidelity_to_sn_bound(best_val, n),
     )
-
-
-def _check_restarts(restarts: int) -> None:
-    if restarts < 1:
-        raise InvariantViolation(f"need at least one restart, got {restarts}")
 
 
 def fidelity_to_sn_bound(f_hat: float, n: int) -> int:
@@ -534,7 +525,6 @@ def verify_decomposition(
 def analyze(
     rho: DensityMatrix,
     search_upper: int | None = None,
-    restarts: int = 20,
     seed: int = 0,
 ) -> SnReport:
     """Assemble Schmidt-number bounds and their certificates.
@@ -542,9 +532,10 @@ def analyze(
     The lower bound combines the partial-transposition baseline, the
     reduction-family witness scan, and the fidelity route; an exactly
     isotropic input is classified exactly. When search_upper=k is given, a
-    rank-<=k decomposition search supplies the upper bound.
+    rank-<=k decomposition search supplies the upper bound; it runs only
+    when k is at least the lower bound proven so far, since below that no
+    rank-<=k decomposition of rho exists.
     """
-    _check_restarts(restarts)
     certificates = []
     n = rho.idx.d_a
     square = rho.idx.d_a == rho.idx.d_b and n >= 2
@@ -556,8 +547,10 @@ def analyze(
         certificates.append(peres_witness(rho))
     if square:
         certificates += [sn_lower_via_map(rho, k) for k in range(1, n)]
-        certificates.append(fidelity_max(rho, restarts=restarts, seed=seed))
-    if search_upper is not None:
+        certificates.append(fidelity_max(rho, seed=seed))
+    certificates = [c for c in certificates if c is not None]
+    # ensemble_search itself rejects a k outside [1, min(d_a, d_b)].
+    if search_upper is not None and not 1 <= search_upper < proven_bounds(certificates)[0]:
         certificates.append(ensemble_search(rho, search_upper, seed=seed))
     certificates = tuple(c for c in certificates if c is not None)
     return SnReport(*proven_bounds(certificates), certificates)

@@ -36,6 +36,13 @@ F_TIGHT = 1.0 / np.sqrt(2.0)
 F_CONJECTURED = np.sqrt(3.0) / 2.0
 
 
+def _seed(text: str) -> int:
+    """A --seed value; numpy's generators take only non-negative seeds."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"need a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="schmidtkit",
@@ -47,8 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="density-matrix JSON file")
     p.add_argument("--search-upper", type=int, default=None, metavar="K",
                    help="also search for a rank-<=K upper-bound decomposition")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--restarts", type=int, default=20)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--json", action="store_true",
                    help="print the report as JSON instead of a text summary")
     p.add_argument("--out", default=None, help="also write the JSON report here")
@@ -73,14 +79,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--choi", required=True, help="Hermitian Choi-matrix JSON file (raw)")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--restarts", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("twirl", help="project a state onto the isotropic family")
     p.add_argument("--input", required=True)
     p.add_argument("--mode", choices=("exact", "mc"), default="exact")
     p.add_argument("--samples", type=int, default=100000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
 
     return parser
@@ -88,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_analyze(args) -> int:
     rho = io.read_matrix_file(args.input)
-    report = analyze(rho, search_upper=args.search_upper, restarts=args.restarts, seed=args.seed)
+    report = analyze(rho, search_upper=args.search_upper, seed=args.seed)
     text = io.dumps(report.to_payload())
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -177,7 +183,7 @@ def _cmd_figure(args) -> int:
 
 def _cmd_probe(args) -> int:
     matrix, idx = io.read_matrix_file(args.choi, raw=True)
-    lam = MatrixMap(idx.d_a, idx.d_b, matrix)
+    lam = MatrixMap(idx.d_a, matrix)
     result = kpositivity_probe(lam, args.k, restarts=args.restarts, seed=args.seed)
     if args.json:
         amps = result.state.amplitudes

@@ -1,8 +1,8 @@
 """Linear Hermiticity-preserving maps on matrix algebras.
 
-A map L : M_{n_in} -> M_{n_out} is stored by its Choi matrix
-C = (1 (x) L)(|Psi+><Psi+|) with |Psi+> on H_{n_in} (x) H_{n_in}; the
-action is recovered as L(X) = n_in * Tr_A[(X^T (x) 1) C]. L is k-positive
+A map L : M_N -> M_N is stored by its Choi matrix
+C = (1 (x) L)(|Psi+><Psi+|) with |Psi+> on H_N (x) H_N; the action is
+recovered as L(X) = N * Tr_A[(X^T (x) 1) C]. L is k-positive
 exactly when <phi|C|phi> >= 0 for every phi of Schmidt rank <= k, so the
 k-positivity probe is one rank-constrained extremum of C
 (kernels.rank_k_oracle); no N^2 x N^2 superoperator (N^8 entries) is ever
@@ -30,33 +30,23 @@ ORACLE_TOL = 1e-15
 
 @dataclass(frozen=True)
 class MatrixMap:
-    """Hermiticity-preserving linear map, represented by its Choi matrix."""
+    """Hermiticity-preserving linear map M_N -> M_N, represented by its
+    N^2 x N^2 Choi matrix."""
 
-    n_in: int
-    n_out: int
+    n: int
     choi: np.ndarray
 
     def __post_init__(self):
         c = as_matrix(self.choi)
-        d = self.n_in * self.n_out
-        if c.shape != (d, d):
+        if c.shape != (self.n * self.n,) * 2:
             raise InvariantViolation(
-                f"Choi matrix shape {c.shape} does not match dims "
-                f"({self.n_in}, {self.n_out})"
+                f"Choi matrix shape {c.shape} does not match N={self.n}"
             )
         object.__setattr__(self, "choi", hermitize(c))
 
     def choi4(self) -> np.ndarray:
         """Choi tensor C[i, a, j, b] with i, j input and a, b output indices."""
-        return self.choi.reshape(self.n_in, self.n_out, self.n_in, self.n_out)
-
-
-@dataclass(frozen=True)
-class PositivityClass:
-    """Largest k for which a map is known k-positive."""
-
-    k_positive_up_to: int
-    completely_positive: bool
+        return self.choi.reshape(self.n, self.n, self.n, self.n)
 
 
 @dataclass(frozen=True)
@@ -79,7 +69,7 @@ def reduction_family(n: int, p: float) -> MatrixMap:
     if n < 2:
         raise InvariantViolation(f"reduction family needs N >= 2, got {n}")
     choi = np.eye(n * n, dtype=np.complex128) / n - p * max_entangled_projector(n)
-    return MatrixMap(n, n, choi)
+    return MatrixMap(n, choi)
 
 
 def transpose_map(n: int) -> MatrixMap:
@@ -90,57 +80,56 @@ def transpose_map(n: int) -> MatrixMap:
     for i in range(n):
         for j in range(n):
             swap[i * n + j, j * n + i] = 1.0
-    return MatrixMap(n, n, swap / n)
+    return MatrixMap(n, swap / n)
 
 
 def apply_map(lam: MatrixMap, x: np.ndarray) -> np.ndarray:
-    """Apply the map to a matrix: L(X) = n_in Tr_A[(X^T (x) 1) C]."""
+    """Apply the map to a matrix: L(X) = N Tr_A[(X^T (x) 1) C]."""
     x = as_matrix(x)
-    if x.shape != (lam.n_in, lam.n_in):
+    if x.shape != (lam.n, lam.n):
         raise InvariantViolation(
-            f"input shape {x.shape} does not match map input dim {lam.n_in}"
+            f"input shape {x.shape} does not match map dimension {lam.n}"
         )
-    return lam.n_in * np.einsum("ij,iajb->ab", x, lam.choi4())
+    return lam.n * np.einsum("ij,iajb->ab", x, lam.choi4())
 
 
 def apply_id_tensor_map(lam: MatrixMap, rho) -> np.ndarray:
     """Apply (1 (x) L) blockwise: each d_b x d_b block B_ij maps to L(B_ij).
 
     ``rho`` may be a DensityMatrix or a plain square matrix whose dimension
-    is a multiple of the map's input dimension.
+    is a multiple of N; the result has the shape of rho's matrix.
     """
     if isinstance(rho, DensityMatrix):
         d_a, d_b = rho.idx.d_a, rho.idx.d_b
         mat = rho.matrix
     else:
         mat = as_matrix(rho)
-        d_b = lam.n_in
+        d_b = lam.n
         d_a, rem = divmod(mat.shape[0], d_b)
         if rem or mat.shape[0] != mat.shape[1]:
             raise InvariantViolation(
                 f"matrix of shape {mat.shape} cannot be split into "
                 f"{d_b}-dimensional B blocks"
             )
-    if d_b != lam.n_in:
+    if d_b != lam.n:
         raise InvariantViolation(
-            f"B dimension {d_b} does not match map input dim {lam.n_in}"
+            f"B dimension {d_b} does not match map dimension {lam.n}"
         )
     r4 = mat.reshape(d_a, d_b, d_a, d_b)
-    out = lam.n_in * np.einsum("ikjl,kalb->iajb", r4, lam.choi4())
-    d_out = d_a * lam.n_out
-    return np.ascontiguousarray(out.reshape(d_out, d_out))
+    out = lam.n * np.einsum("ikjl,kalb->iajb", r4, lam.choi4())
+    return np.ascontiguousarray(out.reshape(mat.shape))
 
 
-def lambda_p_class(n: int, p: float) -> PositivityClass:
-    """Exact positivity class of the reduction family.
+def lambda_p_class(n: int, p: float) -> int:
+    """The largest k for which the reduction map L_p on M_N is k-positive.
 
     L_p is k-positive but (k+1)-negative exactly for 1/(k+1) < p <= 1/k;
-    the class is capped at N, where k-positivity becomes complete positivity.
+    the answer is capped at N, where k-positivity becomes complete
+    positivity (so L_p is completely positive exactly when the answer is N).
     """
     if not 0.0 < p <= 1.0:
         raise InvariantViolation(f"need 0 < p <= 1, got {p}")
-    k = int(np.floor(min(1.0 / p, n) + 1e-12))
-    return PositivityClass(k_positive_up_to=k, completely_positive=k >= n)
+    return int(np.floor(min(1.0 / p, n) + 1e-12))
 
 
 def kpositivity_probe(
@@ -167,9 +156,7 @@ def kpositivity_probe(
     with U_k the top k left singular vectors of phi's coefficient matrix,
     and min_eigenvalue is recomputed from that state.
     """
-    if lam.n_in != lam.n_out:
-        raise InvariantViolation("probe requires a square map")
-    n = lam.n_in
+    n = lam.n
     if not 1 <= k <= n:
         raise InvariantViolation(f"need 1 <= k <= N, got k={k}, N={n}")
     if restarts < 1:

@@ -60,30 +60,6 @@ class PureEnsemble:
         return DensityMatrix(m, self.idx)
 
 
-@dataclass(frozen=True)
-class UnitaryEnsemble:
-    """Equal-weight finite set of N x N unitaries."""
-
-    unitaries: np.ndarray
-
-    def __post_init__(self):
-        u = np.ascontiguousarray(np.asarray(self.unitaries, dtype=np.complex128))
-        if u.ndim != 3 or u.shape[1] != u.shape[2]:
-            raise InvariantViolation("expected a stack of square matrices")
-        eye = np.eye(u.shape[1])
-        defect = float(np.max(np.abs(np.einsum("sij,sik->sjk", u.conj(), u) - eye)))
-        if defect > 1e-10:
-            raise InvariantViolation(f"non-unitary member: defect {defect:.3e} > 1e-10")
-        object.__setattr__(self, "unitaries", u)
-
-    @property
-    def dim(self) -> int:
-        return int(self.unitaries.shape[1])
-
-    def __len__(self) -> int:
-        return int(self.unitaries.shape[0])
-
-
 def fidelity_with_max_entangled(rho: DensityMatrix) -> float:
     """F = <Psi+| rho |Psi+> on a square bipartition."""
     if rho.idx.d_a != rho.idx.d_b:
@@ -149,9 +125,10 @@ def _phase_key(u: np.ndarray):
     return tuple(float(x) for z in c for x in (z.real, z.imag))
 
 
-def _qubit_group(generators) -> UnitaryEnsemble:
+def _qubit_group(generators) -> np.ndarray:
     """Closure of the generators modulo global phase, in a deterministic
-    order; a unitary 2-design for the groups built here."""
+    order, as a read-only (s, 2, 2) array; a unitary 2-design for the groups
+    built here."""
     eye = np.eye(2, dtype=np.complex128)
     group = {_phase_key(eye): _canonical_phase(eye)}
     frontier = [eye]
@@ -165,8 +142,9 @@ def _qubit_group(generators) -> UnitaryEnsemble:
                     group[key] = _canonical_phase(w)
                     new.append(w)
         frontier = new
-    elems = [group[key] for key in sorted(group)]
-    return UnitaryEnsemble(np.array(elems))
+    elems = np.array([group[key] for key in sorted(group)])
+    elems.flags.writeable = False
+    return elems
 
 
 _H = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2)
@@ -174,43 +152,43 @@ _S = np.array([[1, 0], [0, 1j]], dtype=np.complex128)
 
 
 @functools.lru_cache(maxsize=1)
-def clifford_ensemble_qubit() -> UnitaryEnsemble:
+def clifford_ensemble_qubit() -> np.ndarray:
     """The 24-element single-qubit Clifford group (a unitary 2-design),
-    generated by H and S."""
+    generated by H and S, as a read-only (24, 2, 2) array."""
     return _qubit_group((_H, _S))
 
 
 @functools.lru_cache(maxsize=1)
-def tetrahedral_ensemble_qubit() -> UnitaryEnsemble:
-    """The 12-element subgroup of the Clifford group generated by X and HS:
-    the Paulis and their images under the cyclic map X -> Y -> Z. Its frame
-    potential is 2, so it is a unitary 2-design with half the members."""
+def tetrahedral_ensemble_qubit() -> np.ndarray:
+    """The 12-element subgroup of the Clifford group generated by X and HS,
+    as a read-only (12, 2, 2) array: the Paulis and their images under the
+    cyclic map X -> Y -> Z. Its frame potential is 2, so it is a unitary
+    2-design with half the members."""
     x = np.array([[0, 1], [1, 0]], dtype=np.complex128)
     return _qubit_group((x, _H @ _S))
 
 
-def twirl_orbit(amplitudes: np.ndarray, idx: BipartiteIndex, ens: UnitaryEnsemble) -> np.ndarray:
-    """The orbit of a state vector under the local twirl of ens, one member
-    per row.
+def twirl_orbit(amplitudes: np.ndarray, idx: BipartiteIndex, unitaries: np.ndarray) -> np.ndarray:
+    """The orbit of a state vector under the local twirl of a stack of
+    unitaries, shape (s, n, n), one member per row.
 
-    One pair (d_a = d_b = ens.dim): the members (U (x) U*) psi. Two pairs
-    (d_a = d_b = ens.dim^2, factor order A1 A2 B1 B2): the members
-    (U (x) V (x) U* (x) V*) psi for U, V in ens, then the same members with
-    the copies swapped (A1 <-> A2, B1 <-> B2). Every member is a local
+    One pair (d_a = d_b = n): the members (U (x) U*) psi. Two pairs
+    (d_a = d_b = n^2, factor order A1 A2 B1 B2): the members
+    (U (x) V (x) U* (x) V*) psi for U, V in the stack, then the same
+    members with the copies swapped (A1 <-> A2, B1 <-> B2). Every member is a local
     unitary image of psi and keeps its Schmidt rank; for a 2-design the
     orbit's equal mixture is the exact twirl of psi, symmetrized over the
     copies for two pairs.
     """
-    n, d = ens.dim, idx.d_a
+    n, d = unitaries.shape[1], idx.d_a
     if idx.d_b != d or d not in (n, n * n):
         raise InvariantViolation(
-            f"state dims ({idx.d_a}, {idx.d_b}) do not match ensemble dimension {n}"
+            f"state dims ({idx.d_a}, {idx.d_b}) do not match unitary dimension {n}"
         )
-    cs = ens.unitaries
     if d == n:
-        return np.array([np.kron(u, u.conj()) @ amplitudes for u in cs])
+        return np.array([np.kron(u, u.conj()) @ amplitudes for u in unitaries])
     amps = np.array([np.kron(np.kron(u, v), np.kron(u.conj(), v.conj())) @ amplitudes
-                     for u in cs for v in cs])
+                     for u in unitaries for v in unitaries])
     swapped = amps.reshape(-1, n, n, n, n).transpose(0, 2, 1, 4, 3).reshape(amps.shape)
     return np.concatenate([amps, swapped])
 

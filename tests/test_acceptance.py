@@ -94,7 +94,7 @@ def test_criterion_03_twirl_correctness():
     for _ in range(5):
         rho = random_density(2, 2, rng)
         acc = np.zeros((4, 4), dtype=complex)
-        for u in ens.unitaries:
+        for u in ens:
             w = np.kron(u, u.conj())
             acc += w @ rho.matrix @ w.conj().T
         assert np.linalg.norm(acc / len(ens) - twirl_exact(rho).matrix) < 1e-10
@@ -116,9 +116,9 @@ def test_criterion_04_nonadditivity_construction():
     assert np.linalg.norm(mixture.matrix - target.matrix) < 1e-10
     assert schmidt_ranks(ensemble.amps, ensemble.idx).max() <= 2
 
-    one = analyze(isotropic(2, F_TIGHT), search_upper=2, restarts=8, seed=0)
+    one = analyze(isotropic(2, F_TIGHT), search_upper=2, seed=0)
     assert (one.lower_bound, one.upper_bound) == (2, 2)
-    two = analyze(target, search_upper=2, restarts=8, seed=0)
+    two = analyze(target, search_upper=2, seed=0)
     assert (two.lower_bound, two.upper_bound) == (2, 2)
     assert verify_report(one, isotropic(2, F_TIGHT)) and verify_report(two, target)
     print("PASS criterion 4: two-copy construction matches the published "
@@ -129,7 +129,7 @@ def test_criterion_05_probe_agrees_with_positivity_ranges():
     for p in (0.3, 0.45, 0.6, 0.8, 1.0):
         for n in (2, 3, 4):
             lam = reduction_family(n, p)
-            k_max = lambda_p_class(n, p).k_positive_up_to
+            k_max = lambda_p_class(n, p)
             for k in range(1, n + 1):
                 res = kpositivity_probe(lam, k, restarts=8, seed=0)
                 should_violate = p > 1 / k
@@ -156,7 +156,7 @@ def test_criterion_06_fully_entangled_fraction_properties():
 
     for n in (2, 3):
         for f in np.linspace(1 / n**2, 1.0, 5):
-            fb = fidelity_max(isotropic(n, f), restarts=20, seed=0)
+            fb = fidelity_max(isotropic(n, f), seed=0)
             assert abs(fb.f_hat - f) < 1e-6, (n, f, fb.f_hat)
     print("PASS criterion 6: Schmidt-sum and fraction bounds on 500 random states; "
           "fidelity ascent within 1e-6 of F on isotropic states")

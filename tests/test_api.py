@@ -5,8 +5,7 @@ import schmidtkit
 PUBLIC_NAMES = [
     "BipartiteIndex", "DensityMatrix", "EnsembleUpper", "FidelityBound",
     "InvariantViolation", "IsotropicExact", "MapWitness", "MatrixMap",
-    "PositivityClass", "ProbeResult", "PureBipartiteState", "PureEnsemble",
-    "SnReport", "UnitaryEnsemble",
+    "ProbeResult", "PureBipartiteState", "PureEnsemble", "SnReport",
     "analyze", "apply_id_tensor_map", "apply_map",
     "clifford_ensemble_qubit", "ensemble_search", "fidelity_max",
     "fidelity_to_sn_bound", "fidelity_with_max_entangled", "haar_unitary",

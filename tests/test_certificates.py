@@ -43,7 +43,7 @@ def map_witnesses(draw):
 @st.composite
 def fidelity_bounds(draw):
     rho = draw(isotropic_states)
-    return fidelity_max(rho, restarts=2, seed=draw(st.integers(0, 100))), rho
+    return fidelity_max(rho, seed=draw(st.integers(0, 100))), rho
 
 
 @st.composite

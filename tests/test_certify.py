@@ -64,7 +64,7 @@ def test_peres_witness():
 def test_fidelity_max_isotropic():
     for n in (2, 3):
         for f in (1 / n**2, 0.4, 0.75, 1.0):
-            fb = fidelity_max(isotropic(n, f), restarts=10, seed=0)
+            fb = fidelity_max(isotropic(n, f), seed=0)
             assert fb.f_hat >= f - 1e-6
             assert fb.f_hat <= f + 1e-9  # true optimum is F on this range
 
@@ -72,9 +72,9 @@ def test_fidelity_max_isotropic():
 def test_fidelity_max_pure_state():
     amp = np.array([np.sqrt(0.9), 0, 0, np.sqrt(0.1)], dtype=complex)
     rho = PureBipartiteState(amp, BipartiteIndex(2, 2)).density()
-    fb = fidelity_max(rho, restarts=10, seed=1)
+    fb = fidelity_max(rho, seed=1)
     assert abs(fb.f_hat - 0.8) < 1e-7
-    fb = fidelity_max(max_entangled(3).density(), restarts=5, seed=0)
+    fb = fidelity_max(max_entangled(3).density(), seed=0)
     assert abs(fb.f_hat - 1.0) < 1e-9
 
 
@@ -82,7 +82,7 @@ def test_fidelity_max_one_sided_on_pure_states():
     rng = np.random.default_rng(32)
     for _ in range(5):
         psi = random_pure(3, 3, rng)
-        fb = fidelity_max(psi.density(), restarts=6, seed=2)
+        fb = fidelity_max(psi.density(), seed=2)
         s = np.linalg.svd(psi.amplitude_matrix(), compute_uv=False)
         truth = np.sum(s) ** 2 / 3  # (1/N) (sum_i sqrt(lambda_i))^2
         assert fb.f_hat <= truth + 1e-9
@@ -90,16 +90,10 @@ def test_fidelity_max_one_sided_on_pure_states():
 
 def test_fidelity_certificate_verifies():
     rho = isotropic(3, 0.7)
-    fb = fidelity_max(rho, restarts=6, seed=3)
+    fb = fidelity_max(rho, seed=3)
     assert fb.verify(rho)
     achieved = (fb.state.amplitudes.conj() @ rho.matrix @ fb.state.amplitudes).real
     assert abs(achieved - fb.f_hat) < 1e-10
-
-
-@pytest.mark.parametrize("options", [{"restarts": 0}, {"restarts": -3}])
-def test_fidelity_max_rejects_no_restarts_or_iterations(options):
-    with pytest.raises(InvariantViolation, match="at least one"):
-        fidelity_max(isotropic(2, 0.7), **options)
 
 
 def test_fidelity_bound_rejects_non_square_state():
@@ -372,7 +366,7 @@ def test_verify_decomposition_rank_gate():
 
 
 def test_analyze_isotropic_lower_bound():
-    rep = analyze(isotropic(3, 0.8), restarts=8, seed=0)
+    rep = analyze(isotropic(3, 0.8), seed=0)
     assert rep.lower_bound == 3
     assert rep.upper_bound == 3  # exact isotropic classification
     kinds = [c.kind for c in rep.certificates]
@@ -383,7 +377,7 @@ def test_analyze_isotropic_lower_bound():
 def test_analyze_maximally_mixed():
     n = 2
     mixed = DensityMatrix(np.eye(n * n) / n**2, BipartiteIndex(n, n))
-    rep = analyze(mixed, search_upper=1, restarts=6, seed=0)
+    rep = analyze(mixed, search_upper=1, seed=0)
     assert rep.lower_bound == 1
     assert rep.upper_bound == 1
     assert verify_report(rep, mixed)
@@ -391,14 +385,14 @@ def test_analyze_maximally_mixed():
 
 def test_analyze_one_copy_tight_point():
     rho = isotropic(2, F_TIGHT)
-    rep = analyze(rho, search_upper=2, restarts=8, seed=0)
+    rep = analyze(rho, search_upper=2, seed=0)
     assert (rep.lower_bound, rep.upper_bound) == (2, 2)
     assert verify_report(rep, rho)
 
 
 def test_analyze_two_copy_nonadditivity():
     rho = tensor_copies(isotropic(2, F_TIGHT), 2)
-    rep = analyze(rho, search_upper=2, restarts=8, seed=0)
+    rep = analyze(rho, search_upper=2, seed=0)
     assert (rep.lower_bound, rep.upper_bound) == (2, 2)
     assert verify_report(rep, rho)
     (cert,) = [c for c in rep.certificates if c.kind == "ensemble_upper"]
@@ -410,7 +404,7 @@ def test_analyze_separable_states():
     rng = np.random.default_rng(34)
     for _ in range(50):
         rho = random_separable(2, 2, 10, rng)
-        rep = analyze(rho, restarts=4, seed=0)
+        rep = analyze(rho, seed=0)
         assert rep.lower_bound == 1
 
 
@@ -449,5 +443,5 @@ def test_ensemble_certificate_rejects_large_residual():
 def test_analyze_isotropic_endpoints():
     # The measured fidelity of these states lies a rounding error outside [0, 1].
     for f, sn in ((0.0, 1), (1.0, 3)):
-        rep = analyze(isotropic(3, f), restarts=2, seed=0)
+        rep = analyze(isotropic(3, f), seed=0)
         assert (rep.lower_bound, rep.upper_bound) == (sn, sn)

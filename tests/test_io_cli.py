@@ -15,7 +15,7 @@ from schmidtkit import cli, io
 from schmidtkit.certify import MapWitness, analyze, verify_report
 from schmidtkit.cli import main
 from schmidtkit.linalg import BipartiteIndex, InvariantViolation
-from schmidtkit.states import isotropic, max_entangled, tensor_copies
+from schmidtkit.states import DensityMatrix, isotropic, max_entangled, tensor_copies
 from schmidtkit.twirl import PureEnsemble, two_copy_construction
 
 F_TIGHT = 1 / np.sqrt(2)
@@ -170,7 +170,7 @@ def test_malformed_ensemble_files_are_invalid_input(seed, d_b, m, data, corrupti
 ])
 def test_report_file_rejects_missing_fields(tmp_path, drop):
     path = tmp_path / "report.json"
-    io.write_report_file(path, analyze(isotropic(2, 0.8), restarts=2, seed=0))
+    io.write_report_file(path, analyze(isotropic(2, 0.8), seed=0))
     payload = json.loads(path.read_text())
     target = payload
     for key in drop[:-1]:
@@ -183,7 +183,7 @@ def test_report_file_rejects_missing_fields(tmp_path, drop):
 
 def _report_file_with(tmp_path, edit, rho=None):
     path = tmp_path / "report.json"
-    io.write_report_file(path, analyze(isotropic(2, 0.8) if rho is None else rho, restarts=2, seed=0))
+    io.write_report_file(path, analyze(isotropic(2, 0.8) if rho is None else rho, seed=0))
     payload = json.loads(path.read_text())
     edit(payload)
     path.write_text(json.dumps(payload))
@@ -260,7 +260,7 @@ def test_report_round_trip_and_reverify(tmp_path):
     from schmidtkit import analyze
 
     rho = isotropic(2, F_TIGHT)
-    report = analyze(rho, search_upper=2, restarts=6, seed=0)
+    report = analyze(rho, search_upper=2, seed=0)
     path = tmp_path / "report.json"
     io.write_report_file(path, report)
     loaded = io.read_report_file(path)
@@ -349,10 +349,51 @@ def test_cli_unreadable_input_is_invalid_input(tmp_path, capsys, kind, command):
 @pytest.mark.parametrize("restarts", ["0", "-3"])
 @pytest.mark.parametrize("d_a, d_b", [(2, 2), (2, 3)])
 def test_cli_analyze_rejects_bad_restarts(tmp_path, capsys, restarts, d_a, d_b):
+    # The fidelity route always uses FIDELITY_RESTARTS; the option no longer exists.
     rho = random_density(d_a, d_b, np.random.default_rng(34))
     path = write_state(tmp_path / "in.json", rho)
-    assert main(["analyze", "--input", path, "--restarts", restarts]) == 2
-    assert "invalid input" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exit_info:
+        main(["analyze", "--input", path, "--restarts", restarts])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --restarts" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["analyze", "probe-map", "twirl"])
+def test_cli_rejects_negative_seed(tmp_path, capsys, command):
+    # numpy's generators refuse negative seeds; the parser must refuse them first.
+    path = write_state(tmp_path / "in.json", isotropic(2, 0.8))
+    argv = {"analyze": ["analyze", "--input", path, "--search-upper", "2"],
+            "probe-map": ["probe-map", "--choi", path, "--k", "1"],
+            "twirl": ["twirl", "--input", path, "--mode", "mc", "--samples", "10",
+                      "--out", str(tmp_path / "out.json")]}[command]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv + ["--seed", "-1"])
+    assert exit_info.value.code == 2
+    assert "argument --seed" in capsys.readouterr().err
+
+
+def test_cli_probe_map_rejects_non_square_choi(tmp_path, capsys):
+    choi = tmp_path / "choi.json"
+    io.write_matrix_file(choi, np.eye(6) / 6, BipartiteIndex(2, 3))
+    assert main(["probe-map", "--choi", str(choi), "--k", "1"]) == 2
+    assert "invalid input: Choi matrix shape (6, 6)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("eps", [1e-6, 1e-5, 3e-5])
+def test_analyze_skips_search_below_proven_lower_bound(tmp_path, capsys, eps):
+    # The Peres witness proves SN >= 2 on this entangled state, while the
+    # rank-1 search would find a separable state within ENSEMBLE_TOL of it.
+    from schmidtkit import haar_unitary
+
+    u = np.kron(haar_unitary(2, 1), haar_unitary(2, 2))
+    iso = isotropic(2, 0.5 + eps)
+    rho = DensityMatrix(u @ iso.matrix @ u.conj().T, iso.idx)
+    report = analyze(rho, search_upper=1)
+    assert (report.lower_bound, report.upper_bound) == (2, None)
+    assert main(["analyze", "--input", write_state(tmp_path / "in.json", rho),
+                 "--search-upper", "1", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["lower_bound"], payload["upper_bound"]) == (2, None)
 
 
 def test_cli_isotropic_rejects_bad_n(capsys):

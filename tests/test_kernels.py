@@ -241,8 +241,8 @@ def _min_eig_pair_with_gap(lam, psi):
 def _adjoint(lam):
     """Hilbert-Schmidt adjoint of a square map: Choi tensor C[i, a, j, b]
     becomes C[b, j, a, i]."""
-    n = lam.n_in
-    return MatrixMap(n, n, lam.choi4().transpose(3, 2, 1, 0).reshape(n * n, n * n))
+    n = lam.n
+    return MatrixMap(n, lam.choi4().transpose(3, 2, 1, 0).reshape(n * n, n * n))
 
 
 def _perturbed_probe_descent(lam, k, a0, b0, pert_a, pert_b, max_iters, step0):
@@ -303,7 +303,7 @@ def _choi_of(action, n):
             unit = np.zeros((n, n), dtype=np.complex128)
             unit[i, j] = 1.0
             choi += np.kron(unit, action(unit)) / n
-    return MatrixMap(n, n, choi)
+    return MatrixMap(n, choi)
 
 
 def _choi_map(x):
@@ -321,10 +321,10 @@ def _breuer_hall(x):
 def test_probe_matches_perturbed_descent_on_non_covariant_maps():
     # Conjugated reduction and transpose maps start at their optimum; these
     # maps make the descent move, so they exercise it.
-    mixture = MatrixMap(3, 3, 0.6 * reduction_family(3, 0.7).choi + 0.4 * transpose_map(3).choi)
+    mixture = MatrixMap(3, 0.6 * reduction_family(3, 0.7).choi + 0.4 * transpose_map(3).choi)
     moved = 0.0
     for lam in (_choi_of(_choi_map, 3), _choi_of(_breuer_hall, 4), mixture):
-        n = lam.n_in
+        n = lam.n
         for k in range(1, n + 1):
             got = kpositivity_probe(lam, k, restarts=2, seed=0)
             ref = np.inf
@@ -352,7 +352,7 @@ def test_probe_matches_perturbed_descent_on_non_covariant_maps():
 def test_probe_state_is_flat_and_recomputes(seed, n, data, restarts):
     k = data.draw(st.integers(1, n))
     rng = np.random.default_rng(seed)
-    lam = MatrixMap(n, n, random_hermitian(n * n, rng))
+    lam = MatrixMap(n, random_hermitian(n * n, rng))
     res = kpositivity_probe(lam, k, restarts=restarts, seed=seed)
 
     sv = np.linalg.svd(res.state.amplitude_matrix(), compute_uv=False)

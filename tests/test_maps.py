@@ -39,7 +39,7 @@ def test_map_from_choi_max_entangled_is_identity_map():
     # C = |Psi+><Psi+| is the Choi matrix of the identity map: recovery
     # yields L(E_ij) = E_ij on every matrix unit.
     n = 3
-    lam = MatrixMap(n, n, max_entangled_projector(n))
+    lam = MatrixMap(n, max_entangled_projector(n))
     for i in range(n):
         for j in range(n):
             assert np.allclose(apply_map(lam, unit(i, j, n)), unit(i, j, n), atol=1e-12)
@@ -47,7 +47,7 @@ def test_map_from_choi_max_entangled_is_identity_map():
 
 def test_map_from_choi_completely_depolarizing():
     n = 3
-    lam = MatrixMap(n, n, np.eye(n * n) / n**2)
+    lam = MatrixMap(n, np.eye(n * n) / n**2)
     for i in range(n):
         for j in range(n):
             expected = (1.0 if i == j else 0.0) * np.eye(n) / n
@@ -60,7 +60,7 @@ def test_map_from_choi_completely_depolarizing():
 def test_choi_round_trip():
     rng = np.random.default_rng(1)
     c = random_hermitian(9, rng)
-    lam = MatrixMap(3, 3, c)
+    lam = MatrixMap(3, c)
     # rebuild the Choi matrix from the recovered action
     n = 3
     rebuilt = np.zeros((9, 9), dtype=complex)
@@ -72,7 +72,7 @@ def test_choi_round_trip():
 
 def test_map_from_choi_rejects_non_hermitian():
     with pytest.raises(InvariantViolation):
-        MatrixMap(2, 2, np.triu(np.ones((4, 4))))
+        MatrixMap(2, np.triu(np.ones((4, 4))))
 
 
 # --------------------------------------------------------- reduction family
@@ -166,7 +166,7 @@ def test_apply_map_matches_matrix_unit_expansion():
 def test_apply_id_tensor_map_identity_map():
     rng = np.random.default_rng(7)
     rho = random_density(2, 3, rng)
-    ident = MatrixMap(3, 3, max_entangled_projector(3))
+    ident = MatrixMap(3, max_entangled_projector(3))
     assert np.allclose(apply_id_tensor_map(ident, rho), rho.matrix, atol=1e-12)
 
 
@@ -199,12 +199,11 @@ def test_apply_id_tensor_map_bell_transpose():
 
 
 def test_lambda_p_class_examples():
-    assert lambda_p_class(3, 1.0).k_positive_up_to == 1
-    assert lambda_p_class(3, 0.4).k_positive_up_to == 2
-    cls = lambda_p_class(3, 0.2)
-    assert cls.k_positive_up_to == 3 and cls.completely_positive
-    assert lambda_p_class(4, 0.5).k_positive_up_to == 2
-    assert lambda_p_class(4, 1 / 3).k_positive_up_to == 3
+    assert lambda_p_class(3, 1.0) == 1
+    assert lambda_p_class(3, 0.4) == 2
+    assert lambda_p_class(3, 0.2) == 3  # capped at N: completely positive
+    assert lambda_p_class(4, 0.5) == 2
+    assert lambda_p_class(4, 1 / 3) == 3
     with pytest.raises(InvariantViolation):
         lambda_p_class(3, 0.0)
     with pytest.raises(InvariantViolation):
@@ -213,7 +212,7 @@ def test_lambda_p_class_examples():
 
 def test_lambda_p_class_tiny_p():
     # 1 / p overflows to inf at the smallest subnormal p.
-    assert lambda_p_class(2, 5e-324).completely_positive
+    assert lambda_p_class(2, 5e-324) == 2
 
 
 # -------------------------------------------------------------------- probe
@@ -247,7 +246,7 @@ def test_probe_transpose_map():
 def test_probe_agrees_with_class_small_grid():
     for p in (0.45, 0.8):
         for n in (2, 3):
-            expected_k = lambda_p_class(n, p).k_positive_up_to
+            expected_k = lambda_p_class(n, p)
             lam = reduction_family(n, p)
             for k in range(1, n + 1):
                 res = kpositivity_probe(lam, k, restarts=4, seed=1)

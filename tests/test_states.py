@@ -123,7 +123,7 @@ def test_schmidt_sum_bound_random():
         amp = sum(np.sqrt(w[i]) * np.kron(a[:, i], b[:, i]) for i in range(rank))
         psi = PureBipartiteState(amp / np.linalg.norm(amp), BipartiteIndex(n, n))
         assert np.sum(np.sqrt(schmidt_coefficients(psi))) ** 2 <= rank + 1e-12
-        assert fidelity_max(psi.density(), restarts=2).f_hat <= schmidt_rank(psi) / n + 1e-12
+        assert fidelity_max(psi.density()).f_hat <= schmidt_rank(psi) / n + 1e-12
 
 
 def test_density_matrix_invariant_messages():

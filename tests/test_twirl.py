@@ -144,8 +144,9 @@ def test_twirl_mc_rejects_zero_samples():
 def test_clifford_ensemble_structure():
     ens = clifford_ensemble_qubit()
     assert len(ens) == 24
-    assert any(np.allclose(u, np.eye(2), atol=1e-12) for u in ens.unitaries)
-    for u in ens.unitaries:
+    assert not ens.flags.writeable  # cached: a caller must not change it
+    assert any(np.allclose(u, np.eye(2), atol=1e-12) for u in ens)
+    for u in ens:
         assert np.max(np.abs(u.conj().T @ u - np.eye(2))) < 1e-12
 
 
@@ -155,7 +156,7 @@ def test_clifford_two_design_matches_exact_twirl():
     for _ in range(20):
         rho = random_density(2, 2, rng)
         acc = np.zeros((4, 4), dtype=complex)
-        for u in ens.unitaries:
+        for u in ens:
             w = np.kron(u, u.conj())
             acc += w @ rho.matrix @ w.conj().T
         acc /= len(ens)
@@ -167,7 +168,7 @@ def test_clifford_twirl_of_zero_state():
     v = np.zeros(4, dtype=complex)
     v[0] = 1.0
     acc = np.zeros((4, 4), dtype=complex)
-    for u in ens.unitaries:
+    for u in ens:
         w = np.kron(u, u.conj())
         acc += np.outer(w @ v, (w @ v).conj())
     assert frob(acc / len(ens), isotropic(2, 0.5).matrix) < 1e-12
@@ -181,10 +182,10 @@ def _phase_free(u):
 def test_tetrahedral_ensemble_is_a_clifford_two_design():
     ens = tetrahedral_ensemble_qubit()
     assert len(ens) == 12
-    cliff = [_phase_free(u) for u in clifford_ensemble_qubit().unitaries]
-    for u in ens.unitaries:
+    cliff = [_phase_free(u) for u in clifford_ensemble_qubit()]
+    for u in ens:
         assert any(np.allclose(_phase_free(u), c, atol=1e-12) for c in cliff)
-    overlaps = np.abs(np.einsum("sij,tij->st", ens.unitaries.conj(), ens.unitaries)) ** 4
+    overlaps = np.abs(np.einsum("sij,tij->st", ens.conj(), ens)) ** 4
     assert abs(overlaps.mean() - 2.0) < 1e-12  # frame potential of a 2-design
 
 
@@ -194,7 +195,7 @@ def test_tetrahedral_twirl_is_the_isotropic_projection():
     for _ in range(20):
         rho = random_density(2, 2, rng)
         acc = np.zeros((4, 4), dtype=complex)
-        for u in ens.unitaries:
+        for u in ens:
             w = np.kron(u, u.conj())
             acc += w @ rho.matrix @ w.conj().T
         assert frob(acc / len(ens), twirl_exact(rho).matrix) < 1e-13

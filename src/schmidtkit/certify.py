@@ -23,13 +23,12 @@ from .maps import (
     reduction_family,
     transpose_map,
 )
-from .states import DensityMatrix, PureBipartiteState, schmidt_ranks
+from .states import DensityMatrix, PureBipartiteState, isotropic, schmidt_ranks
 from .twirl import (
     PureEnsemble,
     fidelity_with_max_entangled,
     haar_unitary,
     tetrahedral_ensemble_qubit,
-    twirl_exact,
     twirl_orbit,
     twirl_sectors,
 )
@@ -72,8 +71,8 @@ class MapWitness:
         k_positive = 1 if self.p is None else lambda_p_class(rho.idx.d_b, self.p)
         if self.k > k_positive:
             return False
-        lo = _witness_min_eigenvalue(rho, self.p)
-        return abs(lo - self.min_eigenvalue) <= VERIFY_ATOL and lo < NEGATIVITY_THRESHOLD
+        found = _map_witness(rho, self.p, self.k)
+        return found is not None and abs(found.min_eigenvalue - self.min_eigenvalue) <= VERIFY_ATOL
 
     def to_payload(self) -> dict:
         return {"kind": self.kind, "map": self.map_kind, "p": self.p, "k": self.k,
@@ -203,9 +202,8 @@ class IsotropicExact:
     def verify(self, rho: DensityMatrix) -> bool:
         if rho.idx.d_a != rho.idx.d_b or rho.idx.d_a != self.n:
             return False
-        if abs(fidelity_with_max_entangled(rho) - self.f) > VERIFY_ATOL:
-            return False
-        if float(np.linalg.norm(rho.matrix - twirl_exact(rho).matrix)) > ISOTROPIC_DETECTION_TOL:
+        f = _isotropic_fidelity(rho)
+        if f is None or abs(f - self.f) > VERIFY_ATOL:
             return False
         return self.k == isotropic_sn(self.n, self.f)
 
@@ -281,34 +279,41 @@ class SnReport:
         )
 
 
-def _witness_min_eigenvalue(rho: DensityMatrix, p: float | None) -> float:
-    """lambda_min((1 (x) L)(rho)) for the reduction map L_p on B, or for the
-    transpose map when p is None."""
+def _map_witness(rho: DensityMatrix, p: float | None, k: int) -> MapWitness | None:
+    """The witness of SN >= k+1 by L, the reduction map L_p on B or the
+    transpose map when p is None, if lambda_min((1 (x) L)(rho)) lies below
+    the negativity threshold."""
     n = rho.idx.d_b
     lam = transpose_map(n) if p is None else reduction_family(n, p)
-    return min_eigenvalue(apply_id_tensor_map(lam, rho))
+    lo = min_eigenvalue(apply_id_tensor_map(lam, rho))
+    if lo < NEGATIVITY_THRESHOLD:
+        return MapWitness("transpose" if p is None else "reduction", p, k, lo)
+    return None
 
 
 def sn_lower_via_map(rho: DensityMatrix, k: int) -> MapWitness | None:
-    """Witness SN >= k+1 with the extreme k-positive member L_{p=1/k}.
+    """Witness SN >= k+1 with the extreme k-positive member L_{p=1/k} on B,
+    which is k-positive whatever d_a is.
 
     Returns a certificate iff (1 (x) L_{1/k})(rho) has an eigenvalue below
     the negativity threshold.
     """
     if not 1 <= k < min(rho.idx.d_a, rho.idx.d_b):
         raise InvariantViolation(f"need 1 <= k < N, got k={k}")
-    lo = _witness_min_eigenvalue(rho, 1.0 / k)
-    if lo < NEGATIVITY_THRESHOLD:
-        return MapWitness(map_kind="reduction", p=1.0 / k, k=k, min_eigenvalue=lo)
-    return None
+    return _map_witness(rho, 1.0 / k, k)
 
 
 def peres_witness(rho: DensityMatrix) -> MapWitness | None:
     """Partial-transposition negativity; proves SN >= 2."""
-    lo = _witness_min_eigenvalue(rho, None)
-    if lo < NEGATIVITY_THRESHOLD:
-        return MapWitness(map_kind="transpose", p=None, k=1, min_eigenvalue=lo)
-    return None
+    return _map_witness(rho, None, 1)
+
+
+def _isotropic_fidelity(rho: DensityMatrix) -> float | None:
+    """F = <Psi+|rho|Psi+> if rho is within ISOTROPIC_DETECTION_TOL of the
+    isotropic state with that F (its exact twirl), else None."""
+    f = fidelity_with_max_entangled(rho)
+    iso = isotropic(rho.idx.d_a, min(max(f, 0.0), 1.0))
+    return f if float(np.linalg.norm(rho.matrix - iso.matrix)) <= ISOTROPIC_DETECTION_TOL else None
 
 
 def fidelity_max(rho: DensityMatrix, seed: int = 0) -> FidelityBound:
@@ -375,19 +380,18 @@ def tensor_copy_bound(f: float, n: int, m: int) -> int:
 
 
 def ensemble_search(rho: DensityMatrix, k: int, seed: int = 0) -> EnsembleUpper | None:
-    """Search for a rank-<=k decomposition of rho.
+    """Search for a rank-<=k decomposition of rho by one route per state.
 
     At k = min(d_a, d_b) the spectral decomposition is the answer. A state
     fixed by the local twirl of one or two qubit pairs (twirl_sectors) is
-    first solved in its 2-3 sector weights (_twirl_reduced_search); when that
-    search's gap test finds rho outside the reach of rank-<=k seeds, the
-    answer is None. Otherwise, or when it runs out of steps, alternating
-    minimization from SEARCH_RESTARTS starts (restart r seeds with seed + r)
-    of up to SEARCH_ITERS sweeps: 2 d_a d_b ansatz vectors start as random
-    sums of k product terms and are re-projected onto Schmidt rank <= k each
-    sweep; weights are refit as the exact least-squares optimum on the
-    probability simplex. Success requires the stored ensemble to pass
-    EnsembleUpper.verify; a failed search proves nothing.
+    solved in its 2-3 sector weights (_twirl_reduced_search). Every other
+    state gets alternating minimization from SEARCH_RESTARTS starts (restart
+    r seeds with seed + r) of up to SEARCH_ITERS sweeps: 2 d_a d_b ansatz
+    vectors start as random sums of k product terms and are re-projected
+    onto Schmidt rank <= k each sweep; weights are refit as the exact
+    least-squares optimum on the probability simplex. Success requires the
+    stored ensemble to pass EnsembleUpper.verify; a failed search proves
+    nothing.
     """
     d_a, d_b = rho.idx.d_a, rho.idx.d_b
     if not 1 <= k <= min(d_a, d_b):
@@ -397,9 +401,13 @@ def ensemble_search(rho: DensityMatrix, k: int, seed: int = 0) -> EnsembleUpper 
     if k == min(d_a, d_b):
         w, v = np.linalg.eigh(rho.matrix)
         return _certified(rho, k, np.maximum(w, 0.0), v.T)
-    found, outside = _twirl_reduced_search(rho, k, seed)
-    if found is not None or outside:
-        return found
+    sectors = twirl_sectors(rho.idx)
+    if sectors is not None:
+        scale = 1.0 / np.sqrt(np.einsum("jaa->j", sectors).real)
+        target = np.einsum("jab,ba->j", sectors, rho.matrix).real * scale
+        invariant = np.einsum("j,jab->ab", target * scale, sectors)
+        if float(np.linalg.norm(rho.matrix - invariant)) <= ISOTROPIC_DETECTION_TOL:
+            return _twirl_reduced_search(rho, k, seed, sectors, scale, target)
     m_vectors = 2 * d_a * d_b
     best = None
     for r in range(SEARCH_RESTARTS):
@@ -422,30 +430,22 @@ def ensemble_search(rho: DensityMatrix, k: int, seed: int = 0) -> EnsembleUpper 
 
 
 def _twirl_reduced_search(
-    rho: DensityMatrix, k: int, seed: int
-) -> tuple[EnsembleUpper | None, bool]:
-    """Rank-<=k decomposition of a state fixed by the local twirl, found in
-    its sector weights, and whether the gap test stopped the search. The
-    decomposition is None when rho is not such a state or none is found.
+    rho: DensityMatrix, k: int, seed: int,
+    sectors: np.ndarray, scale: np.ndarray, target: np.ndarray,
+) -> EnsembleUpper | None:
+    """Rank-<=k decomposition of a twirl-invariant state from its weights
+    target, or None when the gap test fires or the result does not verify.
 
-    With E_j the projectors of twirl_sectors and scaled weights
-    u(psi)_j = <psi|E_j|psi> / sqrt(Tr E_j), twirling maps |psi><psi| to
-    sum_j u_j E_j / sqrt(Tr E_j), and the Frobenius distance of two such
-    operators is the Euclidean distance of their weights. So rho is a
-    mixture of twirled rank-<=k seeds iff its weights lie in the convex hull
-    of their u. A fully-corrective Frank-Wolfe search finds them: each step
-    adds the seed that rank_k_oracle finds for the linear step, and
-    simplex_qp refits the seed weights. Each seed is then expanded over its
-    orbit under the 12-element qubit 2-design.
+    With E_j the projectors sectors and scaled weights
+    u(psi)_j = <psi|E_j|psi> * scale_j, scale_j = 1 / sqrt(Tr E_j), twirling
+    maps |psi><psi| to sum_j u_j E_j * scale_j, and the Frobenius distance of
+    two such operators is the Euclidean distance of their weights. So rho is
+    a mixture of twirled rank-<=k seeds iff its weights lie in the convex
+    hull of their u. A fully-corrective Frank-Wolfe search finds them: each
+    step adds the seed that rank_k_oracle finds for the linear step, and
+    simplex_qp refits the seed weights. The seeds of the last step, converged
+    or not, are expanded over the 12-element qubit 2-design and certified.
     """
-    sectors = twirl_sectors(rho.idx)
-    if sectors is None:
-        return None, False
-    scale = 1.0 / np.sqrt(np.einsum("jaa->j", sectors).real)
-    target = np.einsum("jab,ba->j", sectors, rho.matrix).real * scale
-    invariant = np.einsum("j,jab->ab", target * scale, sectors)
-    if float(np.linalg.norm(rho.matrix - invariant)) > ISOTROPIC_DETECTION_TOL:
-        return None, False
     d_a, d_b = rho.idx.d_a, rho.idx.d_b
     rng = np.random.default_rng(seed)
     seeds = np.zeros((0, d_a * d_b), dtype=np.complex128)
@@ -463,7 +463,7 @@ def _twirl_reduced_search(
         # grad.u <= grad.target, so the Frank-Wolfe gap
         # grad.(probs @ weights - u) is at least |grad|^2.
         if probs.size and grad @ (probs @ weights - u) < 0.5 * (grad @ grad):
-            return None, True
+            return None
         seeds = np.vstack([seeds, psi])
         weights = np.vstack([weights, u])
         probs = kernels.simplex_qp(weights @ weights.T, weights @ target,
@@ -473,12 +473,10 @@ def _twirl_reduced_search(
         grad = probs @ weights - target
         if float(np.linalg.norm(grad)) <= REDUCED_TOL:
             break
-    else:
-        return None, False
     orbits = [twirl_orbit(s, rho.idx, tetrahedral_ensemble_qubit()) for s in seeds]
     member_probs = np.concatenate([np.full(len(o), p / len(o)) for p, o in zip(probs, orbits)])
     amps = np.concatenate(orbits)
-    return _certified(rho, k, member_probs, amps), False
+    return _certified(rho, k, member_probs, amps)
 
 
 def _certified(
@@ -530,23 +528,23 @@ def analyze(
     """Assemble Schmidt-number bounds and their certificates.
 
     The lower bound combines the partial-transposition baseline, the
-    reduction-family witness scan, and the fidelity route; an exactly
-    isotropic input is classified exactly. When search_upper=k is given, a
-    rank-<=k decomposition search supplies the upper bound; it runs only
-    when k is at least the lower bound proven so far, since below that no
-    rank-<=k decomposition of rho exists.
+    reduction-family witness scan on every shape, and, on square input, the
+    fidelity route; an exactly isotropic input is classified exactly. When
+    search_upper=k is given, a rank-<=k decomposition search supplies the
+    upper bound; it runs only when k is at least the lower bound proven so
+    far, since below that no rank-<=k decomposition of rho exists.
     """
     certificates = []
-    n = rho.idx.d_a
-    square = rho.idx.d_a == rho.idx.d_b and n >= 2
+    d_a, d_b = rho.idx.d_a, rho.idx.d_b
+    square = d_a == d_b and d_a >= 2
     if square:
-        f = fidelity_with_max_entangled(rho)
-        if float(np.linalg.norm(rho.matrix - twirl_exact(rho).matrix)) <= ISOTROPIC_DETECTION_TOL:
-            certificates.append(IsotropicExact(n=n, f=f, k=isotropic_sn(n, f)))
-    if rho.idx.d_b >= 2:
+        f = _isotropic_fidelity(rho)
+        if f is not None:
+            certificates.append(IsotropicExact(n=d_a, f=f, k=isotropic_sn(d_a, f)))
+    if d_b >= 2:
         certificates.append(peres_witness(rho))
+    certificates += [sn_lower_via_map(rho, k) for k in range(1, min(d_a, d_b))]
     if square:
-        certificates += [sn_lower_via_map(rho, k) for k in range(1, n)]
         certificates.append(fidelity_max(rho, seed=seed))
     certificates = [c for c in certificates if c is not None]
     # ensemble_search itself rejects a k outside [1, min(d_a, d_b)].

@@ -17,13 +17,17 @@ def polar_orthonormalize(m):
     return np.ascontiguousarray(u @ vh)
 
 
-def mc_twirl_sum(rho, gin):
-    """Sum of (U (x) U*) rho (U (x) U*)^dagger over the unitaries U of the
-    Ginibre batch gin (QR with the phases of R's diagonal divided out, which
-    is Haar-distributed)."""
+def haar_from_ginibre(gin):
+    """The Haar-distributed unitary of a Ginibre matrix, or of each matrix of
+    a stack: Q of its QR with the phases of R's diagonal divided out."""
     q, r = np.linalg.qr(gin)
-    diag = np.einsum("sjj->sj", r)
-    u = q * (diag / np.abs(diag))[:, None, :]
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[..., None, :]
+
+
+def mc_twirl_sum(rho, gin):
+    """Sum of (U (x) U*) rho (U (x) U*)^dagger over U = haar_from_ginibre(gin)."""
+    u = haar_from_ginibre(gin)
     ns, n, _ = u.shape
     w = (u[:, :, None, :, None] * u.conj()[:, None, :, None, :]).reshape(ns, n * n, n * n)
     return np.einsum("sab,bc,sdc->ad", w, rho, w.conj(), optimize=True)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +20,18 @@ PSD_ATOL = 1e-10
 RANK_TOL = 1e-9
 
 
+def check_unit_rows(amps: np.ndarray) -> None:
+    """Reject an amplitude vector, or a stack of them (one per row), with a
+    NaN or infinite entry or a norm more than NORM_ATOL from 1."""
+    if not np.isfinite(amps).all():
+        raise InvariantViolation("amplitude vector has a NaN or infinite entry")
+    dev = float(np.max(np.abs(np.linalg.norm(amps, axis=-1) - 1.0), initial=0.0))
+    if dev > NORM_ATOL:
+        raise InvariantViolation(
+            f"state norm deviates from 1 by {dev:.3e} > {NORM_ATOL:.1e}"
+        )
+
+
 @dataclass(frozen=True)
 class PureBipartiteState:
     """Unit vector on H_{d_a} (x) H_{d_b}, flat index i*d_b + j."""
@@ -34,13 +45,7 @@ class PureBipartiteState:
             raise InvariantViolation(
                 f"amplitude vector has length {amp.size}, expected {self.idx.dim}"
             )
-        nrm = float(np.linalg.norm(amp))
-        if not math.isfinite(nrm):
-            raise InvariantViolation("amplitude vector has a NaN or infinite entry")
-        if abs(nrm - 1.0) > NORM_ATOL:
-            raise InvariantViolation(
-                f"state norm deviates from 1 by {abs(nrm - 1.0):.3e} > {NORM_ATOL:.1e}"
-            )
+        check_unit_rows(amp)
         object.__setattr__(self, "amplitudes", amp)
 
     def amplitude_matrix(self) -> np.ndarray:

@@ -11,8 +11,8 @@ import numpy as np
 from . import kernels
 from .linalg import BipartiteIndex, InvariantViolation, permute_subsystems
 from .states import (
-    NORM_ATOL,
     DensityMatrix,
+    check_unit_rows,
     isotropic,
     max_entangled_projector,
     max_entangled_vector,
@@ -39,13 +39,7 @@ class PureEnsemble:
             )
         if p.ndim != 1 or p.size != a.shape[0]:
             raise InvariantViolation("need one probability per state")
-        if not np.isfinite(a).all():
-            raise InvariantViolation("amplitude vector has a NaN or infinite entry")
-        dev = float(np.max(np.abs(np.linalg.norm(a, axis=1) - 1.0), initial=0.0))
-        if dev > NORM_ATOL:
-            raise InvariantViolation(
-                f"state norm deviates from 1 by {dev:.3e} > {NORM_ATOL:.1e}"
-            )
+        check_unit_rows(a)
         if np.any(p < -1e-12):
             raise InvariantViolation(f"negative weight {p.min():.3e}")
         if not abs(p.sum() - 1.0) <= 1e-10:  # a NaN weight fails here too
@@ -77,12 +71,10 @@ def twirl_exact(rho: DensityMatrix) -> DensityMatrix:
 
 
 def haar_unitary(n: int, seed: int) -> np.ndarray:
-    """Haar-distributed N x N unitary (Ginibre + QR with phase-fixed R)."""
+    """Haar-distributed N x N unitary (kernels.haar_from_ginibre)."""
     rng = np.random.default_rng(seed)
     z = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) / np.sqrt(2)
-    q, r = np.linalg.qr(z)
-    d = np.diag(r)
-    return q * (d / np.abs(d))
+    return kernels.haar_from_ginibre(z)
 
 
 def twirl_mc(rho: DensityMatrix, samples: int, seed: int = 0) -> DensityMatrix:
@@ -193,13 +185,12 @@ def twirl_orbit(amplitudes: np.ndarray, idx: BipartiteIndex, unitaries: np.ndarr
     return np.concatenate([amps, swapped])
 
 
-def _two_pair_factors(idx: BipartiteIndex) -> int:
-    n = int(round(np.sqrt(idx.d_a)))
-    if idx.d_a != idx.d_b or n * n != idx.d_a:
-        raise InvariantViolation(
-            f"expected two square copies, got dims ({idx.d_a}, {idx.d_b})"
-        )
-    return n
+def _pair_projectors() -> tuple[np.ndarray, ...]:
+    """P (x) P, P (x) Q, Q (x) P and Q (x) Q on two qubit pairs in pairwise
+    factor order (A1 B1 A2 B2), with P = |Phi+><Phi+| and Q = 1 - P."""
+    p = max_entangled_projector(2)
+    q = np.eye(4) - p
+    return np.kron(p, p), np.kron(p, q), np.kron(q, p), np.kron(q, q)
 
 
 def twirl_sectors(idx: BipartiteIndex) -> np.ndarray | None:
@@ -214,12 +205,12 @@ def twirl_sectors(idx: BipartiteIndex) -> np.ndarray | None:
     """
     if idx.d_a != idx.d_b or idx.d_a not in (2, 4):
         return None
-    p = max_entangled_projector(2)
-    q = np.eye(4) - p
     if idx.d_a == 2:
-        return np.array([p, q])
-    pairs = [np.kron(p, p), np.kron(p, q) + np.kron(q, p), np.kron(q, q)]
-    return np.array([permute_subsystems(e, [2, 2, 2, 2], [0, 2, 1, 3]) for e in pairs])
+        p = max_entangled_projector(2)
+        return np.array([p, np.eye(4) - p])
+    pp, pq, qp, qq = _pair_projectors()
+    return np.array([permute_subsystems(e, [2, 2, 2, 2], [0, 2, 1, 3])
+                     for e in (pp, pq + qp, qq)])
 
 
 def two_copy_construction() -> PureEnsemble:
@@ -250,16 +241,15 @@ def two_copy_construction() -> PureEnsemble:
 
 
 def two_copy_coefficients(rho: DensityMatrix) -> tuple[float, float, float, float]:
-    """Coefficients (a, b1, b2, c) of a two-pair state in the basis
+    """Coefficients (a, b1, b2, c) of a state on two qubit pairs in the basis
     {Q (x) Q, P+ (x) Q, Q (x) P+, P+ (x) P+}, Q = 1 - P+, pairwise ordering."""
-    n = _two_pair_factors(rho.idx)
-    dims = [n, n, n, n]
-    pairwise = permute_subsystems(rho.matrix, dims, [0, 2, 1, 3])
-    pplus = max_entangled_projector(n)
-    q = np.eye(n * n) - pplus
-    qdim = n * n - 1
-    a = float(np.trace(np.kron(q, q) @ pairwise).real) / qdim**2
-    b1 = float(np.trace(np.kron(pplus, q) @ pairwise).real) / qdim
-    b2 = float(np.trace(np.kron(q, pplus) @ pairwise).real) / qdim
-    c = float(np.trace(np.kron(pplus, pplus) @ pairwise).real)
+    if rho.idx != BipartiteIndex(4, 4):
+        raise InvariantViolation(
+            f"expected two qubit pairs, got dims ({rho.idx.d_a}, {rho.idx.d_b})")
+    pairwise = permute_subsystems(rho.matrix, [2, 2, 2, 2], [0, 2, 1, 3])
+    pp, pq, qp, qq = _pair_projectors()
+    a = float(np.trace(qq @ pairwise).real) / 9
+    b1 = float(np.trace(pq @ pairwise).real) / 3
+    b2 = float(np.trace(qp @ pairwise).real) / 3
+    c = float(np.trace(pp @ pairwise).real)
     return a, b1, b2, c

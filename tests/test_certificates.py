@@ -17,8 +17,8 @@ from schmidtkit.certify import (
     peres_witness,
     sn_lower_via_map,
 )
-from schmidtkit.linalg import BipartiteIndex
-from schmidtkit.states import isotropic
+from schmidtkit.linalg import BipartiteIndex, InvariantViolation
+from schmidtkit.states import DensityMatrix, isotropic
 from schmidtkit.twirl import PureEnsemble, fidelity_with_max_entangled
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -77,6 +77,60 @@ def test_certificate_payload_round_trip(certificates, data):
     back = type(cert).from_payload(io.loads(text))
     assert io.dumps(back.to_payload()) == text
     assert back.verify(rho) == cert.verify(rho)
+
+
+def _isotropic_certificate(kind):
+    """The payload of the certificate of the given kind that
+    analyze(isotropic(3, 0.8), search_upper=3) returns, and the state."""
+    rho = isotropic(3, 0.8)
+    (cert,) = [c.to_payload() for c in analyze(rho, search_upper=3).certificates
+               if c.kind == kind]
+    return cert, rho
+
+
+def test_fidelity_bound_rejects_a_wrong_overlap():
+    payload, rho = _isotropic_certificate("fidelity_bound")
+    assert FidelityBound.from_payload(payload).verify(rho)
+    payload["f_hat"] += 1e-6
+    assert payload["sn_bound"] == 3
+    assert not FidelityBound.from_payload(payload).verify(rho)
+
+
+def test_fidelity_bound_rejects_a_state_that_is_not_maximally_entangled():
+    payload, rho = _isotropic_certificate("fidelity_bound")
+    # sqrt(0.9)|Psi+> + sqrt(0.1)|01>: its true overlap 0.7225 > 2/3 gives
+    # sn_bound 3, so only the maximal-entanglement check can reject it.
+    psi = np.sqrt(0.9) * np.eye(3).reshape(9) / np.sqrt(3)
+    psi[1] = np.sqrt(0.1)
+    f_hat = float(psi @ rho.matrix.real @ psi)
+    assert abs(f_hat - 0.7225) < 1e-12
+    payload.update(f_hat=f_hat, sn_bound=3, psi_re=psi.tolist(), psi_im=[0.0] * 9)
+    assert not FidelityBound.from_payload(payload).verify(rho)
+
+
+def test_isotropic_exact_rejects_a_non_isotropic_state_with_the_same_fidelity():
+    payload, rho = _isotropic_certificate("isotropic_exact")
+    cert = IsotropicExact.from_payload(payload)
+    shift = np.zeros((9, 9))
+    shift[1, 1], shift[2, 2] = 0.01, -0.01  # |01><01| - |02><02|, orthogonal to Psi+
+    other = DensityMatrix(rho.matrix + shift, rho.idx)
+    assert abs(fidelity_with_max_entangled(other) - cert.f) < 1e-15
+    assert cert.verify(rho)
+    assert not cert.verify(other)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda certs: certs[0].update(kind="made_up_kind"), "unknown certificate kind"),
+    (lambda certs: [c.update(k=2) for c in certs if c["kind"] == "ensemble_upper"],
+     "inconsistent bounds"),
+], ids=["unknown_kind", "lower_above_upper"])
+def test_report_file_rejects_tampered_certificates(tmp_path, edit, message):
+    payload = analyze(isotropic(3, 0.8), search_upper=3).to_payload()
+    edit(payload["certificates"])
+    path = tmp_path / "report.json"
+    path.write_text(io.dumps(payload))
+    with pytest.raises(InvariantViolation, match=message):
+        io.read_report_file(path)
 
 
 def test_certificates_reject_a_state_of_other_dimensions():

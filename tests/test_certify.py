@@ -24,6 +24,7 @@ from schmidtkit import (
     tensor_copy_bound,
     tetrahedral_ensemble_qubit,
     twirl_orbit,
+    twirl_sectors,
     two_copy_construction,
     verify_decomposition,
     verify_report,
@@ -284,7 +285,7 @@ def test_twirl_reduced_search_solves_invariant_mixtures(seed, pairs, data):
         amps = twirl_orbit(_rank_k_amplitudes(d, d, k, rng), idx, tetrahedral_ensemble_qubit())
         m += p * (amps.T @ amps.conj()) / len(amps)
     rho = DensityMatrix(m, idx)
-    found, _ = certify._twirl_reduced_search(rho, k, seed=0)
+    found = ensemble_search(rho, k, seed=0)
     assert found is not None
     assert verify_decomposition(found.ensemble, rho, k, 1e-10)
     assert found.residual <= 1e-10
@@ -293,11 +294,68 @@ def test_twirl_reduced_search_solves_invariant_mixtures(seed, pairs, data):
 
 def test_two_copy_rank3_search_finds_nothing(monkeypatch):
     # The sector obstruction above proves that no decomposition exists. The
-    # reduced route's gap test says so, and the generic search is skipped.
-    target = tensor_copies(isotropic(2, np.sqrt(3) / 2), 2)
-    assert certify._twirl_reduced_search(target, 3, seed=0) == (None, True)
+    # reduced route's gap test says so before the step limit, and the
+    # generic search never runs.
+    calls = []
+    oracle = kernels.rank_k_oracle
+    monkeypatch.setattr(kernels, "rank_k_oracle", lambda *a: calls.append(1) or oracle(*a))
     monkeypatch.setattr(kernels, "ensemble_alt_min", None)
+    target = tensor_copies(isotropic(2, np.sqrt(3) / 2), 2)
     assert ensemble_search(target, 3, seed=0) is None
+    assert 0 < len(calls) < certify.REDUCED_STEPS
+
+
+def test_twirl_route_certifies_its_last_iterate_near_the_edge(monkeypatch):
+    # Just below F = (2 + sqrt(2))/4 some seeds use all REDUCED_STEPS; the
+    # seeds of their last step still give an exact certificate, with no
+    # second search behind them.
+    calls = []
+    oracle = kernels.rank_k_oracle
+    monkeypatch.setattr(kernels, "rank_k_oracle", lambda *a: calls.append(1) or oracle(*a))
+    monkeypatch.setattr(kernels, "ensemble_alt_min", None)
+    rho = tensor_copies(isotropic(2, 0.8535), 2)
+    steps = []
+    for seed in range(8):
+        calls.clear()
+        found = ensemble_search(rho, 3, seed=seed)
+        steps.append(len(calls))
+        assert found is not None and found.residual < 1e-9
+        assert verify_decomposition(found.ensemble, rho, 3, 1e-9)
+    assert certify.REDUCED_STEPS in steps
+
+
+def test_generic_route_on_dimensions_without_twirl_sectors(monkeypatch):
+    calls = []
+    alt_min = kernels.ensemble_alt_min
+    monkeypatch.setattr(kernels, "ensemble_alt_min", lambda *a: calls.append(1) or alt_min(*a))
+    rng = np.random.default_rng(43)
+    for d_a, d_b, k, terms in ((3, 3, 2, 18), (2, 3, 1, 12)):
+        idx = BipartiteIndex(d_a, d_b)
+        amps = np.array([_rank_k_amplitudes(d_a, d_b, k, rng) for _ in range(terms)])
+        rho = PureEnsemble(rng.dirichlet(np.ones(terms)), amps, idx).mixture()
+        calls.clear()
+        found = ensemble_search(rho, k, seed=0)
+        assert twirl_sectors(idx) is None and calls
+        assert found is not None and found.verify(rho)
+
+
+def test_failed_generic_search_stops_on_the_stall_rule(monkeypatch):
+    sweeps = []
+    alt_min = kernels.ensemble_alt_min
+
+    def counted(*args):
+        out = alt_min(*args)
+        sweeps.append(out[3])
+        return out
+
+    monkeypatch.setattr(kernels, "ensemble_alt_min", counted)
+    rng = np.random.default_rng(44)
+    rho = isotropic(2, 0.9)
+    w = np.kron(random_unitary(2, rng), random_unitary(2, rng))
+    rotated = DensityMatrix(w @ rho.matrix @ w.conj().T, rho.idx)
+    assert ensemble_search(rotated, 1, seed=0) is None
+    assert len(sweeps) == certify.SEARCH_RESTARTS
+    assert max(sweeps) < certify.SEARCH_ITERS
 
 
 def test_twirl_route_needs_an_invariant_state(monkeypatch):
@@ -398,6 +456,18 @@ def test_analyze_two_copy_nonadditivity():
     (cert,) = [c for c in rep.certificates if c.kind == "ensemble_upper"]
     assert cert.residual <= 1e-12
     assert schmidt_ranks(cert.ensemble.amps, rho.idx).max() <= 2
+
+
+@pytest.mark.parametrize("p", [0.7, 0.9])
+def test_analyze_scans_reduction_witnesses_on_non_square_input(p):
+    # p |Phi_3><Phi_3| + (1 - p) 1/12 on 3 x 4: L_{1/2} on M_4 proves SN >= 3.
+    idx = BipartiteIndex(3, 4)
+    phi = np.zeros(12)
+    phi[[0, 5, 10]] = 1 / np.sqrt(3)
+    rho = DensityMatrix(p * np.outer(phi, phi) + (1 - p) * np.eye(12) / 12, idx)
+    rep = analyze(rho, seed=0)
+    assert (rep.lower_bound, rep.upper_bound) == (3, None)
+    assert verify_report(rep, rho)
 
 
 def test_analyze_separable_states():

@@ -543,6 +543,12 @@ def test_cli_probe_map(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["violation"] is True
     assert abs(payload["min_eigenvalue"] + 0.5) < 1e-6
+    assert main(["probe-map", "--choi", str(choi), "--k", "2", "--restarts", "4",
+                 "--seed", "0"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("violation: min eigenvalue -0.5")
+    assert lines[1].startswith("witness state (re): ")
+    assert lines[2].startswith("witness state (im): ")
 
     lam = reduction_family(3, 0.45)
     io.write_matrix_file(choi, lam.choi, BipartiteIndex(3, 3))

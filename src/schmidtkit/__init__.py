@@ -54,7 +54,6 @@ from .twirl import (
     PureEnsemble,
     clifford_ensemble_qubit,
     fidelity_with_max_entangled,
-    haar_unitary,
     tetrahedral_ensemble_qubit,
     twirl_exact,
     twirl_mc,

@@ -1,9 +1,10 @@
 """Schmidt-number bound engine.
 
 Lower bounds come from k-positive map witnesses and from the fully entangled
-fraction; upper bounds come from explicit rank-constrained pure-state
-decompositions. Every certificate can be re-verified independently of the
-routine that produced it.
+fraction, bounded from below in one step by the maximally entangled state
+nearest rho's top eigenvector; upper bounds come from explicit
+rank-constrained pure-state decompositions. Every certificate can be
+re-verified independently of the routine that produced it.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .states import DensityMatrix, PureBipartiteState, isotropic, schmidt_ranks
 from .twirl import (
     PureEnsemble,
     fidelity_with_max_entangled,
-    haar_unitary,
     tetrahedral_ensemble_qubit,
     twirl_orbit,
     twirl_sectors,
@@ -36,9 +36,6 @@ from .twirl import (
 BOUNDARY_TOL = 1e-12
 ENSEMBLE_TOL = 1e-4
 FIDELITY_BOUND_SLACK = 1e-9
-FIDELITY_MAX_ITERS = 500
-FIDELITY_RESTARTS = 20
-FIDELITY_TOL = 1e-10
 ISOTROPIC_DETECTION_TOL = 1e-12
 ORACLE_STARTS = 4
 REDUCED_STEPS = 30
@@ -316,33 +313,31 @@ def _isotropic_fidelity(rho: DensityMatrix) -> float | None:
     return f if float(np.linalg.norm(rho.matrix - iso.matrix)) <= ISOTROPIC_DETECTION_TOL else None
 
 
-def fidelity_max(rho: DensityMatrix, seed: int = 0) -> FidelityBound:
-    """Lower-bound the fully entangled fraction by ascent over
-    Psi_U = (1 (x) U)|Psi+> on the unitary manifold.
+def fidelity_max(rho: DensityMatrix) -> FidelityBound:
+    """Lower-bound the fully entangled fraction in one step: the maximally
+    entangled state nearest rho's top eigenvector v.
 
-    FIDELITY_RESTARTS starts, ascended together: a deterministic identity
-    start, then Haar starts seeded with seed + r for r = 0, 1, ...; the best
-    achieved value is returned, the first start to reach it on a tie.
-    One-sided: f_hat <= f(rho).
+    With v reshaped to the N x N matrix M, psi = vec(U) / sqrt(N) for U the
+    polar factor of M, which maximizes |<psi|v>| over maximally entangled
+    psi. One-sided: f_hat = <psi|rho|psi> <= f(rho), the fully entangled
+    fraction, since psi is maximally entangled by construction. Exact on
+    pure states and on every local-unitary image (U (x) V) rho_F
+    (U (x) V)^dagger of an isotropic state with F > 1/N^2, whose top
+    eigenvector is (U (x) V)|Psi+>.
     """
     n = rho.idx.d_a
     if n != rho.idx.d_b:
         raise InvariantViolation(
-            f"fidelity ascent needs d_a == d_b, got ({rho.idx.d_a}, {rho.idx.d_b})"
+            f"fidelity bound needs d_a == d_b, got ({rho.idx.d_a}, {rho.idx.d_b})"
         )
-    starts = [np.eye(n, dtype=np.complex128)]
-    starts += [haar_unitary(n, seed + r) for r in range(FIDELITY_RESTARTS - 1)]
-    vals, us = kernels.fidelity_ascent(
-        rho.matrix, n, np.array(starts), FIDELITY_MAX_ITERS, FIDELITY_TOL
-    )
-    best = int(np.argmax(vals))
-    best_val, best_u = float(vals[best]), us[best]
-    amp = (best_u.T / np.sqrt(n)).reshape(n * n)
-    state = PureBipartiteState(amp / np.linalg.norm(amp), rho.idx)
+    top = np.linalg.eigh(rho.matrix)[1][:, -1]
+    amp = kernels.polar_orthonormalize(top.reshape(n, n)).reshape(n * n)
+    amp /= np.linalg.norm(amp)
+    f_hat = float((amp.conj() @ rho.matrix @ amp).real)
     return FidelityBound(
-        f_hat=best_val,
-        state=state,
-        sn_bound=fidelity_to_sn_bound(best_val, n),
+        f_hat=f_hat,
+        state=PureBipartiteState(amp, rho.idx),
+        sn_bound=fidelity_to_sn_bound(f_hat, n),
     )
 
 
@@ -529,10 +524,11 @@ def analyze(
 
     The lower bound combines the partial-transposition baseline, the
     reduction-family witness scan on every shape, and, on square input, the
-    fidelity route; an exactly isotropic input is classified exactly. When
-    search_upper=k is given, a rank-<=k decomposition search supplies the
-    upper bound; it runs only when k is at least the lower bound proven so
-    far, since below that no rank-<=k decomposition of rho exists.
+    one-step fully-entangled-fraction bound of fidelity_max; an exactly
+    isotropic input is classified exactly. When search_upper=k is given, a
+    rank-<=k decomposition search seeded with seed supplies the upper bound;
+    it runs only when k is at least the lower bound proven so far, since
+    below that no rank-<=k decomposition of rho exists.
     """
     certificates = []
     d_a, d_b = rho.idx.d_a, rho.idx.d_b
@@ -545,7 +541,7 @@ def analyze(
         certificates.append(peres_witness(rho))
     certificates += [sn_lower_via_map(rho, k) for k in range(1, min(d_a, d_b))]
     if square:
-        certificates.append(fidelity_max(rho, seed=seed))
+        certificates.append(fidelity_max(rho))
     certificates = [c for c in certificates if c is not None]
     # ensemble_search itself rejects a k outside [1, min(d_a, d_b)].
     if search_upper is not None and not 1 <= search_upper < proven_bounds(certificates)[0]:

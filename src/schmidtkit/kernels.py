@@ -33,37 +33,6 @@ def mc_twirl_sum(rho, gin):
     return np.einsum("sab,bc,sdc->ad", w, rho, w.conj(), optimize=True)
 
 
-def _psi_of_unitary(u, n):
-    """Psi_U = vec(U^T) / sqrt(N) for each U of the stack u."""
-    return u.transpose(0, 2, 1).reshape(-1, n * n) / np.sqrt(n)
-
-
-def fidelity_ascent(rho, n, u0, max_iters, ftol):
-    """Maximize <Psi_U| rho |Psi_U> over unitaries, Psi_U = (1 (x) U)|Psi+>,
-    from every start of the stack u0 (R, N, N) at once.
-
-    Each step is U <- polar(G) with G = (rho Psi_U).reshape(N, N)^T / sqrt(N),
-    one batched SVD for all starts. rho >= 0 makes f(U) convex, so
-    f(U') >= f(U) + 2 Re tr(G^dag (U' - U)), and polar(G) maximizes that
-    linear term over unitaries: no step lowers any start's value. Stops when
-    no start gains more than ftol, or after max_iters steps. Returns
-    (values (R,), U (R, N, N)).
-    """
-    u = u0
-    psi = _psi_of_unitary(u, n)
-    rpsi = psi @ rho.T
-    val = np.einsum("rd,rd->r", psi.conj(), rpsi).real
-    for _ in range(max_iters):
-        # G without its 1/sqrt(N): a positive factor leaves polar(G) unchanged.
-        u = polar_orthonormalize(rpsi.reshape(-1, n, n).transpose(0, 2, 1))
-        psi = _psi_of_unitary(u, n)
-        rpsi = psi @ rho.T
-        prev, val = val, np.einsum("rd,rd->r", psi.conj(), rpsi).real
-        if np.all(val - prev <= ftol):
-            break
-    return val, u
-
-
 def simplex_project(v):
     """Euclidean projection onto the probability simplex."""
     n = v.shape[0]

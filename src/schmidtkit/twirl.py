@@ -70,13 +70,6 @@ def twirl_exact(rho: DensityMatrix) -> DensityMatrix:
     return isotropic(rho.idx.d_a, min(max(f, 0.0), 1.0))
 
 
-def haar_unitary(n: int, seed: int) -> np.ndarray:
-    """Haar-distributed N x N unitary (kernels.haar_from_ginibre)."""
-    rng = np.random.default_rng(seed)
-    z = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) / np.sqrt(2)
-    return kernels.haar_from_ginibre(z)
-
-
 def twirl_mc(rho: DensityMatrix, samples: int, seed: int = 0) -> DensityMatrix:
     """Monte-Carlo twirl: average of (U (x) U*) rho (..)^dagger over Haar samples.
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import random_unitary
 from schmidtkit import io
 from schmidtkit.certify import (
     EnsembleUpper,
@@ -12,13 +13,13 @@ from schmidtkit.certify import (
     IsotropicExact,
     MapWitness,
     analyze,
-    fidelity_max,
+    fidelity_to_sn_bound,
     isotropic_sn,
     peres_witness,
     sn_lower_via_map,
 )
 from schmidtkit.linalg import BipartiteIndex, InvariantViolation
-from schmidtkit.states import DensityMatrix, isotropic
+from schmidtkit.states import DensityMatrix, PureBipartiteState, isotropic
 from schmidtkit.twirl import PureEnsemble, fidelity_with_max_entangled
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -42,8 +43,15 @@ def map_witnesses(draw):
 
 @st.composite
 def fidelity_bounds(draw):
+    # psi = (1 (x) U)|Psi+> for a random U: fidelity_max takes U from rho's
+    # top eigenvector, but older reports hold states of any such U.
     rho = draw(isotropic_states)
-    return fidelity_max(rho, seed=draw(st.integers(0, 100))), rho
+    n = rho.idx.d_a
+    u = random_unitary(n, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    amp = u.T.reshape(n * n) / np.sqrt(n)
+    f_hat = float((amp.conj() @ rho.matrix @ amp).real)
+    state = PureBipartiteState(amp / np.linalg.norm(amp), rho.idx)
+    return FidelityBound(f_hat, state, fidelity_to_sn_bound(f_hat, n)), rho
 
 
 @st.composite

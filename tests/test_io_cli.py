@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_density, random_separable
+from helpers import random_density, random_separable, random_unitary
 from schmidtkit import cli, io
 from schmidtkit.certify import MapWitness, analyze, verify_report
 from schmidtkit.cli import main
@@ -349,7 +349,7 @@ def test_cli_unreadable_input_is_invalid_input(tmp_path, capsys, kind, command):
 @pytest.mark.parametrize("restarts", ["0", "-3"])
 @pytest.mark.parametrize("d_a, d_b", [(2, 2), (2, 3)])
 def test_cli_analyze_rejects_bad_restarts(tmp_path, capsys, restarts, d_a, d_b):
-    # The fidelity route always uses FIDELITY_RESTARTS; the option no longer exists.
+    # The fidelity bound is one step with no restarts; the option no longer exists.
     rho = random_density(d_a, d_b, np.random.default_rng(34))
     path = write_state(tmp_path / "in.json", rho)
     with pytest.raises(SystemExit) as exit_info:
@@ -383,9 +383,8 @@ def test_cli_probe_map_rejects_non_square_choi(tmp_path, capsys):
 def test_analyze_skips_search_below_proven_lower_bound(tmp_path, capsys, eps):
     # The Peres witness proves SN >= 2 on this entangled state, while the
     # rank-1 search would find a separable state within ENSEMBLE_TOL of it.
-    from schmidtkit import haar_unitary
-
-    u = np.kron(haar_unitary(2, 1), haar_unitary(2, 2))
+    u = np.kron(random_unitary(2, np.random.default_rng(1)),
+                random_unitary(2, np.random.default_rng(2)))
     iso = isotropic(2, 0.5 + eps)
     rho = DensityMatrix(u @ iso.matrix @ u.conj().T, iso.idx)
     report = analyze(rho, search_upper=1)

@@ -4,9 +4,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_density, random_hermitian, random_unitary
+from helpers import random_hermitian
 from schmidtkit import kernels
-from schmidtkit.certify import fidelity_to_sn_bound
 from schmidtkit.linalg import min_eigenvalue
 from schmidtkit.maps import (
     NEGATIVITY_THRESHOLD,
@@ -16,7 +15,6 @@ from schmidtkit.maps import (
     reduction_family,
     transpose_map,
 )
-from schmidtkit.states import isotropic
 
 
 def test_mc_kernel_variants_agree():
@@ -153,83 +151,6 @@ def test_simplex_qp_is_optimal(seed, d, m, copies):
         return 0.5 * q @ gram @ q - bvec @ q
 
     assert objective(p) <= objective(_projected_gradient(gram, bvec, p0)) + 1e-14
-
-
-def _line_search_ascent(rho, n, u0, max_iters, ftol):
-    """The backtracking ascent of one start that the batched polar step
-    replaced: step along the gradient, retract by polar, grow or halve."""
-    def value(u):
-        psi = u.T.reshape(n * n) / np.sqrt(n)
-        return (psi.conj() @ rho @ psi).real, psi
-
-    u = u0.copy()
-    val, psi = value(u)
-    eta = 1.0
-    for _ in range(max_iters):
-        g = (rho @ psi).reshape(n, n).T / np.sqrt(n)
-        for _ in range(40):
-            u2 = kernels.polar_orthonormalize(u + eta * g)
-            val2, psi2 = value(u2)
-            if val2 > val + ftol:
-                u, psi, val = u2, psi2, val2
-                eta = min(eta * 1.4, 1e6)
-                break
-            eta *= 0.5
-            if eta < 1e-16:
-                return val, u
-        else:
-            return val, u
-    return val, u
-
-
-def _fidelity_states():
-    rng = np.random.default_rng(55)
-    states = []
-    for n in (2, 3, 4):
-        for f in rng.uniform(0.0, 1.0, size=3):
-            rho = isotropic(n, f).matrix
-            w = np.kron(random_unitary(n, rng), random_unitary(n, rng))
-            states += [rho, w @ rho @ w.conj().T]
-        for rank in (1, 2, n, n * n):
-            states.append(random_density(n, n, rng, rank).matrix)
-    return rng, states
-
-
-def test_fidelity_ascent_matches_line_search():
-    rng, states = _fidelity_states()
-    assert len(states) == 30
-    for rho in states:
-        n = int(round(np.sqrt(rho.shape[0])))
-        starts = np.array([np.eye(n)] + [random_unitary(n, rng) for _ in range(19)])
-        vals, _ = kernels.fidelity_ascent(rho, n, starts, 500, 1e-10)
-        ref = max(_line_search_ascent(rho, n, u0, 500, 1e-10)[0] for u0 in starts)
-        assert vals.max() >= ref - 1e-12
-        assert fidelity_to_sn_bound(vals.max(), n) == fidelity_to_sn_bound(ref, n)
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    n=st.integers(2, 4),
-    rank=st.integers(1, 16),
-    starts=st.integers(1, 6),
-    max_iters=st.integers(1, 50),
-)
-def test_fidelity_ascent_never_descends(seed, n, rank, starts, max_iters):
-    rng = np.random.default_rng(seed)
-    rho = random_density(n, n, rng, min(rank, n * n)).matrix
-    u0 = np.array([random_unitary(n, rng) for _ in range(starts)])
-    psi0 = u0.transpose(0, 2, 1).reshape(starts, n * n) / np.sqrt(n)
-    start_vals = np.einsum("rd,de,re->r", psi0.conj(), rho, psi0).real
-
-    vals, us = kernels.fidelity_ascent(rho, n, u0, max_iters, 1e-10)
-
-    assert vals.shape == (starts,) and us.shape == (starts, n, n)
-    assert np.all(vals >= start_vals - 1e-12)
-    assert np.all(vals <= np.linalg.eigvalsh(rho)[-1] + 1e-12)
-    eye = np.eye(n)
-    for u in us:
-        assert np.max(np.abs(u.conj().T @ u - eye)) <= 1e-12
 
 
 def _min_eig_pair_with_gap(lam, psi):

@@ -7,7 +7,6 @@ from schmidtkit import (
     InvariantViolation,
     PureBipartiteState,
     clifford_ensemble_qubit,
-    haar_unitary,
     isotropic,
     max_entangled,
     psi_k,
@@ -73,13 +72,6 @@ def test_twirl_exact_rejects_non_square():
 
 
 # ------------------------------------------------------------- Haar samples
-
-
-def test_haar_unitary_contract():
-    u = haar_unitary(4, seed=7)
-    assert np.max(np.abs(u.conj().T @ u - np.eye(4))) < 1e-12
-    assert np.allclose(haar_unitary(4, seed=7), u)
-    assert not np.allclose(haar_unitary(4, seed=8), u)
 
 
 def test_haar_first_moment_vanishes():

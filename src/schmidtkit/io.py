@@ -52,6 +52,11 @@ def _write(obj, out: list, level: int) -> None:
         if not obj:
             out.append("[]")
             return
+        if all(type(v) is float for v in obj) and all(map(math.isfinite, obj)):
+            # The common case, a row of amplitudes or matrix entries: the
+            # text of format_float, with its checks made once for the row.
+            out.append("[" + ", ".join(map("{:.17g}".format, obj)) + "]")
+            return
         scalars = all(not isinstance(v, (dict, list, tuple)) for v in obj)
         if scalars:
             out.append("[" + ", ".join(_scalar(v) for v in obj) + "]")

@@ -19,18 +19,44 @@ def polar_orthonormalize(m):
 
 def haar_from_ginibre(gin):
     """The Haar-distributed unitary of a Ginibre matrix, or of each matrix of
-    a stack: Q of its QR with the phases of R's diagonal divided out."""
-    q, r = np.linalg.qr(gin)
-    diag = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * (diag / np.abs(diag))[..., None, :]
+    a stack: Q of its QR with R's diagonal real and positive (Mezzadri,
+    Notices AMS 54, 592 (2007)).
+
+    Gram-Schmidt runs one column at a time over the whole stack, so no
+    per-matrix LAPACK call is made. Each column is orthogonalized twice
+    against the columns before it, which keeps Q unitary to rounding even
+    when the columns are nearly dependent; the norm it is divided by is R's
+    diagonal entry, real and positive.
+    """
+    q = np.empty_like(gin)
+    for j in range(gin.shape[-1]):
+        v = gin[..., j]
+        if j:
+            qj = q[..., :j]
+            for _ in range(2):
+                coef = np.einsum("...ij,...i->...j", qj.conj(), v)
+                v = v - np.einsum("...ij,...j->...i", qj, coef)
+        q[..., j] = v / np.linalg.norm(v, axis=-1, keepdims=True)
+    return q
 
 
 def mc_twirl_sum(rho, gin):
-    """Sum of (U (x) U*) rho (U (x) U*)^dagger over U = haar_from_ginibre(gin)."""
-    u = haar_from_ginibre(gin)
-    ns, n, _ = u.shape
-    w = (u[:, :, None, :, None] * u.conj()[:, None, :, None, :]).reshape(ns, n * n, n * n)
-    return np.einsum("sab,bc,sdc->ad", w, rho, w.conj(), optimize=True)
+    """Sum of W rho W^dagger over W = U (x) U*, U = haar_from_ginibre(gin).
+
+    W is built in the layout (a, s, c) = W_s[a, c], so the sum over samples
+    s is two flat matrix products: X = W rho, then X (as D x sD) times W*
+    (as D x sD) transposed. W is conjugated in place between the two, so no
+    second copy of it is made.
+    """
+    # Contiguous, so that the product below is laid out as (a, s, c) and
+    # both reshapes are views.
+    ut = np.ascontiguousarray(haar_from_ginibre(gin).transpose(1, 0, 2))
+    n, ns = ut.shape[:2]
+    d = n * n
+    w = (ut[:, None, :, :, None] * ut.conj()[None, :, :, None, :]).reshape(d, ns, d)
+    x = (w @ rho).reshape(d, ns * d)
+    np.conjugate(w, out=w)
+    return x @ w.reshape(d, ns * d).T
 
 
 def simplex_project(v):

@@ -84,6 +84,8 @@ def twirl_mc(rho: DensityMatrix, samples: int, seed: int = 0) -> DensityMatrix:
         raise InvariantViolation(
             f"twirling needs d_a == d_b, got ({rho.idx.d_a}, {rho.idx.d_b})"
         )
+    if n < 2:
+        raise InvariantViolation(f"isotropic states need N >= 2, got N={n}")
     acc = np.zeros_like(rho.matrix)
     done = 0
     chunk_index = 0
@@ -153,6 +155,15 @@ def tetrahedral_ensemble_qubit() -> np.ndarray:
     return _qubit_group((x, _H @ _S))
 
 
+def _kron_stack(a, b):
+    """np.kron(a[i], b[i]) for every index i of the leading axes, which
+    broadcast; each entry is the same single product that np.kron forms."""
+    p, q = a.shape[-2:]
+    r, t = b.shape[-2:]
+    k = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return k.reshape(k.shape[:-4] + (p * r, q * t))
+
+
 def twirl_orbit(amplitudes: np.ndarray, idx: BipartiteIndex, unitaries: np.ndarray) -> np.ndarray:
     """The orbit of a state vector under the local twirl of a stack of
     unitaries, shape (s, n, n), one member per row.
@@ -171,9 +182,10 @@ def twirl_orbit(amplitudes: np.ndarray, idx: BipartiteIndex, unitaries: np.ndarr
             f"state dims ({idx.d_a}, {idx.d_b}) do not match unitary dimension {n}"
         )
     if d == n:
-        return np.array([np.kron(u, u.conj()) @ amplitudes for u in unitaries])
-    amps = np.array([np.kron(np.kron(u, v), np.kron(u.conj(), v.conj())) @ amplitudes
-                     for u in unitaries for v in unitaries])
+        return _kron_stack(unitaries, unitaries.conj()) @ amplitudes
+    u, v = unitaries[:, None], unitaries[None, :]
+    w = _kron_stack(_kron_stack(u, v), _kron_stack(u.conj(), v.conj()))
+    amps = w.reshape(-1, d * d, d * d) @ amplitudes
     swapped = amps.reshape(-1, n, n, n, n).transpose(0, 2, 1, 4, 3).reshape(amps.shape)
     return np.concatenate([amps, swapped])
 

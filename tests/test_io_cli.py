@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import random_density, random_separable, random_unitary
-from schmidtkit import cli, io
+from schmidtkit import cli, io, kernels
 from schmidtkit.certify import MapWitness, analyze, verify_report
 from schmidtkit.cli import main
 from schmidtkit.linalg import BipartiteIndex, InvariantViolation
@@ -42,6 +43,31 @@ def test_negative_zero_round_trips():
     back = io.loads(text)
     assert [np.copysign(1.0, v) for v in [back["x"], *back["ys"]]] == [-1.0, 1.0, -1.0, -1.0]
     assert io.dumps(back) == text
+
+
+# Signed zeros, the smallest and largest subnormals, the smallest normal, and
+# magnitudes near the largest normal.
+EDGE_FLOATS = st.sampled_from([-0.0, 0.0, 5e-324, -2.2250738585072009e-308,
+                               2.2250738585072014e-308, 1e308, -1e308])
+FINITE_FLOATS = st.one_of(st.floats(allow_nan=False, allow_infinity=False), EDGE_FLOATS)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(FINITE_FLOATS, min_size=1, max_size=40))
+def test_dumps_float_lists_match_the_per_scalar_path(row):
+    assert io.dumps(row) == "[" + ", ".join(io.format_float(x) for x in row) + "]\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(FINITE_FLOATS, max_size=20), st.sampled_from([math.nan, math.inf, -math.inf]),
+       st.data())
+def test_dumps_non_finite_float_raises_the_per_scalar_message(row, bad, data):
+    row.insert(data.draw(st.integers(0, len(row))), bad)
+    with pytest.raises(InvariantViolation) as expected:
+        io.format_float(bad)
+    with pytest.raises(InvariantViolation) as raised:
+        io.dumps({"re": [row]})
+    assert str(raised.value) == str(expected.value)
 
 
 def test_matrix_file_round_trip_exact(tmp_path):
@@ -580,6 +606,18 @@ def test_cli_twirl(tmp_path, capsys):
     out = capsys.readouterr().out
     dist = float(out.split("distance to exact twirl:")[1].split()[0])
     assert dist < 1e-2
+
+
+def test_cli_twirl_mc_rejects_n1_before_sampling(tmp_path, capsys, monkeypatch):
+    def no_samples(rho, gin):
+        raise AssertionError("drew Haar samples for a 1x1 state")
+
+    monkeypatch.setattr(kernels, "mc_twirl_sum", no_samples)
+    path = tmp_path / "one.json"
+    io.write_matrix_file(path, np.ones((1, 1), dtype=complex), BipartiteIndex(1, 1))
+    assert main(["twirl", "--input", str(path), "--mode", "mc", "--samples", "10",
+                 "--out", str(tmp_path / "out.json")]) == 2
+    assert "isotropic states need N >= 2, got N=1" in capsys.readouterr().err
 
 
 def test_cli_subprocess_exit_codes(tmp_path):

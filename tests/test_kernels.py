@@ -1,6 +1,7 @@
 """Tests of the numpy kernels in schmidtkit.kernels."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,23 +16,58 @@ from schmidtkit.maps import (
     reduction_family,
     transpose_map,
 )
+from schmidtkit.twirl import MC_CHUNK
+
+
+def _ginibre(rng, *shape):
+    return (rng.normal(size=shape) + 1j * rng.normal(size=shape)) / np.sqrt(2)
+
+
+def _haar_by_qr(z):
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 def test_mc_kernel_variants_agree():
     # The batched kernel against a per-sample sum written out here.
     rng = np.random.default_rng(50)
-    n = 3
-    x = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
-    rho = x @ x.conj().T
-    rho /= np.trace(rho).real
-    gin = (rng.normal(size=(64, n, n)) + 1j * rng.normal(size=(64, n, n))) / np.sqrt(2)
-    reference = np.zeros((9, 9), dtype=np.complex128)
-    for z in gin:
-        q, r = np.linalg.qr(z)
-        u = q * (np.diag(r) / np.abs(np.diag(r)))
-        w = np.kron(u, u.conj())
-        reference += w @ rho @ w.conj().T
-    assert np.allclose(kernels.mc_twirl_sum(rho, gin), reference, atol=1e-12)
+    for n, samples in ((3, 64), (2, MC_CHUNK), (3, MC_CHUNK), (4, MC_CHUNK)):
+        d = n * n
+        x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        rho = x @ x.conj().T
+        rho /= np.trace(rho).real
+        gin = _ginibre(rng, samples, n, n)
+        reference = np.zeros((d, d), dtype=np.complex128)
+        for z in gin:
+            u = _haar_by_qr(z)
+            w = np.kron(u, u.conj())
+            reference += w @ rho @ w.conj().T
+        np.testing.assert_allclose(kernels.mc_twirl_sum(rho, gin) / samples,
+                                   reference / samples, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_haar_from_ginibre_is_qr_with_positive_diagonal(n):
+    rng = np.random.default_rng(52 + n)
+    gin = _ginibre(rng, MC_CHUNK, n, n)
+    q = kernels.haar_from_ginibre(gin)
+    reference = np.array([_haar_by_qr(z) for z in gin])
+    np.testing.assert_allclose(q, reference, rtol=0, atol=1e-12)
+    r = q.conj().transpose(0, 2, 1) @ gin
+    assert np.max(np.abs(np.tril(r, -1))) < 1e-12
+    diag = np.diagonal(r, axis1=1, axis2=2)
+    assert np.max(np.abs(diag.imag)) < 1e-12
+    assert np.all(diag.real > 0.0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_haar_from_ginibre_stays_unitary_on_nearly_dependent_columns(n):
+    rng = np.random.default_rng(55 + n)
+    gin = _ginibre(rng, MC_CHUNK, n, n)
+    gin[:, :, 1] = gin[:, :, 0] + 1e-10 * _ginibre(rng, MC_CHUNK, n)
+    q = kernels.haar_from_ginibre(gin)
+    gram = q.conj().transpose(0, 2, 1) @ q
+    assert np.max(np.abs(gram - np.eye(n))) < 1e-14
 
 
 def test_simplex_project_reference():
@@ -210,10 +246,6 @@ def _perturbed_probe_descent(lam, k, a0, b0, pert_a, pert_b, max_iters, step0):
         used_pert += 1
         eta = step0
     return val, a, b
-
-
-def _ginibre(rng, *shape):
-    return (rng.normal(size=shape) + 1j * rng.normal(size=shape)) / np.sqrt(2)
 
 
 def _choi_of(action, n):

@@ -8,6 +8,7 @@ from schmidtkit import (
     PureBipartiteState,
     clifford_ensemble_qubit,
     isotropic,
+    kernels,
     max_entangled,
     psi_k,
     schmidt_rank,
@@ -75,14 +76,14 @@ def test_twirl_exact_rejects_non_square():
 
 
 def test_haar_first_moment_vanishes():
-    total = 0.0 + 0.0j
+    # The same draws, in the same order, as one (real, imaginary) pair of
+    # 2x2 normal blocks per sample; E U00 = 0 and, for N = 2, |U00|^2 is
+    # uniform on [0, 1] (mean 1/2, variance 1/12).
     samples = 100_000
-    rng = np.random.default_rng(1234)
-    for _ in range(samples):
-        z = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))) / np.sqrt(2)
-        q, r = np.linalg.qr(z)
-        total += (q * (np.diag(r) / np.abs(np.diag(r))))[0, 0]
-    assert abs(total / samples) < 5 / np.sqrt(samples)
+    x = np.random.default_rng(1234).normal(size=(samples, 2, 2, 2))
+    u00 = kernels.haar_from_ginibre((x[:, 0] + 1j * x[:, 1]) / np.sqrt(2))[:, 0, 0]
+    assert abs(u00.mean()) < 5 / np.sqrt(samples)
+    assert abs(np.mean(np.abs(u00) ** 2) - 0.5) < 5 * np.sqrt(1 / 12 / samples)
 
 
 # ------------------------------------------------------------- Monte Carlo
@@ -210,6 +211,24 @@ def test_two_pair_orbit_mixture_is_the_sector_projection():
         assert frob(mixture, expected) < 1e-13
         ranks = {schmidt_rank(PureBipartiteState(a, idx)) for a in amps}
         assert ranks == {schmidt_rank(psi)}
+
+
+@pytest.mark.parametrize("ens", [clifford_ensemble_qubit(), tetrahedral_ensemble_qubit()],
+                         ids=["clifford", "tetrahedral"])
+def test_twirl_orbit_equals_per_unitary_kron(ens):
+    # The broadcast Kronecker products form the same entries as np.kron and
+    # the stacked matmul the same products, so the members are bit-identical.
+    rng = np.random.default_rng(30)
+    for _ in range(10):
+        one = random_pure(2, 2, rng).amplitudes
+        reference = np.array([np.kron(u, u.conj()) @ one for u in ens])
+        assert np.array_equal(twirl_orbit(one, BipartiteIndex(2, 2), ens), reference)
+        two = random_pure(4, 4, rng).amplitudes
+        reference = np.array([np.kron(np.kron(u, v), np.kron(u.conj(), v.conj())) @ two
+                              for u in ens for v in ens])
+        swapped = reference.reshape(-1, 2, 2, 2, 2).transpose(0, 2, 1, 4, 3).reshape(-1, 16)
+        assert np.array_equal(twirl_orbit(two, BipartiteIndex(4, 4), ens),
+                              np.concatenate([reference, swapped]))
 
 
 def test_twirl_sectors_only_for_qubit_pairs():

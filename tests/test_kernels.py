@@ -315,13 +315,25 @@ def test_probe_state_is_flat_and_recomputes(seed, n, data, restarts):
     assert abs(lo - res.min_eigenvalue) <= 1e-10
     assert res.violation == (res.min_eigenvalue < NEGATIVITY_THRESHOLD)
     # (1 (x) L)(|Psi><Psi|) is (N/k) C compressed to a Schmidt-rank-k
-    # subspace, padded with zeros when k < N.
+    # subspace, padded with zeros when k < N, so the floor is capped at 0
+    # there (it is 0 itself when C is positive definite).
     c_min = np.linalg.eigvalsh(lam.choi)[0]
-    assert res.min_eigenvalue >= n / k * c_min - 1e-10
+    floor = n / k * c_min if k == n else min(n / k * c_min, 0.0)
+    assert res.min_eigenvalue >= floor - 1e-10
     if k < n:
         assert res.min_eigenvalue <= 1e-12
     else:
         assert abs(res.min_eigenvalue - c_min) <= 1e-10
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_probe_below_full_rank_reads_zero_on_positive_definite_choi(n):
+    # A positive definite C leaves only the zero padding below (N/k) c_min.
+    lam = MatrixMap(n, np.diag(np.arange(1.0, n * n + 1.0)).astype(np.complex128))
+    for k in range(1, n):
+        res = kpositivity_probe(lam, k, restarts=2, seed=3)
+        assert abs(res.min_eigenvalue) <= 1e-12
+        assert not res.violation
 
 
 def test_rank_k_oracle_on_maximally_entangled_projector():

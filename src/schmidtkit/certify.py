@@ -134,7 +134,7 @@ class FidelityBound:
         io._require(payload, ("f_hat", "sn_bound", "d_a", "d_b", "psi_re", "psi_im"),
                     "fidelity_bound certificate")
         idx = io._parse_index(payload)
-        amp = io._parse_blocks(payload, "psi_re", "psi_im", (idx.dim,))
+        amp = io._parse_blocks(payload["psi_re"], payload["psi_im"], (idx.dim,), "psi_re/psi_im")
         return cls(
             f_hat=io._parse_number(payload, "f_hat"),
             state=PureBipartiteState(amp, idx),
@@ -360,7 +360,10 @@ def isotropic_sn(n: int, f: float) -> int:
         raise InvariantViolation(f"isotropic states need N >= 2, got N={n}")
     if not -BOUNDARY_TOL <= f <= 1.0 + BOUNDARY_TOL:
         raise InvariantViolation(f"fidelity must lie in [0, 1], got {f}")
-    k = int(np.ceil(n * f - BOUNDARY_TOL))
+    try:
+        k = int(np.ceil(n * f - BOUNDARY_TOL))
+    except OverflowError as exc:  # an integer N too large for a double
+        raise InvariantViolation(f"N must fit in a double: {exc}") from exc
     return min(max(k, 1), n)
 
 

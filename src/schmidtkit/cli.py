@@ -190,8 +190,8 @@ def _cmd_probe(args) -> int:
         sys.stdout.write(io.dumps({
             "violation": result.violation,
             "min_eigenvalue": result.min_eigenvalue,
-            "state_re": [float(x) for x in amps.real],
-            "state_im": [float(x) for x in amps.imag],
+            "state_re": amps.real.tolist(),
+            "state_im": amps.imag.tolist(),
         }))
     elif result.violation:
         print(f"violation: min eigenvalue {result.min_eigenvalue:.12g} < -1e-08")

@@ -1,8 +1,10 @@
 """File formats: JSON matrices, ensembles, and certification reports.
 
-Floats are serialized with 17 significant decimal digits, which round-trips
-IEEE-754 doubles exactly, so writing and re-reading a matrix reproduces the
-binary entries bit for bit and repeated runs produce byte-identical files.
+Every file is one line of JSON written by the standard library's encoder,
+which spells each float as its repr: the shortest text that reads back to
+the same double, signed zeros included. Writing and re-reading a matrix
+reproduces the binary entries bit for bit, and repeated runs produce
+byte-identical files.
 The certificate classes in certify build their own payloads and parse them
 with the field parsers here, which raise InvariantViolation on bad input.
 """
@@ -20,69 +22,19 @@ from .twirl import PureEnsemble
 
 
 def format_float(x: float) -> str:
+    """The text dumps writes for a finite float, for the CLI's text outputs."""
     x = float(x)
     if not math.isfinite(x):
         raise InvariantViolation(f"cannot serialize non-finite float {x}")
-    return f"{x:.17g}"
+    return repr(x)
 
 
 def dumps(obj) -> str:
-    """Serialize nested dict/list/scalar data with fixed float formatting,
-    one space of indent per level."""
-    pieces = []
-    _write(obj, pieces, 0)
-    pieces.append("\n")
-    return "".join(pieces)
-
-
-def _write(obj, out: list, level: int) -> None:
-    pad = " " * level
-    inner = " " * (level + 1)
-    if isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        out.append("{\n")
-        for i, (key, value) in enumerate(obj.items()):
-            out.append(f"{inner}{json.dumps(str(key))}: ")
-            _write(value, out, level + 1)
-            out.append(",\n" if i < len(obj) - 1 else "\n")
-        out.append(pad + "}")
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
-            return
-        if all(type(v) is float for v in obj) and all(map(math.isfinite, obj)):
-            # The common case, a row of amplitudes or matrix entries: the
-            # text of format_float, with its checks made once for the row.
-            out.append("[" + ", ".join(map("{:.17g}".format, obj)) + "]")
-            return
-        scalars = all(not isinstance(v, (dict, list, tuple)) for v in obj)
-        if scalars:
-            out.append("[" + ", ".join(_scalar(v) for v in obj) + "]")
-            return
-        out.append("[\n")
-        for i, value in enumerate(obj):
-            out.append(inner)
-            _write(value, out, level + 1)
-            out.append(",\n" if i < len(obj) - 1 else "\n")
-        out.append(pad + "]")
-    else:
-        out.append(_scalar(obj))
-
-
-def _scalar(v) -> str:
-    if v is None:
-        return "null"
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return format_float(v)
-    if isinstance(v, str):
-        return json.dumps(v)
-    raise InvariantViolation(f"cannot serialize value of type {type(v).__name__}")
+    """Serialize nested dict/list/scalar data as one line of JSON."""
+    try:
+        return json.dumps(obj, allow_nan=False) + "\n"
+    except (ValueError, TypeError) as exc:  # a NaN or infinity, or a type JSON cannot hold
+        raise InvariantViolation(f"cannot serialize: {exc}") from exc
 
 
 # ---------------------------------------------------------------- matrices
@@ -115,41 +67,43 @@ def _parse_number(payload, field: str, cast=float):
     """payload[field] as a finite float, or as an int with cast=int."""
     value = payload[field]
     kinds = int if cast is int else (int, float)
-    if (isinstance(value, bool) or not isinstance(value, kinds)
-            or (isinstance(value, float) and not math.isfinite(value))):
-        expected = "an integer" if cast is int else "a finite number"
+    expected = "an integer" if cast is int else "a finite number"
+    if isinstance(value, bool) or not isinstance(value, kinds):
         raise InvariantViolation(f"{field} must be {expected}, got {value!r}")
-    return cast(value)
+    try:
+        value = cast(value)
+    except OverflowError as exc:  # an integer too large for a double
+        raise InvariantViolation(f"{field} must be {expected}: {exc}") from exc
+    if isinstance(value, float) and not math.isfinite(value):
+        raise InvariantViolation(f"{field} must be {expected}, got {value!r}")
+    return value
 
 
 def _parse_index(payload) -> BipartiteIndex:
     return BipartiteIndex(_parse_number(payload, "d_a", int), _parse_number(payload, "d_b", int))
 
 
-def _parse_blocks(payload, re_field: str, im_field: str, shape: tuple) -> np.ndarray:
-    """payload[re_field] + 1j * payload[im_field]; both blocks must be arrays
-    of finite numbers of the given shape."""
+def _parse_blocks(re, im, shape: tuple, what: str) -> np.ndarray:
+    """re + 1j * im; both blocks must be arrays of finite numbers of the
+    given shape. what names the blocks in messages."""
     try:
-        re = np.asarray(payload[re_field], dtype=np.float64)
-        im = np.asarray(payload[im_field], dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise InvariantViolation(f"{re_field}/{im_field} are not arrays of numbers: {exc}") from exc
+        re = np.asarray(re, dtype=np.float64)
+        im = np.asarray(im, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:  # overflow: an integer past 1.8e308
+        raise InvariantViolation(f"{what} are not arrays of numbers: {exc}") from exc
     if re.shape != shape or im.shape != shape:
-        raise InvariantViolation(f"{re_field}/{im_field} have shape {re.shape}/{im.shape}, "
-                                 f"expected {shape}")
+        raise InvariantViolation(f"{what} have shape {re.shape}/{im.shape}, expected {shape}")
     # Checked before combining: re + 1j * im warns on an infinite entry.
     if not (np.isfinite(re).all() and np.isfinite(im).all()):
-        raise InvariantViolation(f"{re_field}/{im_field} have a NaN or infinite entry")
+        raise InvariantViolation(f"{what} have a NaN or infinite entry")
     return re + 1j * im
 
 
 def loads(text: str):
-    """Parse JSON text. The "-0" that dumps writes for -0.0 reads back as
-    -0.0, not as the integer 0, so negative zeros round-trip too. Nesting
-    too deep for the parser, and an integer too long for int(), are
-    malformed input as well."""
+    """Parse JSON text. Nesting too deep for the parser, and an integer too
+    long for int(), are malformed input as well."""
     try:
-        return json.loads(text, parse_int=lambda s: -0.0 if s == "-0" else int(s))
+        return json.loads(text)
     except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
         raise InvariantViolation(f"malformed JSON: {exc}") from exc
 
@@ -166,7 +120,7 @@ def _load_json(path):
 def parse_matrix_payload(payload) -> tuple[np.ndarray, BipartiteIndex]:
     _require(payload, ("d_a", "d_b", "re", "im"), "matrix file")
     idx = _parse_index(payload)
-    return _parse_blocks(payload, "re", "im", (idx.dim, idx.dim)), idx
+    return _parse_blocks(payload["re"], payload["im"], (idx.dim, idx.dim), "re/im"), idx
 
 
 def write_matrix_file(path, matrix: np.ndarray, idx: BipartiteIndex) -> None:
@@ -196,13 +150,15 @@ def ensemble_payload(ens: PureEnsemble) -> dict:
 def parse_ensemble_payload(payload) -> PureEnsemble:
     _require(payload, ("d_a", "d_b", "members"), "ensemble")
     idx = _parse_index(payload)
-    probs = []
-    amps = []
-    for member in _require_list(payload, "members", "ensemble"):
+    members = _require_list(payload, "members", "ensemble")
+    if not members:
+        raise InvariantViolation("ensemble has no members")
+    for member in members:
         _require(member, ("p", "re", "im"), "ensemble member")
-        probs.append(_parse_number(member, "p"))
-        amps.append(_parse_blocks(member, "re", "im", (idx.dim,)))
-    return PureEnsemble(np.asarray(probs), np.reshape(amps, (len(amps), idx.dim)), idx)
+    probs = [_parse_number(member, "p") for member in members]
+    amps = _parse_blocks([m["re"] for m in members], [m["im"] for m in members],
+                         (len(members), idx.dim), "members' re/im")
+    return PureEnsemble(np.asarray(probs), amps, idx)
 
 
 def write_ensemble_file(path, ens: PureEnsemble) -> None:

@@ -16,10 +16,12 @@ from schmidtkit import cli, io, kernels
 from schmidtkit.certify import MapWitness, analyze, verify_report
 from schmidtkit.cli import main
 from schmidtkit.linalg import BipartiteIndex, InvariantViolation
+from schmidtkit.maps import transpose_map
 from schmidtkit.states import DensityMatrix, isotropic, max_entangled, tensor_copies
 from schmidtkit.twirl import PureEnsemble, two_copy_construction
 
 F_TIGHT = 1 / np.sqrt(2)
+TOO_BIG = 10**400  # a JSON integer that no double holds
 
 
 def write_state(path, rho):
@@ -52,22 +54,128 @@ EDGE_FLOATS = st.sampled_from([-0.0, 0.0, 5e-324, -2.2250738585072009e-308,
 FINITE_FLOATS = st.one_of(st.floats(allow_nan=False, allow_infinity=False), EDGE_FLOATS)
 
 
+PAYLOADS = st.recursive(
+    FINITE_FLOATS | st.integers() | st.booleans() | st.none() | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=6)
+    | st.dictionaries(st.text(max_size=4), children, max_size=6),
+    max_leaves=40,
+)
+
+
+def _bits(obj):
+    """obj with every float replaced by its exact hex spelling, which keeps
+    the sign of a zero."""
+    if isinstance(obj, float):
+        return obj.hex()
+    if isinstance(obj, dict):
+        return {key: _bits(value) for key, value in obj.items()}
+    if isinstance(obj, list):
+        return [_bits(value) for value in obj]
+    return obj
+
+
+def _with_value_inserted(payload, value, data):
+    """payload with value put into one of its lists or objects, or wrapped
+    in a list when payload is a scalar."""
+    containers = []
+
+    def collect(obj):
+        if isinstance(obj, (dict, list)):
+            containers.append(obj)
+            for child in obj.values() if isinstance(obj, dict) else obj:
+                collect(child)
+
+    collect(payload)
+    if not containers:
+        return [payload, value]
+    target = data.draw(st.sampled_from(containers))
+    if isinstance(target, dict):
+        target[data.draw(st.text(max_size=4))] = value
+    else:
+        target.insert(data.draw(st.integers(0, len(target))), value)
+    return payload
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.lists(FINITE_FLOATS, min_size=1, max_size=40))
-def test_dumps_float_lists_match_the_per_scalar_path(row):
-    assert io.dumps(row) == "[" + ", ".join(io.format_float(x) for x in row) + "]\n"
+@given(PAYLOADS, st.sampled_from([math.nan, math.inf, -math.inf]), st.data())
+def test_dumps_round_trips_floats_and_rejects_what_json_cannot_hold(payload, bad, data):
+    text = io.dumps(payload)
+    assert _bits(io.loads(text)) == _bits(payload)
+    assert "\n" not in text[:-1] and text.endswith("\n")
+    with pytest.raises(InvariantViolation, match="cannot serialize"):
+        io.dumps(_with_value_inserted(io.loads(text), bad, data))
+    with pytest.raises(InvariantViolation, match="cannot serialize"):
+        io.dumps(_with_value_inserted(io.loads(text), object(), data))
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.lists(FINITE_FLOATS, max_size=20), st.sampled_from([math.nan, math.inf, -math.inf]),
-       st.data())
-def test_dumps_non_finite_float_raises_the_per_scalar_message(row, bad, data):
-    row.insert(data.draw(st.integers(0, len(row))), bad)
-    with pytest.raises(InvariantViolation) as expected:
-        io.format_float(bad)
-    with pytest.raises(InvariantViolation) as raised:
-        io.dumps({"re": [row]})
-    assert str(raised.value) == str(expected.value)
+# Files as the writer before the standard encoder made them: one space of
+# indent per level, %.17g floats, and -0.0 written as the integer token -0.
+OLD_MATRIX_FILE = """{
+ "d_a": 1,
+ "d_b": 2,
+ "re": [[0.29999999999999999, 0.10000000000000001], [0.10000000000000001, 0.69999999999999996]],
+ "im": [[0, -0.20000000000000001], [0.20000000000000001, -0]]
+}
+"""
+OLD_ENSEMBLE_FILE = """{
+ "d_a": 1,
+ "d_b": 2,
+ "members": [
+  {
+   "p": 0.33333333333333331,
+   "re": [1, -0],
+   "im": [-0, 0]
+  },
+  {
+   "p": 0.66666666666666663,
+   "re": [0.70710678118654746, 0.70710678118654746],
+   "im": [0, -0]
+  }
+ ]
+}
+"""
+OLD_REPORT_FILE = """{
+ "lower_bound": 2,
+ "upper_bound": 2,
+ "certificates": [
+  {
+   "kind": "isotropic_exact",
+   "n": 2,
+   "f": 0.80000000000000004,
+   "k": 2
+  },
+  {
+   "kind": "map_witness",
+   "map": "reduction",
+   "p": 1,
+   "k": 1,
+   "min_eigenvalue": -0.30000000000000004
+  }
+ ]
+}
+"""
+
+
+def test_files_in_the_old_layout_read_to_the_same_doubles(tmp_path):
+    path = tmp_path / "old.json"
+    path.write_text(OLD_MATRIX_FILE)
+    rho = io.read_matrix_file(path)
+    assert rho.idx == BipartiteIndex(1, 2)
+    # -0 reads as +0.0, equal in value to the -0.0 it stood for.
+    assert np.array_equal(rho.matrix, np.array([[0.3, 0.1 - 0.2j], [0.1 + 0.2j, 0.7]]))
+
+    path.write_text(OLD_ENSEMBLE_FILE)
+    ens = io.read_ensemble_file(path)
+    assert np.array_equal(ens.probs, [1 / 3, 2 / 3])
+    assert np.array_equal(ens.amps, [[1, 0], [1 / np.sqrt(2), 1 / np.sqrt(2)]])
+
+    path.write_text(OLD_REPORT_FILE)
+    report = io.read_report_file(path)
+    assert (report.lower_bound, report.upper_bound) == (2, 2)
+    exact, witness = report.certificates
+    assert (exact.n, exact.f, exact.k) == (2, 0.8, 2)
+    assert (witness.map_kind, witness.p, witness.k) == ("reduction", 1.0, 1)
+    assert witness.min_eigenvalue == 0.1 - 0.4
 
 
 def test_matrix_file_round_trip_exact(tmp_path):
@@ -232,6 +340,12 @@ def _certificate(payload, **fields):
      lambda payload: _certificate(payload, kind="isotropic_exact").__setitem__("n", "x")),
     (io.read_report_file, _report_file_with,
      lambda payload: _certificate(payload, kind="fidelity_bound").__setitem__("d_a", "x")),
+    (io.read_ensemble_file, _ensemble_file_with,
+     lambda payload: payload["members"][0].__setitem__("p", TOO_BIG)),
+    (io.read_ensemble_file, _ensemble_file_with,
+     lambda payload: payload["members"][0].__setitem__("re", [TOO_BIG, 0, 0, 0])),
+    (io.read_report_file, _report_file_with,
+     lambda payload: _certificate(payload, map="reduction").__setitem__("p", TOO_BIG)),
 ])
 def test_readers_reject_non_numeric_values(tmp_path, reader, make, edit):
     with pytest.raises(InvariantViolation):
@@ -422,8 +536,9 @@ def test_analyze_skips_search_below_proven_lower_bound(tmp_path, capsys, eps):
 
 
 def test_cli_isotropic_rejects_bad_n(capsys):
-    assert main(["isotropic", "--n", "0", "--f", "0.5"]) == 2
-    assert "invalid input" in capsys.readouterr().err
+    for n in (0, TOO_BIG):
+        assert main(["isotropic", "--n", str(n), "--f", "0.5"]) == 2
+        assert "invalid input" in capsys.readouterr().err
 
 
 def test_cli_analyze_rejects_non_integer_dimension(tmp_path, capsys):
@@ -439,11 +554,12 @@ def test_cli_analyze_rejects_non_integer_dimension(tmp_path, capsys):
 def test_cli_analyze_rejects_non_numeric_entries(tmp_path, capsys):
     path = tmp_path / "bad.json"
     io.write_matrix_file(path, isotropic(2, 0.3).matrix, BipartiteIndex(2, 2))
-    payload = json.loads(path.read_text())
-    payload["re"][1] = ["x", 0, 0]
-    path.write_text(json.dumps(payload))
-    assert main(["analyze", "--input", str(path)]) == 2
-    assert "invalid input" in capsys.readouterr().err
+    for row in (["x", 0, 0], [TOO_BIG, 0, 0, 0]):
+        payload = json.loads(path.read_text())
+        payload["re"][1] = row
+        path.write_text(json.dumps(payload))
+        assert main(["analyze", "--input", str(path)]) == 2
+        assert "invalid input" in capsys.readouterr().err
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -521,6 +637,26 @@ def test_cli_demo_nonadditivity(tmp_path, capsys):
     again = tmp_path / "again.json"
     io.write_ensemble_file(again, loaded)
     assert again.read_bytes() == dump.read_bytes()
+
+
+def test_cli_json_outputs_are_what_dumps_writes(tmp_path, capsys):
+    state = write_state(tmp_path / "in.json", isotropic(2, F_TIGHT))
+    choi = tmp_path / "choi.json"
+    io.write_matrix_file(choi, transpose_map(2).choi, BipartiteIndex(2, 2))
+    files = {name: tmp_path / f"{name}.json" for name in ("report", "ensemble", "twirl", "iso")}
+    runs = [
+        ["analyze", "--input", state, "--search-upper", "2", "--out", str(files["report"])],
+        ["demo-nonadditivity", "--dump", str(files["ensemble"])],
+        ["twirl", "--input", state, "--out", str(files["twirl"])],
+        ["isotropic", "--n", "3", "--f", "0.8", "--emit-state", str(files["iso"])],
+    ]
+    for argv in runs:
+        assert main(argv) == 0
+    capsys.readouterr()
+    assert main(["probe-map", "--choi", str(choi), "--k", "2", "--restarts", "2", "--json"]) == 0
+    texts = [path.read_text() for path in files.values()] + [capsys.readouterr().out]
+    for text in texts:
+        assert io.dumps(io.loads(text)) == text
 
 
 def test_cli_figure_step(tmp_path, capsys):

@@ -24,7 +24,7 @@ from .maps import (
     reduction_family,
     transpose_map,
 )
-from .states import DensityMatrix, PureBipartiteState, isotropic, schmidt_ranks
+from .states import DensityMatrix, PureBipartiteState, isotropic_matrix, schmidt_ranks
 from .twirl import (
     PureEnsemble,
     fidelity_with_max_entangled,
@@ -63,6 +63,15 @@ class MapWitness:
             raise InvariantViolation(f"{self.map_kind} witness with p={self.p!r}")
         if self.p is not None and not 0.0 < self.p <= 1.0:
             raise InvariantViolation(f"reduction witness needs 0 < p <= 1, got p={self.p!r}")
+        # L_p is k-positive on M_N (N >= k) exactly when it is k-positive on M_k.
+        k_positive = 1 if self.p is None else lambda_p_class(self.k, self.p)
+        if not 1 <= self.k <= k_positive:
+            raise InvariantViolation(
+                f"{self.map_kind} map with p={self.p!r} is not {self.k}-positive"
+            )
+        if not self.min_eigenvalue < NEGATIVITY_THRESHOLD:
+            raise InvariantViolation(f"witness eigenvalue {self.min_eigenvalue!r} "
+                                     f"is not below {NEGATIVITY_THRESHOLD}")
 
     def verify(self, rho: DensityMatrix) -> bool:
         k_positive = 1 if self.p is None else lambda_p_class(rho.idx.d_b, self.p)
@@ -196,13 +205,18 @@ class IsotropicExact:
 
     kind = "isotropic_exact"
 
+    def __post_init__(self):
+        sn = isotropic_sn(self.n, self.f)  # rejects N < 2 and F outside [0, 1]
+        if self.k != sn:
+            raise InvariantViolation(
+                f"isotropic state N={self.n}, F={self.f!r} has Schmidt number {sn}, not {self.k}"
+            )
+
     def verify(self, rho: DensityMatrix) -> bool:
         if rho.idx.d_a != rho.idx.d_b or rho.idx.d_a != self.n:
             return False
         f = _isotropic_fidelity(rho)
-        if f is None or abs(f - self.f) > VERIFY_ATOL:
-            return False
-        return self.k == isotropic_sn(self.n, self.f)
+        return f is not None and abs(f - self.f) <= VERIFY_ATOL
 
     def to_payload(self) -> dict:
         return {"kind": self.kind, "n": self.n, "f": self.f, "k": self.k}
@@ -309,8 +323,8 @@ def _isotropic_fidelity(rho: DensityMatrix) -> float | None:
     """F = <Psi+|rho|Psi+> if rho is within ISOTROPIC_DETECTION_TOL of the
     isotropic state with that F (its exact twirl), else None."""
     f = fidelity_with_max_entangled(rho)
-    iso = isotropic(rho.idx.d_a, min(max(f, 0.0), 1.0))
-    return f if float(np.linalg.norm(rho.matrix - iso.matrix)) <= ISOTROPIC_DETECTION_TOL else None
+    iso = isotropic_matrix(rho.idx.d_a, min(max(f, 0.0), 1.0))
+    return f if float(np.linalg.norm(rho.matrix - iso)) <= ISOTROPIC_DETECTION_TOL else None
 
 
 def fidelity_max(rho: DensityMatrix) -> FidelityBound:

@@ -1,4 +1,4 @@
-"""Command-line front end.
+"""Command-line front end; main builds its parser once per process and reuses it.
 
 Exit codes: 0 success, 1 internal numeric failure, 2 invalid input. All JSON
 output is deterministic for a fixed --seed (default 0).
@@ -7,6 +7,7 @@ output is deterministic for a fixed --seed (default 0).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -43,6 +44,7 @@ def _seed(text: str) -> int:
     return int(text)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="schmidtkit",

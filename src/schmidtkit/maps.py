@@ -129,7 +129,8 @@ def lambda_p_class(n: int, p: float) -> int:
     """
     if not 0.0 < p <= 1.0:
         raise InvariantViolation(f"need 0 < p <= 1, got {p}")
-    return int(np.floor(min(1.0 / p, n) + 1e-12))
+    # Compared before rounding: an N too large for a double stays exact.
+    return n if 1.0 / p >= n else int(np.floor(1.0 / p + 1e-12))
 
 
 def kpositivity_probe(

@@ -131,9 +131,14 @@ def isotropic(n: int, f: float) -> DensityMatrix:
         raise InvariantViolation(f"isotropic states need N >= 2, got N={n}")
     if not 0.0 <= f <= 1.0:
         raise InvariantViolation(f"fidelity must lie in [0, 1], got {f}")
+    return DensityMatrix(isotropic_matrix(n, f), BipartiteIndex(n, n))
+
+
+def isotropic_matrix(n: int, f: float) -> np.ndarray:
+    """The matrix of isotropic(n, f), without a validated state. Its entries
+    are real and exactly symmetric, so validation leaves them unchanged."""
     p = max_entangled_projector(n)
-    m = f * p + (1.0 - f) / (n * n - 1) * (np.eye(n * n) - p)
-    return DensityMatrix(m, BipartiteIndex(n, n))
+    return f * p + (1.0 - f) / (n * n - 1) * (np.eye(n * n) - p)
 
 
 def tensor_copies(rho: DensityMatrix, m: int) -> DensityMatrix:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from helpers import random_unitary
 from schmidtkit import io
 from schmidtkit.certify import (
+    BOUNDARY_TOL,
     EnsembleUpper,
     FidelityBound,
     IsotropicExact,
@@ -19,25 +20,29 @@ from schmidtkit.certify import (
     sn_lower_via_map,
 )
 from schmidtkit.linalg import BipartiteIndex, InvariantViolation
+from schmidtkit.maps import NEGATIVITY_THRESHOLD
 from schmidtkit.states import DensityMatrix, PureBipartiteState, isotropic
 from schmidtkit.twirl import PureEnsemble, fidelity_with_max_entangled
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
+negative = st.floats(max_value=NEGATIVITY_THRESHOLD, exclude_max=True, allow_infinity=False)
 isotropic_states = st.builds(isotropic, st.sampled_from([2, 3]), st.floats(0.0, 1.0))
 
 
 @st.composite
 def map_witnesses(draw):
+    # A made-up witness is constructible (a k-positive map, an eigenvalue
+    # below the threshold) but need not hold for rho.
     rho = draw(isotropic_states)
     n = rho.idx.d_b
     if draw(st.booleans()):
         cert = peres_witness(rho)
-        made_up = MapWitness("transpose", None, 1, draw(finite))
+        made_up = MapWitness("transpose", None, 1, draw(negative))
     else:
         k = draw(st.integers(1, n - 1))
         cert = sn_lower_via_map(rho, k)
-        made_up = MapWitness("reduction", draw(st.floats(0.0, 1.0, exclude_min=True)), k,
-                             draw(finite))
+        made_up = MapWitness("reduction", draw(st.floats(0.0, 1.0 / k, exclude_min=True)), k,
+                             draw(negative))
     return (made_up if cert is None or draw(st.booleans()) else cert), rho
 
 
@@ -67,11 +72,12 @@ def ensemble_uppers(draw):
 
 @st.composite
 def isotropic_exacts(draw):
+    # k is always isotropic_sn(n, f), the only constructible value; f is
+    # rho's fidelity or any other in [0, 1].
     rho = draw(isotropic_states)
     n = rho.idx.d_a
-    f = fidelity_with_max_entangled(rho)
-    k = isotropic_sn(n, f) if draw(st.booleans()) else draw(st.integers(1, n))
-    return IsotropicExact(n, f if draw(st.booleans()) else draw(finite), k), rho
+    f = fidelity_with_max_entangled(rho) if draw(st.booleans()) else draw(st.floats(0.0, 1.0))
+    return IsotropicExact(n, f, isotropic_sn(n, f)), rho
 
 
 @pytest.mark.parametrize("certificates", [
@@ -149,3 +155,56 @@ def test_certificates_reject_a_state_of_other_dimensions():
     for cert in report.certificates:
         assert cert.verify(rho)
         assert cert.verify(other) is False
+
+
+@settings(max_examples=50, deadline=None)
+@given(n=st.integers(1, 5), f=finite, k=st.integers(-1, 6))
+def test_isotropic_exact_builds_only_with_the_schmidt_number_of_its_fields(n, f, k):
+    if n >= 2 and -BOUNDARY_TOL <= f <= 1.0 + BOUNDARY_TOL and k == isotropic_sn(n, f):
+        assert IsotropicExact(n, f, k).bounds() == (k, k)
+    else:
+        with pytest.raises(InvariantViolation):
+            IsotropicExact(n, f, k)
+
+
+@pytest.mark.parametrize("fields", [(2, 0.3, 2), (1, 0.5, 1), (2, 1.7, 2), (2, 0.8, 0)],
+                         ids=["k_above_sn", "n1", "f_above_1", "k0"])
+def test_report_file_rejects_a_contradictory_isotropic_exact(tmp_path, fields):
+    n, f, k = fields
+    path = tmp_path / "report.json"
+    path.write_text(io.dumps({"lower_bound": k, "upper_bound": k, "certificates": [
+        {"kind": "isotropic_exact", "n": n, "f": f, "k": k}]}))
+    with pytest.raises(InvariantViolation):
+        io.read_report_file(path)
+
+
+@settings(max_examples=50, deadline=None)
+@given(p=st.one_of(st.none(), st.floats(0.0, 1.0, exclude_min=True)), k=st.integers(-1, 12),
+       min_eigenvalue=finite)
+def test_map_witness_builds_only_for_a_k_positive_map_and_a_negative_eigenvalue(
+        p, k, min_eigenvalue):
+    k_positive = 1 if p is None else np.floor(1.0 / p + 1e-12)
+    map_kind = "transpose" if p is None else "reduction"
+    if 1 <= k <= k_positive and min_eigenvalue < NEGATIVITY_THRESHOLD:
+        assert MapWitness(map_kind, p, k, min_eigenvalue).bounds() == (k + 1, None)
+    else:
+        with pytest.raises(InvariantViolation):
+            MapWitness(map_kind, p, k, min_eigenvalue)
+
+
+@pytest.mark.parametrize("witness", [
+    {"map": "transpose", "p": None, "k": 3, "min_eigenvalue": -0.1},
+    {"map": "transpose", "p": None, "k": 0, "min_eigenvalue": -0.1},
+    {"map": "reduction", "p": 0.9, "k": 4, "min_eigenvalue": -0.1},
+    {"map": "reduction", "p": 0.5, "k": 3, "min_eigenvalue": -0.1},
+    {"map": "reduction", "p": 0.5, "k": 2, "min_eigenvalue": 0.5},
+    {"map": "reduction", "p": 0.5, "k": 2, "min_eigenvalue": NEGATIVITY_THRESHOLD},
+], ids=["transpose_k3", "transpose_k0", "reduction_p0.9_k4", "reduction_p0.5_k3",
+        "positive_eigenvalue", "eigenvalue_at_threshold"])
+def test_report_file_rejects_a_witness_that_proves_nothing(tmp_path, witness):
+    k = witness["k"]
+    path = tmp_path / "report.json"
+    path.write_text(io.dumps({"lower_bound": max(k + 1, 1), "upper_bound": None,
+                              "certificates": [dict(witness, kind="map_witness")]}))
+    with pytest.raises(InvariantViolation):
+        io.read_report_file(path)

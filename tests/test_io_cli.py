@@ -1,3 +1,6 @@
+import argparse
+import contextlib
+import io as io_module
 import json
 import math
 import os
@@ -775,3 +778,93 @@ def test_cli_subprocess_exit_codes(tmp_path):
         text=True,
     )
     assert proc.returncode == 2
+
+
+# ------------------------------------------------------------ parser reuse
+
+# Each subcommand's flags: (flag, required, values to try; None for a switch).
+# Every value list mixes valid and invalid text.
+SEEDS = ["0", "5", "-1", "x", "1.5"]
+INTS = ["0", "3", "-2", "two", "2.5"]
+CLI_GRAMMAR = {
+    "analyze": [("--input", True, ["in.json"]), ("--search-upper", False, INTS),
+                ("--seed", False, SEEDS), ("--json", False, None), ("--out", False, ["r.json"])],
+    "isotropic": [("--n", True, INTS), ("--f", True, ["0.3", "1.7", "nan", "f"]),
+                  ("--emit-state", False, ["s.json"]), ("--json", False, None)],
+    "demo-nonadditivity": [("--dump", False, ["e.json"])],
+    "figure-step": [("--grid", False, INTS), ("--out", True, ["f.csv"])],
+    "probe-map": [("--choi", True, ["c.json"]), ("--k", True, INTS),
+                  ("--restarts", False, INTS), ("--seed", False, SEEDS), ("--json", False, None)],
+    "twirl": [("--input", True, ["in.json"]), ("--mode", False, ["exact", "mc", "neither"]),
+              ("--samples", False, INTS), ("--seed", False, SEEDS), ("--out", True, ["t.json"])],
+}
+
+
+@st.composite
+def cli_argvs(draw):
+    """A command line from CLI_GRAMMAR: a subcommand (or an unknown one), its
+    flags in any order with valid or invalid values, each required flag
+    present most of the time, sometimes an unknown flag or a flag left
+    without its value."""
+    command = draw(st.sampled_from(sorted(CLI_GRAMMAR) + ["no-such-command"]))
+    words = []
+    for flag, required, values in CLI_GRAMMAR.get(command, []):
+        if draw(st.integers(0, 9)) > 0 if required else draw(st.booleans()):
+            words.append([flag] if values is None else [flag, draw(st.sampled_from(values))])
+    if draw(st.integers(0, 3)) == 0:
+        words.append([draw(st.sampled_from(["--bogus", "--bogus=1", "extra", "-x"]))])
+    argv = [command] + [w for group in draw(st.permutations(words)) for w in group]
+    if draw(st.integers(0, 5)) == 0:
+        argv.append(draw(st.sampled_from(["--seed", "--k", "--mode"])))
+    return argv
+
+
+def _parse(parser, argv):
+    """The repr of vars() of the parsed namespace (so that a NaN --f compares
+    equal), or the exit code and stderr text."""
+    err = io_module.StringIO()
+    try:
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io_module.StringIO()):
+            return repr(vars(parser.parse_args(argv)))
+    except SystemExit as exc:
+        return exc.code, err.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(argvs=st.lists(cli_argvs(), min_size=1, max_size=6))
+def test_reused_parser_parses_every_call_like_a_fresh_one(argvs):
+    parser = cli.build_parser()
+    assert cli.build_parser() is parser
+    for argv in argvs:
+        assert _parse(parser, argv) == _parse(cli.build_parser.__wrapped__(), argv)
+
+
+def test_reused_parser_forgets_the_flags_of_earlier_calls(tmp_path, monkeypatch, capsys):
+    path = write_state(tmp_path / "in.json", isotropic(2, 0.8))
+    seen = []
+    handler = cli._HANDLERS["analyze"]
+    monkeypatch.setitem(cli._HANDLERS, "analyze", lambda args: seen.append(vars(args)) or handler(args))
+    assert main(["analyze", "--input", path, "--json", "--seed", "5"]) == 0
+    assert main(["analyze", "--input", path]) == 0
+    assert [(s["json"], s["seed"]) for s in seen] == [(True, 5), (False, 0)]
+    assert "schmidt number lower bound: 2" in capsys.readouterr().out
+
+
+def test_reused_parser_recovers_from_an_argparse_error(tmp_path, capsys):
+    path = write_state(tmp_path / "in.json", isotropic(2, 0.8))
+    with pytest.raises(SystemExit) as exit_info:
+        main(["analyze", "--input", path, "--seed", "x"])
+    assert exit_info.value.code == 2
+    assert main(["analyze", "--input", path, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["lower_bound"] == 2
+
+
+def test_main_builds_the_parser_once_per_process(monkeypatch, capsys):
+    # One top-level parser and six sub-parsers, however many calls.
+    built = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *a, **kw: built.append(self) or init(self, *a, **kw))
+    for _ in range(3):
+        assert main(["isotropic", "--n", "2", "--f", "0.3"]) == 0
+    assert len(built) <= 7

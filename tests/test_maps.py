@@ -213,6 +213,8 @@ def test_lambda_p_class_examples():
 def test_lambda_p_class_tiny_p():
     # 1 / p overflows to inf at the smallest subnormal p.
     assert lambda_p_class(2, 5e-324) == 2
+    assert lambda_p_class(10**400, 5e-324) == 10**400
+    assert lambda_p_class(10**400, 0.4) == 2
 
 
 # -------------------------------------------------------------------- probe

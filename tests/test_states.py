@@ -16,6 +16,7 @@ from schmidtkit import (
     schmidt_rank,
     tensor_copies,
 )
+from schmidtkit.states import isotropic_matrix
 from schmidtkit.twirl import fidelity_with_max_entangled
 
 
@@ -103,6 +104,15 @@ def test_isotropic_fidelity_and_validity_grid():
         for f in np.linspace(0.0, 1.0, 50):
             rho = isotropic(n, f)  # constructor enforces all invariants
             assert np.isclose(fidelity_with_max_entangled(rho), f, atol=1e-12)
+
+
+def test_isotropic_matrix_is_the_validated_matrix_bit_for_bit():
+    # certify compares states against the plain matrix; validation must not move it.
+    for n in (2, 3, 4):
+        for f in [*np.linspace(0.0, 1.0, 50), 1 / np.sqrt(2), 0.1 + 0.2]:
+            m = isotropic_matrix(n, f)
+            assert np.array_equal(m, m.T) and not m.imag.any()
+            assert np.array_equal(isotropic(n, f).matrix, m)
 
 
 def test_isotropic_rejects_bad_input():

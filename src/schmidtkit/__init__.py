@@ -15,7 +15,6 @@ from .certify import (
     analyze,
     ensemble_search,
     fidelity_max,
-    fidelity_to_sn_bound,
     isotropic_sn,
     sn_lower_via_map,
     tensor_copy_bound,

@@ -35,7 +35,6 @@ from .twirl import (
 
 BOUNDARY_TOL = 1e-12
 ENSEMBLE_TOL = 1e-4
-FIDELITY_BOUND_SLACK = 1e-9
 ISOTROPIC_DETECTION_TOL = 1e-12
 ORACLE_STARTS = 4
 REDUCED_STEPS = 30
@@ -118,19 +117,24 @@ class FidelityBound:
             raise InvariantViolation(
                 f"fidelity bound needs a square state, got ({idx.d_a}, {idx.d_b})"
             )
+        # isotropic_sn rejects f_hat outside [0, 1]; every 1 x 1 state is a product.
+        sn = 1 if idx.d_a == 1 else isotropic_sn(idx.d_a, self.f_hat)
+        if not 1 <= self.sn_bound <= sn:
+            raise InvariantViolation(f"fidelity {self.f_hat!r} at N={idx.d_a} proves "
+                                     f"SN >= {sn}, not {self.sn_bound}")
 
     def verify(self, rho: DensityMatrix) -> bool:
         if self.state.idx != rho.idx:
             return False
         amp = self.state.amplitudes
-        achieved = float((amp.conj() @ rho.matrix @ amp).real)
+        achieved = min(max(float((amp.conj() @ rho.matrix @ amp).real), 0.0), 1.0)
         if abs(achieved - self.f_hat) > VERIFY_ATOL:
             return False
         n = self.state.idx.d_a
         x = self.state.amplitude_matrix() * np.sqrt(n)
         if float(np.max(np.abs(x.conj().T @ x - np.eye(n)))) > 1e-8:
             return False
-        return self.sn_bound == fidelity_to_sn_bound(self.f_hat, n)
+        return self.sn_bound == 1 or self.sn_bound <= isotropic_sn(n, achieved)
 
     def to_payload(self) -> dict:
         amp, idx = self.state.amplitudes, self.state.idx
@@ -168,9 +172,11 @@ class EnsembleUpper:
 
     kind = "ensemble_upper"
 
-    def verify(self, rho: DensityMatrix) -> bool:
+    def __post_init__(self):
         if not 0.0 <= self.residual < ENSEMBLE_TOL:
-            return False
+            raise InvariantViolation(f"residual {self.residual!r} not in [0, {ENSEMBLE_TOL})")
+
+    def verify(self, rho: DensityMatrix) -> bool:
         tol = max(self.residual * (1.0 + 1e-6), 1e-11)
         return verify_decomposition(self.ensemble, rho, self.k, tol)
 
@@ -216,7 +222,8 @@ class IsotropicExact:
         if rho.idx.d_a != rho.idx.d_b or rho.idx.d_a != self.n:
             return False
         f = _isotropic_fidelity(rho)
-        return f is not None and abs(f - self.f) <= VERIFY_ATOL
+        return (f is not None and abs(f - self.f) <= VERIFY_ATOL
+                and isotropic_sn(self.n, f) == self.k)
 
     def to_payload(self) -> dict:
         return {"kind": self.kind, "n": self.n, "f": self.f, "k": self.k}
@@ -333,11 +340,11 @@ def fidelity_max(rho: DensityMatrix) -> FidelityBound:
 
     With v reshaped to the N x N matrix M, psi = vec(U) / sqrt(N) for U the
     polar factor of M, which maximizes |<psi|v>| over maximally entangled
-    psi. One-sided: f_hat = <psi|rho|psi> <= f(rho), the fully entangled
-    fraction, since psi is maximally entangled by construction. Exact on
-    pure states and on every local-unitary image (U (x) V) rho_F
-    (U (x) V)^dagger of an isotropic state with F > 1/N^2, whose top
-    eigenvector is (U (x) V)|Psi+>.
+    psi. One-sided: f_hat = <psi|rho|psi>, clipped to [0, 1] (rho's trace and
+    spectrum hold to 1e-10), is at most f(rho), the fully entangled fraction,
+    since psi is maximally entangled by construction. Exact on pure states
+    and on every local-unitary image (U (x) V) rho_F (U (x) V)^dagger of an
+    isotropic state with F > 1/N^2, whose top eigenvector is (U (x) V)|Psi+>.
     """
     n = rho.idx.d_a
     if n != rho.idx.d_b:
@@ -347,22 +354,12 @@ def fidelity_max(rho: DensityMatrix) -> FidelityBound:
     top = np.linalg.eigh(rho.matrix)[1][:, -1]
     amp = kernels.polar_orthonormalize(top.reshape(n, n)).reshape(n * n)
     amp /= np.linalg.norm(amp)
-    f_hat = float((amp.conj() @ rho.matrix @ amp).real)
+    f_hat = min(max(float((amp.conj() @ rho.matrix @ amp).real), 0.0), 1.0)
     return FidelityBound(
         f_hat=f_hat,
         state=PureBipartiteState(amp, rho.idx),
-        sn_bound=fidelity_to_sn_bound(f_hat, n),
+        sn_bound=1 if n == 1 else isotropic_sn(n, f_hat),
     )
-
-
-def fidelity_to_sn_bound(f_hat: float, n: int) -> int:
-    """Smallest k with f_hat <= k/N (+ slack): Schmidt number is at least k."""
-    if not -FIDELITY_BOUND_SLACK <= f_hat <= 1.0 + FIDELITY_BOUND_SLACK:
-        raise InvariantViolation(f"fidelity {f_hat} outside [0, 1]")
-    for k in range(1, n + 1):
-        if f_hat <= k / n + FIDELITY_BOUND_SLACK:
-            return k
-    return n
 
 
 def isotropic_sn(n: int, f: float) -> int:
@@ -388,7 +385,7 @@ def tensor_copy_bound(f: float, n: int, m: int) -> int:
         raise InvariantViolation(f"copy count must be positive, got {m}")
     if not 0.0 <= f <= 1.0:
         raise InvariantViolation(f"fidelity must lie in [0, 1], got {f}")
-    return fidelity_to_sn_bound(f**m, n**m)
+    return isotropic_sn(n**m, f**m)
 
 
 def ensemble_search(rho: DensityMatrix, k: int, seed: int = 0) -> EnsembleUpper | None:
@@ -496,7 +493,7 @@ def _certified(
 ) -> EnsembleUpper | None:
     """The certificate for the rows of amps with weights probs, weights
     <= 1e-12 dropped and the rest renormalized, stating the residual of the
-    ensemble it stores; None unless it verifies."""
+    ensemble it stores; None unless it is below ENSEMBLE_TOL and verifies."""
     keep = probs > 1e-12
     probs = probs[keep] / probs[keep].sum()
     # One norm per row: an axis=1 norm sums in another order and can move
@@ -504,6 +501,8 @@ def _certified(
     amps = np.array([a / np.linalg.norm(a) for a in amps[keep]])
     ensemble = PureEnsemble(probs, amps, rho.idx)
     residual = float(np.linalg.norm(ensemble.mixture().matrix - rho.matrix))
+    if not residual < ENSEMBLE_TOL:
+        return None
     cert = EnsembleUpper(ensemble=ensemble, k=k, residual=residual)
     return cert if cert.verify(rho) else None
 

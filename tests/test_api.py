@@ -8,7 +8,7 @@ PUBLIC_NAMES = [
     "ProbeResult", "PureBipartiteState", "PureEnsemble", "SnReport",
     "analyze", "apply_id_tensor_map", "apply_map",
     "clifford_ensemble_qubit", "ensemble_search", "fidelity_max",
-    "fidelity_to_sn_bound", "fidelity_with_max_entangled",
+    "fidelity_with_max_entangled",
     "isotropic", "isotropic_sn", "kpositivity_probe", "lambda_p_class",
     "max_entangled", "min_eigenvalue", "partial_trace", "partial_transpose",
     "permute_subsystems", "psi_k", "reduction_family", "schmidt_rank",

@@ -1,5 +1,8 @@
 """Round trips of every certificate kind through its JSON payload."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,19 +12,22 @@ from helpers import random_unitary
 from schmidtkit import io
 from schmidtkit.certify import (
     BOUNDARY_TOL,
+    CERTIFICATES,
+    ENSEMBLE_TOL,
     EnsembleUpper,
     FidelityBound,
     IsotropicExact,
     MapWitness,
+    SnReport,
     analyze,
-    fidelity_to_sn_bound,
     isotropic_sn,
     peres_witness,
     sn_lower_via_map,
+    verify_report,
 )
 from schmidtkit.linalg import BipartiteIndex, InvariantViolation
 from schmidtkit.maps import NEGATIVITY_THRESHOLD
-from schmidtkit.states import DensityMatrix, PureBipartiteState, isotropic
+from schmidtkit.states import DensityMatrix, PureBipartiteState, isotropic, max_entangled
 from schmidtkit.twirl import PureEnsemble, fidelity_with_max_entangled
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -56,7 +62,7 @@ def fidelity_bounds(draw):
     amp = u.T.reshape(n * n) / np.sqrt(n)
     f_hat = float((amp.conj() @ rho.matrix @ amp).real)
     state = PureBipartiteState(amp / np.linalg.norm(amp), rho.idx)
-    return FidelityBound(f_hat, state, fidelity_to_sn_bound(f_hat, n)), rho
+    return FidelityBound(f_hat, state, isotropic_sn(n, f_hat)), rho
 
 
 @st.composite
@@ -66,7 +72,8 @@ def ensemble_uppers(draw):
     m = draw(st.integers(1, 4))
     amps = rng.normal(size=(m, idx.dim)) + 1j * rng.normal(size=(m, idx.dim))
     ens = PureEnsemble(rng.dirichlet(np.ones(m)), amps / np.linalg.norm(amps, axis=1)[:, None], idx)
-    cert = EnsembleUpper(ens, draw(st.integers(1, 2)), draw(st.floats(0.0, 1.0)))
+    residual = draw(st.floats(0.0, ENSEMBLE_TOL, exclude_max=True))
+    cert = EnsembleUpper(ens, draw(st.integers(1, 2)), residual)
     return cert, ens.mixture()
 
 
@@ -167,13 +174,77 @@ def test_isotropic_exact_builds_only_with_the_schmidt_number_of_its_fields(n, f,
             IsotropicExact(n, f, k)
 
 
+def test_isotropic_exact_does_not_verify_across_the_boundary():
+    # The stored F = 1/2 + 2e-12 gives SN = 2, but the state's F = 1/2 - 5e-11,
+    # within VERIFY_ATOL of it, is separable.
+    cert = IsotropicExact(2, 0.5 + 2e-12, 2)
+    rho = isotropic(2, 0.5 - 5e-11)
+    assert not cert.verify(rho)
+    assert not verify_report(SnReport(2, 2, (cert,)), rho)
+    assert IsotropicExact(2, 0.5 - 5e-11, 1).verify(rho)
+
+
+@settings(max_examples=50, deadline=None)
+@given(n=st.integers(1, 5), f_hat=st.one_of(st.floats(0.0, 1.0), finite),
+       sn_bound=st.integers(-1, 6))
+def test_fidelity_bound_builds_only_with_a_bound_its_fidelity_proves(n, f_hat, sn_bound):
+    state = max_entangled(n)
+    if n == 1:
+        proven = 1  # a 1 x 1 state has Schmidt number 1 whatever f_hat says
+    elif -BOUNDARY_TOL <= f_hat <= 1.0 + BOUNDARY_TOL:
+        proven = isotropic_sn(n, f_hat)
+    else:
+        proven = 0
+    if 1 <= sn_bound <= proven:
+        assert FidelityBound(f_hat, state, sn_bound).bounds() == (sn_bound, None)
+    else:
+        with pytest.raises(InvariantViolation):
+            FidelityBound(f_hat, state, sn_bound)
+
+
+def _write_report(tmp_path, lower, upper, cert):
+    path = tmp_path / "report.json"
+    path.write_text(io.dumps({"lower_bound": lower, "upper_bound": upper,
+                              "certificates": [cert]}))
+    return path
+
+
+def test_report_file_rejects_a_fidelity_bound_its_fidelity_does_not_prove(tmp_path):
+    psi = max_entangled(2).amplitudes
+    path = _write_report(tmp_path, 2, None, {
+        "kind": "fidelity_bound", "f_hat": 0.1, "sn_bound": 2, "d_a": 2, "d_b": 2,
+        "psi_re": psi.real.tolist(), "psi_im": psi.imag.tolist()})
+    with pytest.raises(InvariantViolation, match="proves"):
+        io.read_report_file(path)
+
+
+@pytest.mark.parametrize("residual", [0.5, ENSEMBLE_TOL, -1e-3])
+def test_report_file_rejects_an_ensemble_upper_outside_the_tolerance(tmp_path, residual):
+    product = PureEnsemble(np.ones(1), np.eye(4, dtype=np.complex128)[:1], BipartiteIndex(2, 2))
+    path = _write_report(tmp_path, 1, 1, {"kind": "ensemble_upper", "k": 1,
+                                          "residual": residual,
+                                          "ensemble": io.ensemble_payload(product)})
+    with pytest.raises(InvariantViolation, match="residual"):
+        io.read_report_file(path)
+
+
+def test_readme_certificate_table_matches_the_payloads():
+    # The table under the header `kind` | fields | proves, one row per kind.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| `kind` | fields | proves |\n|---|---|---|\n", 1)[1].split("\n\n")[0]
+    rows = [re.match(r"\| `(\w+)` \| (.*?) \|", line).groups() for line in table.splitlines()]
+    report = analyze(isotropic(3, 0.8), search_upper=3)
+    payloads = {c.kind: c.to_payload() for c in report.certificates}
+    assert [kind for kind, _ in rows] == list(CERTIFICATES)
+    for kind, fields in rows:
+        assert set(re.findall(r"`(\w+)`", fields)) == set(payloads[kind]) - {"kind"}, kind
+
+
 @pytest.mark.parametrize("fields", [(2, 0.3, 2), (1, 0.5, 1), (2, 1.7, 2), (2, 0.8, 0)],
                          ids=["k_above_sn", "n1", "f_above_1", "k0"])
 def test_report_file_rejects_a_contradictory_isotropic_exact(tmp_path, fields):
     n, f, k = fields
-    path = tmp_path / "report.json"
-    path.write_text(io.dumps({"lower_bound": k, "upper_bound": k, "certificates": [
-        {"kind": "isotropic_exact", "n": n, "f": f, "k": k}]}))
+    path = _write_report(tmp_path, k, k, {"kind": "isotropic_exact", "n": n, "f": f, "k": k})
     with pytest.raises(InvariantViolation):
         io.read_report_file(path)
 
@@ -202,9 +273,7 @@ def test_map_witness_builds_only_for_a_k_positive_map_and_a_negative_eigenvalue(
 ], ids=["transpose_k3", "transpose_k0", "reduction_p0.9_k4", "reduction_p0.5_k3",
         "positive_eigenvalue", "eigenvalue_at_threshold"])
 def test_report_file_rejects_a_witness_that_proves_nothing(tmp_path, witness):
-    k = witness["k"]
-    path = tmp_path / "report.json"
-    path.write_text(io.dumps({"lower_bound": max(k + 1, 1), "upper_bound": None,
-                              "certificates": [dict(witness, kind="map_witness")]}))
+    path = _write_report(tmp_path, max(witness["k"] + 1, 1), None,
+                         dict(witness, kind="map_witness"))
     with pytest.raises(InvariantViolation):
         io.read_report_file(path)

@@ -13,7 +13,6 @@ from schmidtkit import (
     analyze,
     ensemble_search,
     fidelity_max,
-    fidelity_to_sn_bound,
     isotropic,
     isotropic_sn,
     max_entangled,
@@ -104,16 +103,24 @@ def test_fidelity_bound_rejects_non_square_state():
         FidelityBound(1.0, state, 2)
 
 
-def test_fidelity_to_sn_bound():
-    assert fidelity_to_sn_bound(0.5, 4) == 2
-    assert fidelity_to_sn_bound(0.6, 4) == 3
-    assert fidelity_to_sn_bound(1 / 3, 3) == 1
-    assert fidelity_to_sn_bound(1.0, 5) == 5
-    for n in (2, 3, 4):
-        for f in np.linspace(0.01, 1.0, 23):
-            assert fidelity_to_sn_bound(f, n) == isotropic_sn(n, f)
+def test_isotropic_sn_as_a_fidelity_bound():
+    # F > k/N proves SN >= k + 1 for every state, not only isotropic ones.
+    assert isotropic_sn(4, 0.5) == 2
+    assert isotropic_sn(4, 0.6) == 3
+    assert isotropic_sn(3, 1 / 3) == 1
+    assert isotropic_sn(5, 1.0) == 5
     with pytest.raises(InvariantViolation):
-        fidelity_to_sn_bound(1.1, 3)
+        isotropic_sn(3, 1.1)
+
+
+def test_fidelity_max_clips_an_overlap_above_one():
+    # Trace 1 + 5e-11 is within the density-matrix tolerance; its overlap
+    # with Psi+ is 1 + 5e-11, outside the domain of isotropic_sn.
+    rho = DensityMatrix(max_entangled(3).density().matrix * (1 + 5e-11), BipartiteIndex(3, 3))
+    fb = fidelity_max(rho)
+    assert fb.f_hat == 1.0 and fb.sn_bound == 3
+    assert fb.verify(rho)
+    assert analyze(rho).lower_bound == 3
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -123,10 +130,11 @@ def test_lower_bound_invariant_under_local_unitaries(n):
     # F = k/N + 5e-9 the reduction witness (eigenvalue -5e-9/k) stays above
     # its -1e-8 cut, and on the rotated state only a fidelity bound that
     # follows the rotation proves SN >= k + 1; a bound evaluated at |Psi+>
-    # alone misses it.
+    # alone misses it. At F = k/N + 5e-10 the fidelity bound proves it by
+    # the same rule as the exact isotropic classification.
     rng = np.random.default_rng(34)
     for k in range(1, n):
-        for f in (k / n - 1e-3, k / n + 5e-9, k / n + 1e-3):
+        for f in (k / n - 1e-3, k / n + 5e-10, k / n + 5e-9, k / n + 1e-3):
             w = np.kron(random_unitary(n, rng), random_unitary(n, rng))
             iso = isotropic(n, f)
             rho = DensityMatrix(w @ iso.matrix @ w.conj().T, iso.idx)
@@ -513,20 +521,22 @@ def test_report_rejects_unbacked_bounds():
 
 
 def test_ensemble_certificate_rejects_large_residual():
-    # |00> is within residual 1.0 of the Bell state, whose Peres witness proves SN >= 2.
+    # |00> is 1.0 from the Bell state, whose Peres witness proves SN >= 2: a
+    # certificate stating that residual cannot be built, and one stating a
+    # smaller residual does not verify.
     from schmidtkit import SnReport
     from schmidtkit.certify import ENSEMBLE_TOL, EnsembleUpper
 
     bell = max_entangled(2).density()
     product = PureBipartiteState(np.array([1, 0, 0, 0], dtype=np.complex128), bell.idx)
     ensemble = PureEnsemble(np.array([1.0]), product.amplitudes[None], bell.idx)
-    cert = EnsembleUpper(ensemble, k=1, residual=1.0)
     assert peres_witness(bell) is not None
-    assert not verify_report(SnReport(1, 1, (cert,)), bell)
-    for residual, valid in ((0.0, True), (ENSEMBLE_TOL / 2, True),
-                            (ENSEMBLE_TOL, False), (-1e-3, False), (np.nan, False)):
-        cert = EnsembleUpper(ensemble, k=1, residual=residual)
-        assert cert.verify(product.density()) == valid
+    assert not verify_report(SnReport(1, 1, (EnsembleUpper(ensemble, k=1, residual=0.0),)), bell)
+    for residual in (0.0, ENSEMBLE_TOL / 2):
+        assert EnsembleUpper(ensemble, k=1, residual=residual).verify(product.density())
+    for residual in (1.0, ENSEMBLE_TOL, -1e-3, np.nan):
+        with pytest.raises(InvariantViolation, match="residual"):
+            EnsembleUpper(ensemble, k=1, residual=residual)
 
 
 def test_analyze_isotropic_endpoints():

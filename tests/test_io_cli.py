@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import hashlib
 import io as io_module
 import json
 import math
@@ -686,6 +687,18 @@ def test_cli_figure_step(tmp_path, capsys):
     assert one[-1] == 2 and two[-1] == 4
     markers = {r[3] for r in rows if r[3]}
     assert markers == {"tight:sn2", "conjectured:sn3"}
+
+
+def test_cli_figure_step_bytes_are_pinned(tmp_path, capsys):
+    # The figure is scalar arithmetic and repr only, so its bytes do not
+    # depend on the platform; any change to the step rules moves them.
+    path = tmp_path / "fig.csv"
+    assert main(["figure-step", "--grid", "400", "--out", str(path)]) == 0
+    capsys.readouterr()
+    data = path.read_bytes()
+    assert len(data) == 9832
+    assert hashlib.sha256(data).hexdigest() == (
+        "354fa887e754a6cc1a313293792b03c8ec5ba14c1056bc4b680ac4a23e7f0b08")
 
 
 def test_cli_figure_rejects_bad_n(capsys, tmp_path):

@@ -24,10 +24,15 @@ from .maps import (
     reduction_family,
     transpose_map,
 )
-from .states import DensityMatrix, PureBipartiteState, isotropic_matrix, schmidt_ranks
+from .states import (
+    DensityMatrix,
+    PureBipartiteState,
+    isotropic_matrix,
+    max_entangled_vector,
+    schmidt_ranks,
+)
 from .twirl import (
     PureEnsemble,
-    fidelity_with_max_entangled,
     tetrahedral_ensemble_qubit,
     twirl_orbit,
     twirl_sectors,
@@ -117,8 +122,7 @@ class FidelityBound:
             raise InvariantViolation(
                 f"fidelity bound needs a square state, got ({idx.d_a}, {idx.d_b})"
             )
-        # isotropic_sn rejects f_hat outside [0, 1]; every 1 x 1 state is a product.
-        sn = 1 if idx.d_a == 1 else isotropic_sn(idx.d_a, self.f_hat)
+        sn = _fraction_sn(idx.d_a, self.f_hat)
         if not 1 <= self.sn_bound <= sn:
             raise InvariantViolation(f"fidelity {self.f_hat!r} at N={idx.d_a} proves "
                                      f"SN >= {sn}, not {self.sn_bound}")
@@ -126,15 +130,14 @@ class FidelityBound:
     def verify(self, rho: DensityMatrix) -> bool:
         if self.state.idx != rho.idx:
             return False
-        amp = self.state.amplitudes
-        achieved = min(max(float((amp.conj() @ rho.matrix @ amp).real), 0.0), 1.0)
+        achieved = _overlap(rho, self.state.amplitudes)
         if abs(achieved - self.f_hat) > VERIFY_ATOL:
             return False
         n = self.state.idx.d_a
         x = self.state.amplitude_matrix() * np.sqrt(n)
         if float(np.max(np.abs(x.conj().T @ x - np.eye(n)))) > 1e-8:
             return False
-        return self.sn_bound == 1 or self.sn_bound <= isotropic_sn(n, achieved)
+        return self.sn_bound <= _fraction_sn(n, achieved)
 
     def to_payload(self) -> dict:
         amp, idx = self.state.amplitudes, self.state.idx
@@ -326,12 +329,26 @@ def peres_witness(rho: DensityMatrix) -> MapWitness | None:
     return _map_witness(rho, None, 1)
 
 
+def _overlap(rho: DensityMatrix, amp: np.ndarray) -> float:
+    """<amp|rho|amp> / Tr(rho), clipped to [0, 1]: the overlap of the
+    normalized state, since a DensityMatrix holds its trace only to 1e-10."""
+    f = float((amp.conj() @ rho.matrix @ amp).real / np.trace(rho.matrix).real)
+    return min(max(f, 0.0), 1.0)
+
+
+def _fraction_sn(n: int, f: float) -> int:
+    """isotropic_sn(n, f), or 1 at N = 1, where every state is a product."""
+    return 1 if n == 1 else isotropic_sn(n, f)
+
+
 def _isotropic_fidelity(rho: DensityMatrix) -> float | None:
-    """F = <Psi+|rho|Psi+> if rho is within ISOTROPIC_DETECTION_TOL of the
-    isotropic state with that F (its exact twirl), else None."""
-    f = fidelity_with_max_entangled(rho)
-    iso = isotropic_matrix(rho.idx.d_a, min(max(f, 0.0), 1.0))
-    return f if float(np.linalg.norm(rho.matrix - iso)) <= ISOTROPIC_DETECTION_TOL else None
+    """F = _overlap(rho, Psi+) if rho / Tr(rho) is within
+    ISOTROPIC_DETECTION_TOL of the isotropic state with that F (its exact
+    twirl), else None."""
+    n = rho.idx.d_a
+    f = _overlap(rho, max_entangled_vector(n))
+    dist = float(np.linalg.norm(rho.matrix / np.trace(rho.matrix).real - isotropic_matrix(n, f)))
+    return f if dist <= ISOTROPIC_DETECTION_TOL else None
 
 
 def fidelity_max(rho: DensityMatrix) -> FidelityBound:
@@ -340,11 +357,11 @@ def fidelity_max(rho: DensityMatrix) -> FidelityBound:
 
     With v reshaped to the N x N matrix M, psi = vec(U) / sqrt(N) for U the
     polar factor of M, which maximizes |<psi|v>| over maximally entangled
-    psi. One-sided: f_hat = <psi|rho|psi>, clipped to [0, 1] (rho's trace and
-    spectrum hold to 1e-10), is at most f(rho), the fully entangled fraction,
-    since psi is maximally entangled by construction. Exact on pure states
-    and on every local-unitary image (U (x) V) rho_F (U (x) V)^dagger of an
-    isotropic state with F > 1/N^2, whose top eigenvector is (U (x) V)|Psi+>.
+    psi. One-sided: f_hat = _overlap(rho, psi) is at most f(rho / Tr(rho)),
+    the fully entangled fraction, since psi is maximally entangled by
+    construction. Exact on pure states and on every local-unitary image
+    (U (x) V) rho_F (U (x) V)^dagger of an isotropic state with F > 1/N^2,
+    whose top eigenvector is (U (x) V)|Psi+>.
     """
     n = rho.idx.d_a
     if n != rho.idx.d_b:
@@ -354,11 +371,11 @@ def fidelity_max(rho: DensityMatrix) -> FidelityBound:
     top = np.linalg.eigh(rho.matrix)[1][:, -1]
     amp = kernels.polar_orthonormalize(top.reshape(n, n)).reshape(n * n)
     amp /= np.linalg.norm(amp)
-    f_hat = min(max(float((amp.conj() @ rho.matrix @ amp).real), 0.0), 1.0)
+    f_hat = _overlap(rho, amp)
     return FidelityBound(
         f_hat=f_hat,
         state=PureBipartiteState(amp, rho.idx),
-        sn_bound=1 if n == 1 else isotropic_sn(n, f_hat),
+        sn_bound=_fraction_sn(n, f_hat),
     )
 
 
@@ -380,12 +397,17 @@ def isotropic_sn(n: int, f: float) -> int:
 
 def tensor_copy_bound(f: float, n: int, m: int) -> int:
     """Schmidt-number lower bound for m tensor copies of the isotropic state,
-    from f(rho^(x)m) >= F^m."""
+    from f(rho^(x)m) >= F^m, with F first lowered by isotropic_sn's boundary
+    tolerance: a fidelity it places at k/N then bounds m copies by at most
+    k^m, whatever the rounding of F^m. The lowering costs m k^(m-1) 1e-12,
+    under one unit until m k^(m-1) reaches 1e12."""
     if m < 1:
         raise InvariantViolation(f"copy count must be positive, got {m}")
+    if n < 2:
+        raise InvariantViolation(f"isotropic states need N >= 2, got N={n}")
     if not 0.0 <= f <= 1.0:
         raise InvariantViolation(f"fidelity must lie in [0, 1], got {f}")
-    return isotropic_sn(n**m, f**m)
+    return isotropic_sn(n**m, max(f - BOUNDARY_TOL / n, 0.0) ** m)
 
 
 def ensemble_search(rho: DensityMatrix, k: int, seed: int = 0) -> EnsembleUpper | None:

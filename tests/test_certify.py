@@ -29,7 +29,7 @@ from schmidtkit import (
     verify_report,
 )
 from schmidtkit import certify, kernels
-from schmidtkit.certify import FidelityBound, peres_witness
+from schmidtkit.certify import VERIFY_ATOL, FidelityBound, IsotropicExact, SnReport, peres_witness
 
 F_TIGHT = 1 / np.sqrt(2)
 
@@ -113,14 +113,32 @@ def test_isotropic_sn_as_a_fidelity_bound():
         isotropic_sn(3, 1.1)
 
 
-def test_fidelity_max_clips_an_overlap_above_one():
-    # Trace 1 + 5e-11 is within the density-matrix tolerance; its overlap
+def test_fidelity_max_takes_the_overlap_of_the_normalized_state():
+    # Trace 1 + 5e-11 is within the density-matrix tolerance; the raw overlap
     # with Psi+ is 1 + 5e-11, outside the domain of isotropic_sn.
     rho = DensityMatrix(max_entangled(3).density().matrix * (1 + 5e-11), BipartiteIndex(3, 3))
     fb = fidelity_max(rho)
     assert fb.f_hat == 1.0 and fb.sn_bound == 3
     assert fb.verify(rho)
     assert analyze(rho).lower_bound == 3
+
+
+@pytest.mark.parametrize("scale", [1 + 9e-11, 1 - 9e-11, 1 + 1.5e-12])
+def test_a_trace_within_tolerance_does_not_move_the_bound_across_k_over_n(scale):
+    # scale * rho_F at N = 2, F = 1/2 is separable once normalized, but its
+    # raw overlap with Psi+ is 0.5 * scale. At 1 + 1.5e-12 the state is also
+    # within 1e-12 of the isotropic state of its raw fidelity.
+    rho = DensityMatrix(isotropic(2, 0.5).matrix * scale, BipartiteIndex(2, 2))
+    report = analyze(rho, search_upper=1)
+    assert (report.lower_bound, report.upper_bound) == (1, 1)
+    assert verify_report(report, rho)
+    raw = 0.5 * scale
+    cert = FidelityBound(raw, max_entangled(2), isotropic_sn(2, raw))
+    assert abs(raw - 0.5) <= VERIFY_ATOL
+    if scale > 1:
+        assert cert.sn_bound == 2 and not cert.verify(rho)
+        assert not verify_report(SnReport(2, None, (cert,)), rho)
+        assert not IsotropicExact(2, raw, 2).verify(rho)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -190,6 +208,22 @@ def test_tensor_copy_bound_examples():
     for n in (2, 3):
         for f in np.linspace(0.0, 1.0, 21):
             assert tensor_copy_bound(f, n, 1) == isotropic_sn(n, f)
+
+
+def test_tensor_copy_bound_at_a_boundary_is_the_power_of_the_one_copy_bound():
+    # m copies of a state of Schmidt number k have Schmidt number <= k^m, so
+    # a bound above it would be unsound; N^m F^m rounds to 4096 + 2e-12 at
+    # N = 5, F = 2/5, m = 12.
+    # Lowering F by 1e-12/N costs m k^(m-1) 1e-12 on the bound, a whole
+    # unit only past m k^(m-1) = 1e12.
+    assert tensor_copy_bound(0.4, 5, 12) == 4096
+    for n in range(2, 7):
+        for k in range(1, n + 1):
+            for m in range(1, 21):
+                bound = tensor_copy_bound(k / n, n, m)
+                assert bound <= isotropic_sn(n, k / n) ** m, (n, k, m)
+                if m * k ** (m - 1) < 1e11:
+                    assert bound == k**m, (n, k, m)
 
 
 def test_tensor_copy_bound_monotone_in_copies():

@@ -434,10 +434,13 @@ def ensemble_search(rho: DensityMatrix, k: int, seed: int = 0) -> EnsembleUpper 
         return _certified(rho, k, np.maximum(w, 0.0), v.T)
     sectors = twirl_sectors(rho.idx)
     if sectors is not None:
+        # The weights of rho / Tr rho: every twirled seed has trace 1, so a
+        # trace off within tolerance would put the target outside their hull.
+        unit = rho.matrix / np.trace(rho.matrix).real
         scale = 1.0 / np.sqrt(np.einsum("jaa->j", sectors).real)
-        target = np.einsum("jab,ba->j", sectors, rho.matrix).real * scale
+        target = np.einsum("jab,ba->j", sectors, unit).real * scale
         invariant = np.einsum("j,jab->ab", target * scale, sectors)
-        if float(np.linalg.norm(rho.matrix - invariant)) <= ISOTROPIC_DETECTION_TOL:
+        if float(np.linalg.norm(unit - invariant)) <= ISOTROPIC_DETECTION_TOL:
             return _twirl_reduced_search(rho, k, seed, sectors, scale, target)
     m_vectors = 2 * d_a * d_b
     best = None

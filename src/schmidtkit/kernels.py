@@ -9,6 +9,9 @@ from __future__ import annotations
 
 import numpy as np
 
+# Bytes of W (and of W rho) per block of mc_twirl_sum.
+MC_BLOCK_BYTES = 1 << 20
+
 
 def polar_orthonormalize(m):
     """Closest isometry to m, or to each matrix of a stack m (polar factor),
@@ -43,20 +46,33 @@ def haar_from_ginibre(gin):
 def mc_twirl_sum(rho, gin):
     """Sum of W rho W^dagger over W = U (x) U*, U = haar_from_ginibre(gin).
 
-    W is built in the layout (a, s, c) = W_s[a, c], so the sum over samples
-    s is two flat matrix products: X = W rho, then X (as D x sD) times W*
-    (as D x sD) transposed. W is conjugated in place between the two, so no
-    second copy of it is made.
+    The samples are taken in blocks of at most MC_BLOCK_BYTES of W each, so
+    W and W rho take two such buffers, allocated once per call, whatever
+    the number of samples. A block's W is built in the layout
+    (a, s, c) = W_s[a, c], so its share of the sum is two flat matrix
+    products: X = W rho, then X (as D x sD) times W* (as D x sD) transposed,
+    added into the D x D result. W is conjugated in place between the two,
+    so no second copy of it is made.
     """
-    # Contiguous, so that the product below is laid out as (a, s, c) and
-    # both reshapes are views.
+    # Contiguous, so that a block's columns ut[:, s0:s1] lay W out as
+    # (a, s, c) and every reshape below is a view.
     ut = np.ascontiguousarray(haar_from_ginibre(gin).transpose(1, 0, 2))
     n, ns = ut.shape[:2]
     d = n * n
-    w = (ut[:, None, :, :, None] * ut.conj()[None, :, :, None, :]).reshape(d, ns, d)
-    x = (w @ rho).reshape(d, ns * d)
-    np.conjugate(w, out=w)
-    return x @ w.reshape(d, ns * d).T
+    block = max(1, min(ns, MC_BLOCK_BYTES // (d * d * 16)))
+    w_buf = np.empty(d * block * d, dtype=np.complex128)
+    x_buf = np.empty_like(w_buf)
+    acc = np.zeros((d, d), dtype=np.complex128)
+    for s0 in range(0, ns, block):
+        u = ut[:, s0:s0 + block]
+        b = u.shape[1]
+        w = w_buf[:d * b * d].reshape(d, b, d)
+        np.multiply(u[:, None, :, :, None], u.conj()[None, :, :, None, :],
+                    out=w.reshape(n, n, b, n, n))
+        x = np.matmul(w, rho, out=x_buf[:d * b * d].reshape(d, b, d))
+        np.conjugate(w, out=w)
+        acc += x.reshape(d, b * d) @ w.reshape(d, b * d).T
+    return acc
 
 
 def simplex_project(v):

@@ -92,9 +92,12 @@ def twirl_mc(rho: DensityMatrix, samples: int, seed: int = 0) -> DensityMatrix:
     while done < samples:
         count = min(MC_CHUNK, samples - done)
         rng = np.random.default_rng(np.random.SeedSequence((seed, chunk_index)))
-        gin = (
-            rng.normal(size=(count, n, n)) + 1j * rng.normal(size=(count, n, n))
-        ) / np.sqrt(2)
+        # Filled in place: the same values as (a + 1j * b) / sqrt(2), bit
+        # for bit, without its three chunk-sized temporaries.
+        gin = np.empty((count, n, n), dtype=np.complex128)
+        gin.real = rng.normal(size=(count, n, n))
+        gin.imag = rng.normal(size=(count, n, n))
+        gin /= np.sqrt(2)
         acc += kernels.mc_twirl_sum(rho.matrix, gin)
         done += count
         chunk_index += 1

@@ -141,6 +141,21 @@ def test_a_trace_within_tolerance_does_not_move_the_bound_across_k_over_n(scale)
         assert not IsotropicExact(2, raw, 2).verify(rho)
 
 
+@pytest.mark.parametrize("scale", [1 + 9e-11, 1 - 9e-11, 1 + 1.5e-12])
+def test_reduced_search_fits_the_weights_of_the_normalized_state(scale, monkeypatch):
+    # rho_F at N = 2, F = 1/2 sits on the boundary of the separable states;
+    # weights fitted to scale * rho_F lie just outside the hull of the
+    # twirled product seeds, whose traces are all 1.
+    def no_generic_search(*args):
+        raise AssertionError("the twirl-invariant state left the reduced route")
+
+    monkeypatch.setattr(kernels, "ensemble_alt_min", no_generic_search)
+    rho = DensityMatrix(isotropic(2, 0.5).matrix * scale, BipartiteIndex(2, 2))
+    cert = ensemble_search(rho, 1)
+    assert cert is not None and cert.verify(rho)
+    assert schmidt_ranks(cert.ensemble.amps, rho.idx).max() == 1
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_lower_bound_invariant_under_local_unitaries(n):
     # Schmidt number is invariant under U (x) V, so analyze must classify a

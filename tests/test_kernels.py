@@ -1,5 +1,7 @@
 """Tests of the numpy kernels in schmidtkit.kernels."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,10 +30,21 @@ def _haar_by_qr(z):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def _mc_block(n):
+    # The samples per block that mc_twirl_sum takes at N = n.
+    return kernels.MC_BLOCK_BYTES // (n**4 * 16)
+
+
 def test_mc_kernel_variants_agree():
-    # The batched kernel against a per-sample sum written out here.
+    # The blocked kernel against a per-sample sum written out here: on whole
+    # chunks, on one block plus one sample (a last block of one), and on a
+    # single sample.
     rng = np.random.default_rng(50)
-    for n, samples in ((3, 64), (2, MC_CHUNK), (3, MC_CHUNK), (4, MC_CHUNK)):
+    cases = [(3, 64), (2, MC_CHUNK), (3, MC_CHUNK), (4, MC_CHUNK), (6, MC_CHUNK)]
+    for n in (3, 4, 6):
+        assert _mc_block(n) + 1 < MC_CHUNK
+        cases += [(n, _mc_block(n) + 1), (n, 1)]
+    for n, samples in cases:
         d = n * n
         x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         rho = x @ x.conj().T
@@ -44,6 +57,22 @@ def test_mc_kernel_variants_agree():
             reference += w @ rho @ w.conj().T
         np.testing.assert_allclose(kernels.mc_twirl_sum(rho, gin) / samples,
                                    reference / samples, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_mc_twirl_kernel_memory_is_bounded(n):
+    # W and W rho for a whole 2048-sample chunk would take 16.8 MB at N=4
+    # and 84.9 MB at N=6.
+    rng = np.random.default_rng(60 + n)
+    rho = np.eye(n * n, dtype=np.complex128) / (n * n)
+    gin = _ginibre(rng, MC_CHUNK, n, n)
+    tracemalloc.start()
+    try:
+        kernels.mc_twirl_sum(rho, gin)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

@@ -21,7 +21,7 @@ from schmidtkit import (
     twirl_sectors,
     two_copy_construction,
 )
-from schmidtkit.twirl import fidelity_with_max_entangled, two_copy_coefficients
+from schmidtkit.twirl import MC_CHUNK, fidelity_with_max_entangled, two_copy_coefficients
 
 F_TIGHT = 1 / np.sqrt(2)
 
@@ -124,6 +124,26 @@ def test_twirl_mc_deterministic_given_seed():
     a = twirl_mc(rho, samples=2500, seed=9).matrix
     b = twirl_mc(rho, samples=2500, seed=9).matrix
     assert np.array_equal(a, b)
+
+
+def test_twirl_mc_draws_each_chunk_from_its_own_seed(monkeypatch):
+    # Chunk c of seed s is (a + 1j b) / sqrt(2) with a, b drawn from
+    # SeedSequence((s, c)), bit for bit, whole chunks first.
+    drawn = []
+
+    def record(rho, gin):
+        drawn.append(gin.copy())
+        return len(gin) * rho  # what the twirl gives an isotropic rho
+
+    monkeypatch.setattr(kernels, "mc_twirl_sum", record)
+    samples = 2 * MC_CHUNK + 5
+    twirl_mc(isotropic(3, 0.4), samples=samples, seed=9)
+    assert [len(g) for g in drawn] == [MC_CHUNK, MC_CHUNK, 5]
+    for chunk, gin in enumerate(drawn):
+        rng = np.random.default_rng(np.random.SeedSequence((9, chunk)))
+        shape = (len(gin), 3, 3)
+        expected = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) / np.sqrt(2)
+        assert np.array_equal(gin.view(np.float64), expected.view(np.float64))
 
 
 def test_twirl_mc_rejects_zero_samples():

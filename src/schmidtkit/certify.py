@@ -24,15 +24,13 @@ from .maps import (
     reduction_family,
     transpose_map,
 )
-from .states import (
-    DensityMatrix,
-    PureBipartiteState,
-    isotropic_matrix,
-    max_entangled_vector,
-    schmidt_ranks,
-)
+from .states import DensityMatrix, PureBipartiteState, schmidt_ranks
 from .twirl import (
     PureEnsemble,
+    fidelity_with_max_entangled,
+    one_pair_sectors,
+    overlap,
+    sector_weights,
     tetrahedral_ensemble_qubit,
     twirl_orbit,
     twirl_sectors,
@@ -130,7 +128,7 @@ class FidelityBound:
     def verify(self, rho: DensityMatrix) -> bool:
         if self.state.idx != rho.idx:
             return False
-        achieved = _overlap(rho, self.state.amplitudes)
+        achieved = overlap(rho, self.state.amplitudes)
         if abs(achieved - self.f_hat) > VERIFY_ATOL:
             return False
         n = self.state.idx.d_a
@@ -329,26 +327,18 @@ def peres_witness(rho: DensityMatrix) -> MapWitness | None:
     return _map_witness(rho, None, 1)
 
 
-def _overlap(rho: DensityMatrix, amp: np.ndarray) -> float:
-    """<amp|rho|amp> / Tr(rho), clipped to [0, 1]: the overlap of the
-    normalized state, since a DensityMatrix holds its trace only to 1e-10."""
-    f = float((amp.conj() @ rho.matrix @ amp).real / np.trace(rho.matrix).real)
-    return min(max(f, 0.0), 1.0)
-
-
 def _fraction_sn(n: int, f: float) -> int:
     """isotropic_sn(n, f), or 1 at N = 1, where every state is a product."""
     return 1 if n == 1 else isotropic_sn(n, f)
 
 
 def _isotropic_fidelity(rho: DensityMatrix) -> float | None:
-    """F = _overlap(rho, Psi+) if rho / Tr(rho) is within
-    ISOTROPIC_DETECTION_TOL of the isotropic state with that F (its exact
-    twirl), else None."""
-    n = rho.idx.d_a
-    f = _overlap(rho, max_entangled_vector(n))
-    dist = float(np.linalg.norm(rho.matrix / np.trace(rho.matrix).real - isotropic_matrix(n, f)))
-    return f if dist <= ISOTROPIC_DETECTION_TOL else None
+    """F = fidelity_with_max_entangled(rho) if rho / Tr(rho) is within
+    ISOTROPIC_DETECTION_TOL of its exact twirl, the isotropic state
+    (sector_weights in one_pair_sectors), else None."""
+    if sector_weights(rho, one_pair_sectors(rho.idx.d_a))[1] > ISOTROPIC_DETECTION_TOL:
+        return None
+    return fidelity_with_max_entangled(rho)
 
 
 def fidelity_max(rho: DensityMatrix) -> FidelityBound:
@@ -357,7 +347,7 @@ def fidelity_max(rho: DensityMatrix) -> FidelityBound:
 
     With v reshaped to the N x N matrix M, psi = vec(U) / sqrt(N) for U the
     polar factor of M, which maximizes |<psi|v>| over maximally entangled
-    psi. One-sided: f_hat = _overlap(rho, psi) is at most f(rho / Tr(rho)),
+    psi. One-sided: f_hat = overlap(rho, psi) is at most f(rho / Tr(rho)),
     the fully entangled fraction, since psi is maximally entangled by
     construction. Exact on pure states and on every local-unitary image
     (U (x) V) rho_F (U (x) V)^dagger of an isotropic state with F > 1/N^2,
@@ -371,7 +361,7 @@ def fidelity_max(rho: DensityMatrix) -> FidelityBound:
     top = np.linalg.eigh(rho.matrix)[1][:, -1]
     amp = kernels.polar_orthonormalize(top.reshape(n, n)).reshape(n * n)
     amp /= np.linalg.norm(amp)
-    f_hat = _overlap(rho, amp)
+    f_hat = overlap(rho, amp)
     return FidelityBound(
         f_hat=f_hat,
         state=PureBipartiteState(amp, rho.idx),
@@ -434,14 +424,11 @@ def ensemble_search(rho: DensityMatrix, k: int, seed: int = 0) -> EnsembleUpper 
         return _certified(rho, k, np.maximum(w, 0.0), v.T)
     sectors = twirl_sectors(rho.idx)
     if sectors is not None:
-        # The weights of rho / Tr rho: every twirled seed has trace 1, so a
-        # trace off within tolerance would put the target outside their hull.
-        unit = rho.matrix / np.trace(rho.matrix).real
-        scale = 1.0 / np.sqrt(np.einsum("jaa->j", sectors).real)
-        target = np.einsum("jab,ba->j", sectors, unit).real * scale
-        invariant = np.einsum("j,jab->ab", target * scale, sectors)
-        if float(np.linalg.norm(unit - invariant)) <= ISOTROPIC_DETECTION_TOL:
-            return _twirl_reduced_search(rho, k, seed, sectors, scale, target)
+        # sector_weights reads rho / Tr rho: every twirled seed has trace 1,
+        # so a trace off within tolerance would put the target outside their hull.
+        weights, dist = sector_weights(rho, sectors)
+        if dist <= ISOTROPIC_DETECTION_TOL:
+            return _twirl_reduced_search(rho, k, seed, sectors, weights)
     m_vectors = 2 * d_a * d_b
     best = None
     for r in range(SEARCH_RESTARTS):
@@ -464,23 +451,26 @@ def ensemble_search(rho: DensityMatrix, k: int, seed: int = 0) -> EnsembleUpper 
 
 
 def _twirl_reduced_search(
-    rho: DensityMatrix, k: int, seed: int,
-    sectors: np.ndarray, scale: np.ndarray, target: np.ndarray,
+    rho: DensityMatrix, k: int, seed: int, sectors: np.ndarray, rho_weights: np.ndarray,
 ) -> EnsembleUpper | None:
-    """Rank-<=k decomposition of a twirl-invariant state from its weights
-    target, or None when the gap test fires or the result does not verify.
+    """Rank-<=k decomposition of a twirl-invariant state from its
+    sector_weights rho_weights, or None when the gap test fires or the
+    result does not verify.
 
     With E_j the projectors sectors and scaled weights
     u(psi)_j = <psi|E_j|psi> * scale_j, scale_j = 1 / sqrt(Tr E_j), twirling
     maps |psi><psi| to sum_j u_j E_j * scale_j, and the Frobenius distance of
     two such operators is the Euclidean distance of their weights. So rho is
-    a mixture of twirled rank-<=k seeds iff its weights lie in the convex
-    hull of their u. A fully-corrective Frank-Wolfe search finds them: each
-    step adds the seed that rank_k_oracle finds for the linear step, and
-    simplex_qp refits the seed weights. The seeds of the last step, converged
-    or not, are expanded over the 12-element qubit 2-design and certified.
+    a mixture of twirled rank-<=k seeds iff its scaled weights
+    target = rho_weights * scale lie in the convex hull of their u. A
+    fully-corrective Frank-Wolfe search finds them: each step adds the seed
+    that rank_k_oracle finds for the linear step, and simplex_qp refits the
+    seed weights. The seeds of the last step, converged or not, are
+    expanded over the 12-element qubit 2-design and certified.
     """
     d_a, d_b = rho.idx.d_a, rho.idx.d_b
+    scale = 1.0 / np.sqrt(np.einsum("jaa->j", sectors).real)
+    target = rho_weights * scale
     rng = np.random.default_rng(seed)
     seeds = np.zeros((0, d_a * d_b), dtype=np.complex128)
     weights = np.zeros((0, target.size))

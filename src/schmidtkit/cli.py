@@ -19,7 +19,7 @@ from .certify import (
     tensor_copy_bound,
 )
 from .linalg import InvariantViolation
-from .maps import MatrixMap, kpositivity_probe
+from .maps import NEGATIVITY_THRESHOLD, MatrixMap, kpositivity_probe
 from .states import isotropic, schmidt_ranks, tensor_copies
 from .twirl import (
     fidelity_with_max_entangled,
@@ -196,7 +196,7 @@ def _cmd_probe(args) -> int:
             "state_im": amps.imag.tolist(),
         }))
     elif result.violation:
-        print(f"violation: min eigenvalue {result.min_eigenvalue:.12g} < -1e-08")
+        print(f"violation: min eigenvalue {result.min_eigenvalue:.12g} < {NEGATIVITY_THRESHOLD}")
         amps = result.state.amplitudes
         print("witness state (re):", " ".join(io.format_float(x) for x in amps.real))
         print("witness state (im):", " ".join(io.format_float(x) for x in amps.imag))

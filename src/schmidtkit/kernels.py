@@ -191,7 +191,8 @@ def ensemble_alt_min(rho, d_a, d_b, k, psis0, probs0, max_iters, tol):
     Weight step: the exact least-squares weights on the probability simplex
     for the new vectors (simplex_qp, warm-started from the last weights), so
     it never raises the residual.
-    Returns (residual, probs, psis, sweeps_used).
+    Runs at least one sweep (max_iters >= 1) and returns the residual of
+    the last one: (residual, probs, psis, sweeps_used).
     """
     m = psis0.shape[0]
     d = d_a * d_b
@@ -225,5 +226,4 @@ def ensemble_alt_min(rho, d_a, d_b, k, psis0, probs0, max_iters, tol):
             stall += 1
         if res < 0.7 * tol or stall > 60:
             break
-    res = np.sqrt(np.sum(np.abs(rho - _mixture_of(probs, psis)) ** 2))
     return res, probs, psis, sweeps

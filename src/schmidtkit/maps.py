@@ -140,7 +140,7 @@ def kpositivity_probe(
     seed: int = 0,
 ) -> ProbeResult:
     """Search for a maximally entangled Schmidt-rank-k state |Psi_k> with
-    (1 (x) L)(|Psi_k><Psi_k|) having an eigenvalue below -1e-8.
+    (1 (x) L)(|Psi_k><Psi_k|) having an eigenvalue below NEGATIVITY_THRESHOLD.
 
     One-sided falsifier: a violation comes with the witnessing state; a clean
     run is not a k-positivity certificate.

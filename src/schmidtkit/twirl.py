@@ -54,20 +54,42 @@ class PureEnsemble:
         return DensityMatrix(m, self.idx)
 
 
+def overlap(rho: DensityMatrix, amp: np.ndarray) -> float:
+    """<amp|rho|amp> / Tr(rho), clipped to [0, 1]: the overlap of the
+    normalized state, since a DensityMatrix holds its trace only to 1e-10."""
+    f = float((amp.conj() @ rho.matrix @ amp).real / np.trace(rho.matrix).real)
+    return min(max(f, 0.0), 1.0)
+
+
 def fidelity_with_max_entangled(rho: DensityMatrix) -> float:
-    """F = <Psi+| rho |Psi+> on a square bipartition."""
+    """F = overlap(rho, Psi+) on a square bipartition: the fidelity of
+    rho / Tr(rho) with the maximally entangled state."""
     if rho.idx.d_a != rho.idx.d_b:
         raise InvariantViolation(
             f"twirling needs d_a == d_b, got ({rho.idx.d_a}, {rho.idx.d_b})"
         )
-    v = max_entangled_vector(rho.idx.d_a)
-    return float((v.conj() @ rho.matrix @ v).real)
+    return overlap(rho, max_entangled_vector(rho.idx.d_a))
+
+
+def sector_weights(rho: DensityMatrix, sectors: np.ndarray) -> tuple[np.ndarray, float]:
+    """The weights t_j = Tr(E_j rho) / Tr(rho) of rho in the orthogonal
+    projectors E_j of sectors, and the Frobenius distance of rho / Tr(rho)
+    from sum_j t_j E_j / Tr E_j, its projection onto their span.
+
+    When the E_j span the operators a twirl fixes, the projection is the
+    twirl of rho / Tr(rho) (Vollbrecht & Werner, PRA 64, 062307 (2001)), and
+    the distance is zero exactly when rho is invariant.
+    """
+    unit = rho.matrix / np.trace(rho.matrix).real
+    weights = np.einsum("jab,ba->j", sectors, unit).real
+    projection = np.einsum("j,jab->ab", weights / np.einsum("jaa->j", sectors).real, sectors)
+    return weights, float(np.linalg.norm(unit - projection))
 
 
 def twirl_exact(rho: DensityMatrix) -> DensityMatrix:
-    """Project onto the isotropic family, preserving F = <Psi+|rho|Psi+>."""
-    f = fidelity_with_max_entangled(rho)
-    return isotropic(rho.idx.d_a, min(max(f, 0.0), 1.0))
+    """Project onto the isotropic family, preserving
+    F = fidelity_with_max_entangled(rho), the fidelity of rho / Tr(rho)."""
+    return isotropic(rho.idx.d_a, fidelity_with_max_entangled(rho))
 
 
 def twirl_mc(rho: DensityMatrix, samples: int, seed: int = 0) -> DensityMatrix:
@@ -193,12 +215,19 @@ def twirl_orbit(amplitudes: np.ndarray, idx: BipartiteIndex, unitaries: np.ndarr
     return np.concatenate([amps, swapped])
 
 
+def one_pair_sectors(n: int) -> np.ndarray:
+    """P = |Psi+><Psi+| and Q = 1 - P on one pair H_N (x) H_N: the
+    projectors that span the operators fixed by the U (x) U* twirl."""
+    p = max_entangled_projector(n)
+    return np.array([p, np.eye(n * n) - p])
+
+
 def _pair_projectors() -> tuple[np.ndarray, ...]:
-    """P (x) P, P (x) Q, Q (x) P and Q (x) Q on two qubit pairs in pairwise
-    factor order (A1 B1 A2 B2), with P = |Phi+><Phi+| and Q = 1 - P."""
-    p = max_entangled_projector(2)
-    q = np.eye(4) - p
-    return np.kron(p, p), np.kron(p, q), np.kron(q, p), np.kron(q, q)
+    """P (x) P, P (x) Q, Q (x) P and Q (x) Q on two qubit pairs
+    (one_pair_sectors(2) on each), in factor order A1 A2 B1 B2."""
+    p, q = one_pair_sectors(2)
+    return tuple(permute_subsystems(np.kron(a, b), [2, 2, 2, 2], [0, 2, 1, 3])
+                 for a, b in ((p, p), (p, q), (q, p), (q, q)))
 
 
 def twirl_sectors(idx: BipartiteIndex) -> np.ndarray | None:
@@ -206,19 +235,16 @@ def twirl_sectors(idx: BipartiteIndex) -> np.ndarray | None:
     fixed by the local twirl of twirl_orbit on qubit pairs; None for
     other dimensions.
 
-    One pair (2, 2): P and Q = 1 - P, with P = |Phi+><Phi+|. Two pairs
-    (4, 4), factor order A1 A2 B1 B2: P (x) P, P (x) Q + Q (x) P and
-    Q (x) Q in pairwise order. The twirl of |psi><psi| is
-    sum_j <psi|E_j|psi> E_j / Tr E_j.
+    One pair (2, 2): one_pair_sectors(2). Two pairs (4, 4), factor order
+    A1 A2 B1 B2: P (x) P, P (x) Q + Q (x) P and Q (x) Q. The twirl of
+    |psi><psi| is sum_j <psi|E_j|psi> E_j / Tr E_j.
     """
     if idx.d_a != idx.d_b or idx.d_a not in (2, 4):
         return None
     if idx.d_a == 2:
-        p = max_entangled_projector(2)
-        return np.array([p, np.eye(4) - p])
+        return one_pair_sectors(2)
     pp, pq, qp, qq = _pair_projectors()
-    return np.array([permute_subsystems(e, [2, 2, 2, 2], [0, 2, 1, 3])
-                     for e in (pp, pq + qp, qq)])
+    return np.array([pp, pq + qp, qq])
 
 
 def two_copy_construction() -> PureEnsemble:
@@ -250,14 +276,11 @@ def two_copy_construction() -> PureEnsemble:
 
 def two_copy_coefficients(rho: DensityMatrix) -> tuple[float, float, float, float]:
     """Coefficients (a, b1, b2, c) of a state on two qubit pairs in the basis
-    {Q (x) Q, P+ (x) Q, Q (x) P+, P+ (x) P+}, Q = 1 - P+, pairwise ordering."""
+    {Q (x) Q, P (x) Q, Q (x) P, P (x) P} of _pair_projectors: its
+    sector_weights, each divided by its projector's trace (9, 3, 3, 1)."""
     if rho.idx != BipartiteIndex(4, 4):
         raise InvariantViolation(
             f"expected two qubit pairs, got dims ({rho.idx.d_a}, {rho.idx.d_b})")
-    pairwise = permute_subsystems(rho.matrix, [2, 2, 2, 2], [0, 2, 1, 3])
     pp, pq, qp, qq = _pair_projectors()
-    a = float(np.trace(qq @ pairwise).real) / 9
-    b1 = float(np.trace(pq @ pairwise).real) / 3
-    b2 = float(np.trace(qp @ pairwise).real) / 3
-    c = float(np.trace(pp @ pairwise).real)
-    return a, b1, b2, c
+    weights = sector_weights(rho, np.array([qq, pq, qp, pp]))[0]
+    return tuple((weights / [9.0, 3.0, 3.0, 1.0]).tolist())

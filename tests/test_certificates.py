@@ -263,6 +263,14 @@ def test_map_witness_builds_only_for_a_k_positive_map_and_a_negative_eigenvalue(
             MapWitness(map_kind, p, k, min_eigenvalue)
 
 
+def test_map_witness_past_the_state_dimension_does_not_verify():
+    # L_0.001 is 1000-positive on M_1000 but completely positive on M_2: at
+    # d_b = 2 it proves nothing, whatever the stored k claims.
+    witness = MapWitness("reduction", 0.001, 1000, -0.5)
+    assert witness.bounds() == (1001, None)
+    assert not witness.verify(isotropic(2, 0.9))
+
+
 @pytest.mark.parametrize("witness", [
     {"map": "transpose", "p": None, "k": 3, "min_eigenvalue": -0.1},
     {"map": "transpose", "p": None, "k": 0, "min_eigenvalue": -0.1},

@@ -365,6 +365,16 @@ def test_readers_reject_non_array_lists(tmp_path, reader, make, field):
         reader(make(tmp_path, lambda payload: payload.__setitem__(field, 5)))
 
 
+@pytest.mark.parametrize("value", [float("-inf"), float("nan")], ids=["-Infinity", "NaN"])
+def test_report_file_rejects_a_non_finite_eigenvalue(tmp_path, value):
+    # json.loads reads -Infinity and NaN; the field parser must not.
+    path = _report_file_with(tmp_path, lambda payload: _certificate(
+        payload, map="reduction").__setitem__("min_eigenvalue", value))
+    assert ("NaN" if value != value else "-Infinity") in path.read_text()
+    with pytest.raises(InvariantViolation, match="min_eigenvalue must be a finite number"):
+        io.read_report_file(path)
+
+
 def test_report_file_rejects_non_square_fidelity_bound(tmp_path):
     def widen(payload):
         cert = _certificate(payload, kind="fidelity_bound")
@@ -738,6 +748,43 @@ def test_cli_probe_map(tmp_path, capsys):
     assert main(["probe-map", "--choi", str(choi), "--k", "1", "--restarts", "4",
                  "--seed", "0"]) == 0
     assert "no violation found" in capsys.readouterr().out
+
+
+def test_cli_probe_map_rejects_zero_restarts(tmp_path, capsys):
+    choi = tmp_path / "choi.json"
+    io.write_matrix_file(choi, transpose_map(2).choi, BipartiteIndex(2, 2))
+    assert main(["probe-map", "--choi", str(choi), "--k", "1", "--restarts", "0"]) == 2
+    assert "need at least one restart, got 0" in capsys.readouterr().err
+
+
+def test_cli_figure_step_rejects_a_one_point_grid(tmp_path, capsys):
+    out = tmp_path / "steps.csv"
+    assert main(["figure-step", "--grid", "1", "--out", str(out)]) == 2
+    assert "grid must have at least 2 points, got 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_numeric_failure_exits_1(tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("eigh did not converge")
+
+    monkeypatch.setattr(cli, "analyze", fail)
+    path = write_state(tmp_path / "in.json", isotropic(2, 0.8))
+    assert main(["analyze", "--input", path]) == cli.EXIT_NUMERIC
+    assert "numeric failure: eigh did not converge" in capsys.readouterr().err
+
+
+def test_readme_usage_block_lists_every_option():
+    path = os.path.join(os.path.dirname(__file__), "..", "README.md")
+    with open(path, encoding="utf-8") as readme:
+        usage = {line.split()[1]: line.replace("[", " ").replace("]", " ").split()
+                 for line in readme if line.startswith("schmidtkit ")}
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    for command, parser in sub.choices.items():
+        for action in parser._actions:
+            for option in set(action.option_strings) - {"-h", "--help"}:
+                assert option in usage[command], (command, option)
 
 
 def test_cli_twirl(tmp_path, capsys):

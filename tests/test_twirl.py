@@ -1,12 +1,18 @@
+import json
+
 import numpy as np
 import pytest
 
 from helpers import random_density, random_pure, random_unitary
 from schmidtkit import (
     BipartiteIndex,
+    DensityMatrix,
     InvariantViolation,
     PureBipartiteState,
+    analyze,
+    cli,
     clifford_ensemble_qubit,
+    io,
     isotropic,
     kernels,
     max_entangled,
@@ -21,7 +27,13 @@ from schmidtkit import (
     twirl_sectors,
     two_copy_construction,
 )
-from schmidtkit.twirl import MC_CHUNK, fidelity_with_max_entangled, two_copy_coefficients
+from schmidtkit.twirl import (
+    MC_CHUNK,
+    fidelity_with_max_entangled,
+    one_pair_sectors,
+    sector_weights,
+    two_copy_coefficients,
+)
 
 F_TIGHT = 1 / np.sqrt(2)
 
@@ -70,6 +82,44 @@ def test_twirl_exact_rejects_non_square():
     rng = np.random.default_rng(21)
     with pytest.raises(InvariantViolation):
         twirl_exact(random_density(2, 3, rng))
+
+
+# Scalings that keep the trace within TRACE_ATOL of 1. Above 1 they lift the
+# raw overlap of rho_{k/N} past k/N by more than the 1e-12 classification
+# tolerance.
+TRACE_SCALES = (1 + 9e-11, 1 - 9e-11, 1 + 1.5e-12)
+
+
+def scaled_isotropic(n, f, scale):
+    return DensityMatrix(scale * isotropic(n, f).matrix, BipartiteIndex(n, n))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_twirl_exact_never_raises_the_schmidt_number(n):
+    # The U (x) U* twirl is a mixture of local unitaries, so it cannot raise
+    # the Schmidt number; on isotropic input it must keep the exact bounds.
+    for k in range(1, n + 1):
+        for f in (k / n, k / n - 1e-9):
+            for scale in TRACE_SCALES:
+                rho = scaled_isotropic(n, f, scale)
+                before = analyze(rho)
+                after = analyze(twirl_exact(rho))
+                assert (before.lower_bound, before.upper_bound) == (k, k)
+                assert (after.lower_bound, after.upper_bound) == (k, k), (n, f, scale)
+
+
+def test_cli_twirl_exact_never_raises_the_schmidt_number(tmp_path, capsys):
+    rho = scaled_isotropic(2, 0.5, 1.00000000009)
+    src, out = tmp_path / "rho.json", tmp_path / "twirled.json"
+    io.write_matrix_file(src, rho.matrix, rho.idx)
+    assert cli.main(["twirl", "--input", str(src), "--mode", "exact", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == "F = 0.5\n"
+    bounds = []
+    for path in (src, out):
+        assert cli.main(["analyze", "--input", str(path), "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        bounds.append((report["lower_bound"], report["upper_bound"]))
+    assert bounds == [(1, 1), (1, 1)]
 
 
 # ------------------------------------------------------------- Haar samples
@@ -249,6 +299,20 @@ def test_twirl_orbit_equals_per_unitary_kron(ens):
         swapped = reference.reshape(-1, 2, 2, 2, 2).transpose(0, 2, 1, 4, 3).reshape(-1, 16)
         assert np.array_equal(twirl_orbit(two, BipartiteIndex(4, 4), ens),
                               np.concatenate([reference, swapped]))
+
+
+def test_sector_weights_project_onto_the_exact_twirl():
+    rng = np.random.default_rng(24)
+    for n in (2, 3):
+        rho = random_density(n, n, rng)
+        scaled = DensityMatrix(rho.matrix * (1 + 9e-11), rho.idx)
+        f = fidelity_with_max_entangled(rho)
+        for state in (rho, scaled):
+            weights, dist = sector_weights(state, one_pair_sectors(n))
+            assert np.allclose(weights, [f, 1 - f], atol=1e-14)
+            assert np.isclose(dist, frob(rho.matrix, twirl_exact(rho).matrix), atol=1e-14)
+        invariant = twirl_exact(scaled)
+        assert sector_weights(invariant, one_pair_sectors(n))[1] < 1e-15
 
 
 def test_twirl_sectors_only_for_qubit_pairs():

@@ -3,18 +3,20 @@
 Lower bounds come from k-positive map witnesses and from the fully entangled
 fraction, bounded from below in one step by the maximally entangled state
 nearest rho's top eigenvector; upper bounds come from explicit
-rank-constrained pure-state decompositions. Every certificate can be
-re-verified independently of the routine that produced it.
+rank-constrained pure-state decompositions; a state that is isotropic in any
+local frame is classified exactly. Every certificate can be re-verified
+independently of the routine that produced it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import io, kernels
-from .linalg import InvariantViolation, min_eigenvalue
+from .linalg import BipartiteIndex, InvariantViolation, min_eigenvalue
 from .maps import (
     NEGATIVITY_THRESHOLD,
     ORACLE_ITERS,
@@ -24,10 +26,9 @@ from .maps import (
     reduction_family,
     transpose_map,
 )
-from .states import DensityMatrix, PureBipartiteState, schmidt_ranks
+from .states import DensityMatrix, PureBipartiteState, max_entangled_vector, schmidt_ranks
 from .twirl import (
     PureEnsemble,
-    fidelity_with_max_entangled,
     one_pair_sectors,
     overlap,
     sector_weights,
@@ -131,11 +132,9 @@ class FidelityBound:
         achieved = overlap(rho, self.state.amplitudes)
         if abs(achieved - self.f_hat) > VERIFY_ATOL:
             return False
-        n = self.state.idx.d_a
-        x = self.state.amplitude_matrix() * np.sqrt(n)
-        if float(np.max(np.abs(x.conj().T @ x - np.eye(n)))) > 1e-8:
+        if _entanglement_defect(self.state) > 1e-8:
             return False
-        return self.sn_bound <= _fraction_sn(n, achieved)
+        return self.sn_bound <= _fraction_sn(self.state.idx.d_a, achieved)
 
     def to_payload(self) -> dict:
         amp, idx = self.state.amplitudes, self.state.idx
@@ -204,37 +203,62 @@ class EnsembleUpper:
 
 @dataclass(frozen=True)
 class IsotropicExact:
-    """Exact classification of an isotropic state: SN = k on (k-1)/N < F <= k/N."""
+    """Exact classification of an isotropic state in any local frame:
+    rho / Tr(rho) is within ISOTROPIC_DETECTION_TOL of
+    F |psi><psi| + (1-F)(1 - |psi><psi|)/(N^2-1) for the stored maximally
+    entangled psi, so SN = k on (k-1)/N < F <= k/N.
 
-    n: int
+    rho_F is U (x) U*-invariant, so every (U (x) V) rho_F (U (x) V)^dagger
+    is (1 (x) W) rho_F (1 (x) W)^dagger with W = V U^T, the state above at
+    psi = (1 (x) W)|Psi+>; an invertible local operator leaves the Schmidt
+    number unchanged.
+    """
+
     f: float
+    state: PureBipartiteState
     k: int
 
     kind = "isotropic_exact"
 
     def __post_init__(self):
+        idx = self.state.idx
+        if idx.d_a != idx.d_b:
+            raise InvariantViolation(
+                f"isotropic state needs a square state, got ({idx.d_a}, {idx.d_b})"
+            )
         sn = isotropic_sn(self.n, self.f)  # rejects N < 2 and F outside [0, 1]
         if self.k != sn:
             raise InvariantViolation(
                 f"isotropic state N={self.n}, F={self.f!r} has Schmidt number {sn}, not {self.k}"
             )
 
+    @property
+    def n(self) -> int:
+        return self.state.idx.d_a
+
     def verify(self, rho: DensityMatrix) -> bool:
-        if rho.idx.d_a != rho.idx.d_b or rho.idx.d_a != self.n:
+        if self.state.idx != rho.idx:
             return False
-        f = _isotropic_fidelity(rho)
+        if _entanglement_defect(self.state) > ISOTROPIC_DETECTION_TOL:
+            return False
+        f = _isotropic_fidelity(rho, self.state.amplitudes)
         return (f is not None and abs(f - self.f) <= VERIFY_ATOL
                 and isotropic_sn(self.n, f) == self.k)
 
     def to_payload(self) -> dict:
-        return {"kind": self.kind, "n": self.n, "f": self.f, "k": self.k}
+        amp = self.state.amplitudes
+        return {"kind": self.kind, "n": self.n, "f": self.f, "k": self.k,
+                "psi_re": amp.real.tolist(), "psi_im": amp.imag.tolist()}
 
     @classmethod
     def from_payload(cls, payload) -> IsotropicExact:
-        io._require(payload, ("n", "f", "k"), "isotropic_exact certificate")
+        io._require(payload, ("n", "f", "k", "psi_re", "psi_im"), "isotropic_exact certificate")
+        n = io._parse_number(payload, "n", int)
+        idx = BipartiteIndex(n, n)
+        amp = io._parse_blocks(payload["psi_re"], payload["psi_im"], (idx.dim,), "psi_re/psi_im")
         return cls(
-            n=io._parse_number(payload, "n", int),
             f=io._parse_number(payload, "f"),
+            state=PureBipartiteState(amp, idx),
             k=io._parse_number(payload, "k", int),
         )
 
@@ -332,22 +356,73 @@ def _fraction_sn(n: int, f: float) -> int:
     return 1 if n == 1 else isotropic_sn(n, f)
 
 
-def _isotropic_fidelity(rho: DensityMatrix) -> float | None:
-    """F = fidelity_with_max_entangled(rho) if rho / Tr(rho) is within
-    ISOTROPIC_DETECTION_TOL of its exact twirl, the isotropic state
-    (sector_weights in one_pair_sectors), else None."""
-    if sector_weights(rho, one_pair_sectors(rho.idx.d_a))[1] > ISOTROPIC_DETECTION_TOL:
+def _entanglement_defect(state: PureBipartiteState) -> float:
+    """max |X^dagger X - 1| for X the N x N amplitude matrix of a square
+    state times sqrt(N): zero exactly when every singular value of the
+    amplitude matrix is 1/sqrt(N), that is, when the state is maximally
+    entangled."""
+    n = state.idx.d_a
+    x = state.amplitude_matrix() * np.sqrt(n)
+    return float(np.max(np.abs(x.conj().T @ x - np.eye(n))))
+
+
+def _nearest_max_entangled(vec: np.ndarray, n: int) -> np.ndarray:
+    """The maximally entangled unit vector nearest vec, a vector on
+    H_N (x) H_N: vec(U) / sqrt(N) for U the polar factor of vec reshaped
+    to the N x N matrix M, which maximizes |<psi|vec>| over maximally
+    entangled psi."""
+    amp = kernels.polar_orthonormalize(vec.reshape(n, n)).reshape(n * n)
+    return amp / np.linalg.norm(amp)
+
+
+def _isotropic_fidelity(rho: DensityMatrix, psi: np.ndarray) -> float | None:
+    """F = overlap(rho, psi) if rho / Tr(rho) is within
+    ISOTROPIC_DETECTION_TOL of the isotropic state of fidelity F in the frame
+    of the maximally entangled psi (sector_weights in one_pair_sectors(psi)),
+    else None."""
+    if sector_weights(rho, one_pair_sectors(psi))[1] > ISOTROPIC_DETECTION_TOL:
         return None
-    return fidelity_with_max_entangled(rho)
+    return overlap(rho, psi)
 
 
-def fidelity_max(rho: DensityMatrix) -> FidelityBound:
+def _classify_isotropic(
+    rho: DensityMatrix, spectrum: tuple[np.ndarray, np.ndarray], top: np.ndarray
+) -> IsotropicExact | None:
+    """The isotropic_exact certificate of a square rho that is isotropic in
+    some local frame, else None; spectrum is rho's np.linalg.eigh and top
+    the maximally entangled vector nearest its top eigenvector.
+
+    The candidate frames psi are tried in turn: Psi+, which gives the
+    standard frame's F; top, when the top eigenvalue stands alone
+    (F > 1/N^2); and the vector nearest the bottom eigenvector, when that
+    eigenvalue stands alone (F < 1/N^2). The other N^2 - 1 eigenvalues of
+    an isotropic state are equal, so within ISOTROPIC_DETECTION_TOL of one
+    they lie within twice that of each other (Weyl), up to eigh's rounding;
+    a state that fails this pays no projection in a rotated frame.
+    """
+    n = rho.idx.d_a
+    w, v = spectrum
+    spread = 2 * ISOTROPIC_DETECTION_TOL + w.size * np.finfo(np.float64).eps
+    candidates = [max_entangled_vector(n)]
+    if w[-2] - w[0] <= spread:
+        candidates.append(top)
+    if w[-1] - w[1] <= spread:
+        candidates.append(_nearest_max_entangled(v[:, 0], n))
+    for psi in candidates:
+        f = _isotropic_fidelity(rho, psi)
+        if f is not None:
+            return IsotropicExact(f, PureBipartiteState(psi, rho.idx), isotropic_sn(n, f))
+    return None
+
+
+def fidelity_max(
+    rho: DensityMatrix, spectrum: tuple[np.ndarray, np.ndarray] | None = None
+) -> FidelityBound:
     """Lower-bound the fully entangled fraction in one step: the maximally
-    entangled state nearest rho's top eigenvector v.
+    entangled state nearest rho's top eigenvector v (_nearest_max_entangled).
+    spectrum is rho's np.linalg.eigh, when the caller has it.
 
-    With v reshaped to the N x N matrix M, psi = vec(U) / sqrt(N) for U the
-    polar factor of M, which maximizes |<psi|v>| over maximally entangled
-    psi. One-sided: f_hat = overlap(rho, psi) is at most f(rho / Tr(rho)),
+    One-sided: f_hat = overlap(rho, psi) is at most f(rho / Tr(rho)),
     the fully entangled fraction, since psi is maximally entangled by
     construction. Exact on pure states and on every local-unitary image
     (U (x) V) rho_F (U (x) V)^dagger of an isotropic state with F > 1/N^2,
@@ -358,9 +433,9 @@ def fidelity_max(rho: DensityMatrix) -> FidelityBound:
         raise InvariantViolation(
             f"fidelity bound needs d_a == d_b, got ({rho.idx.d_a}, {rho.idx.d_b})"
         )
-    top = np.linalg.eigh(rho.matrix)[1][:, -1]
-    amp = kernels.polar_orthonormalize(top.reshape(n, n)).reshape(n * n)
-    amp /= np.linalg.norm(amp)
+    if spectrum is None:
+        spectrum = np.linalg.eigh(rho.matrix)
+    amp = _nearest_max_entangled(spectrum[1][:, -1], n)
     f_hat = overlap(rho, amp)
     return FidelityBound(
         f_hat=f_hat,
@@ -414,11 +489,8 @@ def ensemble_search(rho: DensityMatrix, k: int, seed: int = 0) -> EnsembleUpper 
     stored ensemble to pass EnsembleUpper.verify; a failed search proves
     nothing.
     """
+    _check_rank(k, rho.idx)
     d_a, d_b = rho.idx.d_a, rho.idx.d_b
-    if not 1 <= k <= min(d_a, d_b):
-        raise InvariantViolation(
-            f"rank bound must lie in [1, {min(d_a, d_b)}], got {k}"
-        )
     if k == min(d_a, d_b):
         w, v = np.linalg.eigh(rho.matrix)
         return _certified(rho, k, np.maximum(w, 0.0), v.T)
@@ -448,6 +520,14 @@ def ensemble_search(rho: DensityMatrix, k: int, seed: int = 0) -> EnsembleUpper 
     if res >= ENSEMBLE_TOL:
         return None
     return _certified(rho, k, probs, psis)
+
+
+def _check_rank(k: int, idx: BipartiteIndex) -> None:
+    """Reject a rank bound k outside [1, min(d_a, d_b)]."""
+    if not 1 <= k <= min(idx.d_a, idx.d_b):
+        raise InvariantViolation(
+            f"rank bound must lie in [1, {min(idx.d_a, idx.d_b)}], got {k}"
+        )
 
 
 def _twirl_reduced_search(
@@ -555,28 +635,34 @@ def analyze(
 
     The lower bound combines the partial-transposition baseline, the
     reduction-family witness scan on every shape, and, on square input, the
-    one-step fully-entangled-fraction bound of fidelity_max; an exactly
-    isotropic input is classified exactly. When search_upper=k is given, a
-    rank-<=k decomposition search seeded with seed supplies the upper bound;
-    it runs only when k is at least the lower bound proven so far, since
-    below that no rank-<=k decomposition of rho exists.
+    one-step fully-entangled-fraction bound of fidelity_max; an input that
+    is isotropic in any local frame is classified exactly, from the same
+    eigendecomposition. When search_upper=k is given, which must lie in
+    [1, min(d_a, d_b)], a rank-<=k decomposition search seeded with seed
+    supplies the upper bound. It runs only when lower <= k < upper for the
+    bounds proven so far, a missing upper bound counting as infinite: below
+    the lower bound no rank-<=k decomposition of rho exists, and from the
+    upper bound on the search cannot lower it.
     """
+    if search_upper is not None:
+        _check_rank(search_upper, rho.idx)
     certificates = []
     d_a, d_b = rho.idx.d_a, rho.idx.d_b
     square = d_a == d_b and d_a >= 2
     if square:
-        f = _isotropic_fidelity(rho)
-        if f is not None:
-            certificates.append(IsotropicExact(n=d_a, f=f, k=isotropic_sn(d_a, f)))
+        spectrum = np.linalg.eigh(rho.matrix)
+        fidelity = fidelity_max(rho, spectrum)
+        certificates.append(_classify_isotropic(rho, spectrum, fidelity.state.amplitudes))
     if d_b >= 2:
         certificates.append(peres_witness(rho))
     certificates += [sn_lower_via_map(rho, k) for k in range(1, min(d_a, d_b))]
     if square:
-        certificates.append(fidelity_max(rho))
+        certificates.append(fidelity)
     certificates = [c for c in certificates if c is not None]
-    # ensemble_search itself rejects a k outside [1, min(d_a, d_b)].
-    if search_upper is not None and not 1 <= search_upper < proven_bounds(certificates)[0]:
-        certificates.append(ensemble_search(rho, search_upper, seed=seed))
+    if search_upper is not None:
+        lower, upper = proven_bounds(certificates)
+        if lower <= search_upper < (math.inf if upper is None else upper):
+            certificates.append(ensemble_search(rho, search_upper, seed=seed))
     certificates = tuple(c for c in certificates if c is not None)
     return SnReport(*proven_bounds(certificates), certificates)
 

@@ -55,7 +55,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="certify Schmidt-number bounds for a state file")
     p.add_argument("--input", required=True, help="density-matrix JSON file")
     p.add_argument("--search-upper", type=int, default=None, metavar="K",
-                   help="also search for a rank-<=K upper-bound decomposition")
+                   help="also search for a rank-<=K decomposition, 1 <= K <= min(d_a, d_b); "
+                        "it runs only when lower <= K < upper for the bounds proven "
+                        "without it (no upper bound: infinite)")
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--json", action="store_true",
                    help="print the report as JSON instead of a text summary")

@@ -14,7 +14,6 @@ from .states import (
     DensityMatrix,
     check_unit_rows,
     isotropic,
-    max_entangled_projector,
     max_entangled_vector,
 )
 
@@ -215,17 +214,19 @@ def twirl_orbit(amplitudes: np.ndarray, idx: BipartiteIndex, unitaries: np.ndarr
     return np.concatenate([amps, swapped])
 
 
-def one_pair_sectors(n: int) -> np.ndarray:
-    """P = |Psi+><Psi+| and Q = 1 - P on one pair H_N (x) H_N: the
-    projectors that span the operators fixed by the U (x) U* twirl."""
-    p = max_entangled_projector(n)
-    return np.array([p, np.eye(n * n) - p])
+def one_pair_sectors(psi: np.ndarray) -> np.ndarray:
+    """P = |psi><psi| and Q = 1 - P for a maximally entangled unit vector
+    psi = (1 (x) W)|Psi+> on one pair H_N (x) H_N: the projectors that span
+    the operators commuting with every (1 (x) W)(U (x) U*)(1 (x) W)^dagger,
+    those the U (x) U* twirl fixes when psi = Psi+."""
+    p = np.outer(psi, psi.conj())
+    return np.array([p, np.eye(psi.size) - p])
 
 
 def _pair_projectors() -> tuple[np.ndarray, ...]:
     """P (x) P, P (x) Q, Q (x) P and Q (x) Q on two qubit pairs
-    (one_pair_sectors(2) on each), in factor order A1 A2 B1 B2."""
-    p, q = one_pair_sectors(2)
+    (the one_pair_sectors of Psi+ on each), in factor order A1 A2 B1 B2."""
+    p, q = one_pair_sectors(max_entangled_vector(2))
     return tuple(permute_subsystems(np.kron(a, b), [2, 2, 2, 2], [0, 2, 1, 3])
                  for a, b in ((p, p), (p, q), (q, p), (q, q)))
 
@@ -235,14 +236,14 @@ def twirl_sectors(idx: BipartiteIndex) -> np.ndarray | None:
     fixed by the local twirl of twirl_orbit on qubit pairs; None for
     other dimensions.
 
-    One pair (2, 2): one_pair_sectors(2). Two pairs (4, 4), factor order
+    One pair (2, 2): one_pair_sectors of Psi+. Two pairs (4, 4), factor order
     A1 A2 B1 B2: P (x) P, P (x) Q + Q (x) P and Q (x) Q. The twirl of
     |psi><psi| is sum_j <psi|E_j|psi> E_j / Tr E_j.
     """
     if idx.d_a != idx.d_b or idx.d_a not in (2, 4):
         return None
     if idx.d_a == 2:
-        return one_pair_sectors(2)
+        return one_pair_sectors(max_entangled_vector(2))
     pp, pq, qp, qq = _pair_projectors()
     return np.array([pp, pq + qp, qq])
 

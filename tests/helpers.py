@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from schmidtkit import BipartiteIndex, DensityMatrix, PureBipartiteState
+from schmidtkit import BipartiteIndex, DensityMatrix, PureBipartiteState, isotropic
 
 
 def random_pure(d_a: int, d_b: int, rng: np.random.Generator) -> PureBipartiteState:
@@ -45,3 +45,18 @@ def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     z = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) / np.sqrt(2)
     q, r = np.linalg.qr(z)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def tilted_isotropic(n: int, f: float) -> DensityMatrix:
+    """0.9 rho_F + 0.1 |00><00| for the isotropic rho_F on H_N (x) H_N. No
+    N^2 - 1 of its eigenvalues are equal, so it is isotropic in no local
+    frame, and analyze takes its upper bound from a search."""
+    m = 0.9 * isotropic(n, f).matrix
+    m[0, 0] += 0.1
+    return DensityMatrix(m, BipartiteIndex(n, n))
+
+
+def rotated(rho: DensityMatrix, rng: np.random.Generator) -> DensityMatrix:
+    """(U (x) V) rho (U (x) V)^dagger for Haar-random local unitaries U, V."""
+    w = np.kron(random_unitary(rho.idx.d_a, rng), random_unitary(rho.idx.d_b, rng))
+    return DensityMatrix(w @ rho.matrix @ w.conj().T, rho.idx)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_unitary
+from helpers import random_unitary, rotated, tilted_isotropic
 from schmidtkit import io
 from schmidtkit.certify import (
     BOUNDARY_TOL,
@@ -27,7 +27,13 @@ from schmidtkit.certify import (
 )
 from schmidtkit.linalg import BipartiteIndex, InvariantViolation
 from schmidtkit.maps import NEGATIVITY_THRESHOLD
-from schmidtkit.states import DensityMatrix, PureBipartiteState, isotropic, max_entangled
+from schmidtkit.states import (
+    DensityMatrix,
+    PureBipartiteState,
+    isotropic,
+    max_entangled,
+    max_entangled_vector,
+)
 from schmidtkit.twirl import PureEnsemble, fidelity_with_max_entangled
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -80,11 +86,19 @@ def ensemble_uppers(draw):
 @st.composite
 def isotropic_exacts(draw):
     # k is always isotropic_sn(n, f), the only constructible value; f is
-    # rho's fidelity or any other in [0, 1].
+    # rho's fidelity or any other in [0, 1]. The frame psi = (1 (x) U)|Psi+>
+    # is Psi+ or a random one, and rho is rotated by 1 (x) U or not.
     rho = draw(isotropic_states)
     n = rho.idx.d_a
     f = fidelity_with_max_entangled(rho) if draw(st.booleans()) else draw(st.floats(0.0, 1.0))
-    return IsotropicExact(n, f, isotropic_sn(n, f)), rho
+    u = np.eye(n)
+    if draw(st.booleans()):
+        u = random_unitary(n, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    psi = PureBipartiteState(u.T.reshape(n * n) / np.sqrt(n), rho.idx)
+    if draw(st.booleans()):
+        w = np.kron(np.eye(n), u)
+        rho = DensityMatrix(w @ rho.matrix @ w.conj().T, rho.idx)
+    return IsotropicExact(f, psi, isotropic_sn(n, f)), rho
 
 
 @pytest.mark.parametrize("certificates", [
@@ -100,13 +114,22 @@ def test_certificate_payload_round_trip(certificates, data):
     assert back.verify(rho) == cert.verify(rho)
 
 
-def _isotropic_certificate(kind):
+def _isotropic_certificate(kind, rho=None):
     """The payload of the certificate of the given kind that
-    analyze(isotropic(3, 0.8), search_upper=3) returns, and the state."""
-    rho = isotropic(3, 0.8)
+    analyze(rho, search_upper=3) returns, rho = isotropic(3, 0.8) by
+    default, and the state."""
+    rho = isotropic(3, 0.8) if rho is None else rho
     (cert,) = [c.to_payload() for c in analyze(rho, search_upper=3).certificates
                if c.kind == kind]
     return cert, rho
+
+
+def _reports_of_every_kind():
+    """analyze(rho, search_upper=3) on isotropic(3, 0.8), which it classifies
+    exactly with no search, and on tilted_isotropic(3, 0.8), which is
+    isotropic in no frame and gets an ensemble_upper; with their states."""
+    return [(analyze(rho, search_upper=3), rho)
+            for rho in (isotropic(3, 0.8), tilted_isotropic(3, 0.8))]
 
 
 def test_fidelity_bound_rejects_a_wrong_overlap():
@@ -140,48 +163,85 @@ def test_isotropic_exact_rejects_a_non_isotropic_state_with_the_same_fidelity():
     assert not cert.verify(other)
 
 
-@pytest.mark.parametrize("edit, message", [
-    (lambda certs: certs[0].update(kind="made_up_kind"), "unknown certificate kind"),
-    (lambda certs: [c.update(k=2) for c in certs if c["kind"] == "ensemble_upper"],
+def _isotropic_exact_of(payload):
+    return next(c for c in payload["certificates"] if c["kind"] == "isotropic_exact")
+
+
+@pytest.mark.parametrize("rho, edit, message", [
+    (isotropic(3, 0.8), lambda payload: payload["certificates"][0].update(kind="made_up_kind"),
+     "unknown certificate kind"),
+    (tilted_isotropic(3, 0.8),
+     lambda payload: [c.update(k=2) for c in payload["certificates"]
+                      if c["kind"] == "ensemble_upper"],
      "inconsistent bounds"),
-], ids=["unknown_kind", "lower_above_upper"])
-def test_report_file_rejects_tampered_certificates(tmp_path, edit, message):
-    payload = analyze(isotropic(3, 0.8), search_upper=3).to_payload()
-    edit(payload["certificates"])
+    (isotropic(3, 0.8), lambda payload: _isotropic_exact_of(payload).pop("psi_re"),
+     "missing field 'psi_re'"),
+    (isotropic(3, 0.8), lambda payload: _isotropic_exact_of(payload).update(psi_re=[1.0] * 8),
+     "shape"),
+], ids=["unknown_kind", "lower_above_upper", "missing_psi", "short_psi"])
+def test_report_file_rejects_tampered_certificates(tmp_path, rho, edit, message):
+    payload = analyze(rho, search_upper=3).to_payload()
+    edit(payload)
     path = tmp_path / "report.json"
     path.write_text(io.dumps(payload))
     with pytest.raises(InvariantViolation, match=message):
         io.read_report_file(path)
 
 
+def test_isotropic_exact_rejects_a_frame_that_does_not_fit_the_state():
+    # On a locally rotated isotropic state, the certificate with its frame
+    # swapped for Psi+ reads as valid but must not verify.
+    rho = rotated(isotropic(3, 0.8), np.random.default_rng(7))
+    payload, _ = _isotropic_certificate("isotropic_exact", rho)
+    assert IsotropicExact.from_payload(payload).verify(rho)
+    plus = max_entangled_vector(3)
+    swapped = dict(payload, psi_re=plus.real.tolist(), psi_im=plus.imag.tolist())
+    assert not IsotropicExact.from_payload(swapped).verify(rho)
+    assert not verify_report(SnReport(3, 3, (IsotropicExact.from_payload(swapped),)), rho)
+
+
+def test_isotropic_exact_rejects_a_frame_that_is_not_maximally_entangled():
+    # rho is exactly "isotropic" around phi = sqrt(0.9)|Psi+> + sqrt(0.1)|01>,
+    # which is not maximally entangled, so only that check can reject it.
+    phi = np.sqrt(0.9) * max_entangled_vector(3)
+    phi[1] = np.sqrt(0.1)
+    p = np.outer(phi, phi.conj())
+    rho = DensityMatrix(0.8 * p + 0.2 * (np.eye(9) - p) / 8, BipartiteIndex(3, 3))
+    cert = IsotropicExact(0.8, PureBipartiteState(phi, rho.idx), 3)
+    assert abs(float((phi.conj() @ rho.matrix @ phi).real) - 0.8) < 1e-15
+    assert not cert.verify(rho)
+    assert not IsotropicExact.from_payload(io.loads(io.dumps(cert.to_payload()))).verify(rho)
+
+
 def test_certificates_reject_a_state_of_other_dimensions():
-    rho, other = isotropic(3, 0.8), isotropic(2, 0.8)
-    report = analyze(rho, search_upper=3)
-    kinds = {c.kind for c in report.certificates}
+    other = isotropic(2, 0.8)
+    kinds = set()
+    for report, rho in _reports_of_every_kind():
+        kinds |= {c.kind for c in report.certificates}
+        for cert in report.certificates:
+            assert cert.verify(rho)
+            assert cert.verify(other) is False
     assert kinds == {"map_witness", "fidelity_bound", "ensemble_upper", "isotropic_exact"}
-    for cert in report.certificates:
-        assert cert.verify(rho)
-        assert cert.verify(other) is False
 
 
 @settings(max_examples=50, deadline=None)
 @given(n=st.integers(1, 5), f=finite, k=st.integers(-1, 6))
 def test_isotropic_exact_builds_only_with_the_schmidt_number_of_its_fields(n, f, k):
     if n >= 2 and -BOUNDARY_TOL <= f <= 1.0 + BOUNDARY_TOL and k == isotropic_sn(n, f):
-        assert IsotropicExact(n, f, k).bounds() == (k, k)
+        assert IsotropicExact(f, max_entangled(n), k).bounds() == (k, k)
     else:
         with pytest.raises(InvariantViolation):
-            IsotropicExact(n, f, k)
+            IsotropicExact(f, max_entangled(n), k)
 
 
 def test_isotropic_exact_does_not_verify_across_the_boundary():
     # The stored F = 1/2 + 2e-12 gives SN = 2, but the state's F = 1/2 - 5e-11,
     # within VERIFY_ATOL of it, is separable.
-    cert = IsotropicExact(2, 0.5 + 2e-12, 2)
+    cert = IsotropicExact(0.5 + 2e-12, max_entangled(2), 2)
     rho = isotropic(2, 0.5 - 5e-11)
     assert not cert.verify(rho)
     assert not verify_report(SnReport(2, 2, (cert,)), rho)
-    assert IsotropicExact(2, 0.5 - 5e-11, 1).verify(rho)
+    assert IsotropicExact(0.5 - 5e-11, max_entangled(2), 1).verify(rho)
 
 
 @settings(max_examples=50, deadline=None)
@@ -233,8 +293,8 @@ def test_readme_certificate_table_matches_the_payloads():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     table = readme.split("| `kind` | fields | proves |\n|---|---|---|\n", 1)[1].split("\n\n")[0]
     rows = [re.match(r"\| `(\w+)` \| (.*?) \|", line).groups() for line in table.splitlines()]
-    report = analyze(isotropic(3, 0.8), search_upper=3)
-    payloads = {c.kind: c.to_payload() for c in report.certificates}
+    payloads = {c.kind: c.to_payload()
+                for report, _ in _reports_of_every_kind() for c in report.certificates}
     assert [kind for kind, _ in rows] == list(CERTIFICATES)
     for kind, fields in rows:
         assert set(re.findall(r"`(\w+)`", fields)) == set(payloads[kind]) - {"kind"}, kind
@@ -244,7 +304,10 @@ def test_readme_certificate_table_matches_the_payloads():
                          ids=["k_above_sn", "n1", "f_above_1", "k0"])
 def test_report_file_rejects_a_contradictory_isotropic_exact(tmp_path, fields):
     n, f, k = fields
-    path = _write_report(tmp_path, k, k, {"kind": "isotropic_exact", "n": n, "f": f, "k": k})
+    psi = max_entangled_vector(n)
+    path = _write_report(tmp_path, k, k, {"kind": "isotropic_exact", "n": n, "f": f, "k": k,
+                                          "psi_re": psi.real.tolist(),
+                                          "psi_im": psi.imag.tolist()})
     with pytest.raises(InvariantViolation):
         io.read_report_file(path)
 

@@ -3,7 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_density, random_pure, random_separable, random_unitary
+from helpers import (
+    random_density,
+    random_hermitian,
+    random_pure,
+    random_separable,
+    random_unitary,
+    rotated,
+)
 from schmidtkit import (
     BipartiteIndex,
     DensityMatrix,
@@ -28,7 +35,7 @@ from schmidtkit import (
     verify_decomposition,
     verify_report,
 )
-from schmidtkit import certify, kernels
+from schmidtkit import certify, io, kernels, twirl
 from schmidtkit.certify import VERIFY_ATOL, FidelityBound, IsotropicExact, SnReport, peres_witness
 
 F_TIGHT = 1 / np.sqrt(2)
@@ -138,7 +145,7 @@ def test_a_trace_within_tolerance_does_not_move_the_bound_across_k_over_n(scale)
     if scale > 1:
         assert cert.sn_bound == 2 and not cert.verify(rho)
         assert not verify_report(SnReport(2, None, (cert,)), rho)
-        assert not IsotropicExact(2, raw, 2).verify(rho)
+        assert not IsotropicExact(raw, max_entangled(2), 2).verify(rho)
 
 
 @pytest.mark.parametrize("scale", [1 + 9e-11, 1 - 9e-11, 1 + 1.5e-12])
@@ -159,20 +166,97 @@ def test_reduced_search_fits_the_weights_of_the_normalized_state(scale, monkeypa
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_lower_bound_invariant_under_local_unitaries(n):
     # Schmidt number is invariant under U (x) V, so analyze must classify a
-    # locally rotated isotropic state as it classifies the state itself. At
-    # F = k/N + 5e-9 the reduction witness (eigenvalue -5e-9/k) stays above
-    # its -1e-8 cut, and on the rotated state only a fidelity bound that
-    # follows the rotation proves SN >= k + 1; a bound evaluated at |Psi+>
-    # alone misses it. At F = k/N + 5e-10 the fidelity bound proves it by
-    # the same rule as the exact isotropic classification.
+    # locally rotated isotropic state as it classifies the state itself,
+    # exactly. At F = k/N + 5e-9 the reduction witness (eigenvalue -5e-9/k)
+    # stays above its -1e-8 cut, and on the rotated state only a fidelity
+    # bound that follows the rotation proves SN >= k + 1; a bound evaluated
+    # at |Psi+> alone misses it. At F = k/N + 5e-10 the fidelity bound proves
+    # it by the same rule as the exact isotropic classification. Below
+    # F = 1/N^2 the frame comes from the bottom eigenvector.
     rng = np.random.default_rng(34)
-    for k in range(1, n):
-        for f in (k / n - 1e-3, k / n + 5e-10, k / n + 5e-9, k / n + 1e-3):
-            w = np.kron(random_unitary(n, rng), random_unitary(n, rng))
-            iso = isotropic(n, f)
-            rho = DensityMatrix(w @ iso.matrix @ w.conj().T, iso.idx)
-            assert abs(fidelity_max(rho).f_hat - f) < 1e-12, (n, k, f)
-            assert analyze(rho).lower_bound == isotropic_sn(n, f), (n, k, f)
+    cases = [(f, True) for k in range(1, n)
+             for f in (k / n - 1e-3, k / n + 5e-10, k / n + 5e-9, k / n + 1e-3)]
+    cases += [(1 / n**2 - 1e-3, False), (1 / (2 * n**2), False)]
+    for f, top_is_psi in cases:
+        rho = rotated(isotropic(n, f), rng)
+        if top_is_psi:
+            assert abs(fidelity_max(rho).f_hat - f) < 1e-12, (n, f)
+        report = analyze(rho)
+        sn = isotropic_sn(n, f)
+        assert (report.lower_bound, report.upper_bound) == (sn, sn), (n, f)
+        assert verify_report(report, rho)
+
+
+def _recheck_isotropic_exact(payload: dict, rho: np.ndarray) -> None:
+    """Re-check an isotropic_exact payload against rho with plain numpy:
+    psi is maximally entangled, rho / Tr(rho) is within 1e-12 of the
+    isotropic state of fidelity f around psi, and k is the Schmidt number
+    of that isotropic state."""
+    n = payload["n"]
+    psi = np.array(payload["psi_re"]) + 1j * np.array(payload["psi_im"])
+    s = np.linalg.svd(psi.reshape(n, n), compute_uv=False)
+    assert np.max(np.abs(s - 1 / np.sqrt(n))) <= 1e-12
+    unit = rho / np.trace(rho).real
+    f = float((psi.conj() @ unit @ psi).real)
+    p = np.outer(psi, psi.conj())
+    iso = f * p + (1 - f) * (np.eye(n * n) - p) / (n * n - 1)
+    assert np.linalg.norm(unit - iso) <= 1e-12
+    assert abs(f - payload["f"]) <= 1e-12
+    assert payload["k"] == min(max(int(np.ceil(n * f - 1e-12)), 1), n)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_rotated_isotropic_states_get_the_bounds_of_the_unrotated_state(n):
+    # Haar U (x) V images at and next to each boundary k/N, and below
+    # 1/N^2, each re-checked by plain numpy from its report payload.
+    rng = np.random.default_rng(36)
+    fs = [f for k in range(1, n + 1) for f in (k / n, k / n - 1e-9, k / n + 1e-9) if f <= 1]
+    for f in fs + [1 / (2 * n**2)]:
+        iso = isotropic(n, f)
+        expected = analyze(iso)
+        for _ in range(3):
+            rho = rotated(iso, rng)
+            report = analyze(rho)
+            assert (report.lower_bound, report.upper_bound) == \
+                (expected.lower_bound, expected.upper_bound) == (isotropic_sn(n, f),) * 2
+            (payload,) = [c for c in io.loads(io.dumps(report.to_payload()))["certificates"]
+                          if c["kind"] == "isotropic_exact"]
+            _recheck_isotropic_exact(payload, rho.matrix)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_a_perturbed_isotropic_state_is_never_classified(n, monkeypatch):
+    # A traceless Hermitian perturbation of norm 1e-9 leaves the isotropic
+    # family in every frame; the bounds may still be proven by other means.
+    # Its spectrum spreads by far more than 2e-12, so only Psi+ is tried.
+    frames = []
+    monkeypatch.setattr(certify, "one_pair_sectors",
+                        lambda psi: frames.append(psi) or twirl.one_pair_sectors(psi))
+    rng = np.random.default_rng(37)
+    # F stays below 1, where the perturbation would leave the PSD cone.
+    for f in [k / n - 1e-9 for k in range(1, n)] + [1 / (2 * n**2), 1 - 1e-3]:
+        for rotate in (False, True, True, True, True, True):
+            iso = rotated(isotropic(n, f), rng) if rotate else isotropic(n, f)
+            h = random_hermitian(n * n, rng)
+            h -= np.trace(h) / (n * n) * np.eye(n * n)
+            rho = DensityMatrix(iso.matrix + 1e-9 * h / np.linalg.norm(h), iso.idx)
+            frames.clear()
+            report = analyze(rho)
+            assert len(frames) == 1
+            assert "isotropic_exact" not in [c.kind for c in report.certificates], (n, f)
+            assert verify_report(report, rho)
+
+
+def test_analyze_skips_search_at_or_above_the_proven_upper_bound(monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("searched above an exact upper bound")
+
+    rho = rotated(isotropic(3, 0.5), np.random.default_rng(38))
+    monkeypatch.setattr(certify, "ensemble_search", no_search)
+    for k in (2, 3):
+        report = analyze(rho, search_upper=k)
+        assert (report.lower_bound, report.upper_bound) == (2, 2)
+        assert [c.kind for c in report.certificates][0] == "isotropic_exact"
 
 
 # ------------------------------------------------------------- isotropics

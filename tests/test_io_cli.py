@@ -15,13 +15,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_density, random_separable, random_unitary
+from helpers import random_density, random_separable, random_unitary, rotated, tilted_isotropic
 from schmidtkit import cli, io, kernels
-from schmidtkit.certify import MapWitness, analyze, verify_report
+from schmidtkit.certify import IsotropicExact, MapWitness, analyze, verify_report
 from schmidtkit.cli import main
 from schmidtkit.linalg import BipartiteIndex, InvariantViolation
 from schmidtkit.maps import transpose_map
-from schmidtkit.states import DensityMatrix, isotropic, max_entangled, tensor_copies
+from schmidtkit.states import (
+    DensityMatrix,
+    isotropic,
+    max_entangled,
+    max_entangled_vector,
+    tensor_copies,
+)
 from schmidtkit.twirl import PureEnsemble, two_copy_construction
 
 F_TIGHT = 1 / np.sqrt(2)
@@ -173,10 +179,15 @@ def test_files_in_the_old_layout_read_to_the_same_doubles(tmp_path):
     assert np.array_equal(ens.probs, [1 / 3, 2 / 3])
     assert np.array_equal(ens.amps, [[1, 0], [1 / np.sqrt(2), 1 / np.sqrt(2)]])
 
+    # An isotropic_exact now names its frame psi; one without it is rejected.
     path.write_text(OLD_REPORT_FILE)
-    report = io.read_report_file(path)
-    assert (report.lower_bound, report.upper_bound) == (2, 2)
-    exact, witness = report.certificates
+    with pytest.raises(InvariantViolation, match="missing field 'psi_re'"):
+        io.read_report_file(path)
+    exact, witness = io.loads(OLD_REPORT_FILE)["certificates"]
+    plus = max_entangled_vector(2)
+    exact = IsotropicExact.from_payload(
+        dict(exact, psi_re=plus.real.tolist(), psi_im=plus.imag.tolist()))
+    witness = MapWitness.from_payload(witness)
     assert (exact.n, exact.f, exact.k) == (2, 0.8, 2)
     assert (witness.map_kind, witness.p, witness.k) == ("reduction", 1.0, 1)
     assert witness.min_eigenvalue == 0.1 - 0.4
@@ -537,16 +548,35 @@ def test_cli_probe_map_rejects_non_square_choi(tmp_path, capsys):
 def test_analyze_skips_search_below_proven_lower_bound(tmp_path, capsys, eps):
     # The Peres witness proves SN >= 2 on this entangled state, while the
     # rank-1 search would find a separable state within ENSEMBLE_TOL of it.
+    # The rotated isotropic state is classified exactly, with no search.
     u = np.kron(random_unitary(2, np.random.default_rng(1)),
                 random_unitary(2, np.random.default_rng(2)))
     iso = isotropic(2, 0.5 + eps)
     rho = DensityMatrix(u @ iso.matrix @ u.conj().T, iso.idx)
     report = analyze(rho, search_upper=1)
-    assert (report.lower_bound, report.upper_bound) == (2, None)
+    assert (report.lower_bound, report.upper_bound) == (2, 2)
+    kinds = [c.kind for c in report.certificates]
+    assert "isotropic_exact" in kinds and "ensemble_upper" not in kinds
     assert main(["analyze", "--input", write_state(tmp_path / "in.json", rho),
                  "--search-upper", "1", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert (payload["lower_bound"], payload["upper_bound"]) == (2, None)
+    assert (payload["lower_bound"], payload["upper_bound"]) == (2, 2)
+    assert "ensemble_upper" not in [c["kind"] for c in payload["certificates"]]
+
+
+@pytest.mark.parametrize("rotate", [False, True], ids=["standard", "rotated"])
+@pytest.mark.parametrize("k", [0, 4])
+def test_analyze_rejects_a_search_rank_outside_the_dimensions(tmp_path, capsys, rotate, k):
+    # Checked before the search is skipped: an exactly classified 3x3
+    # isotropic state still rejects K = 0 and K = N + 1.
+    rho = isotropic(3, 0.8)
+    if rotate:
+        rho = rotated(rho, np.random.default_rng(3))
+    with pytest.raises(InvariantViolation, match="rank bound"):
+        analyze(rho, search_upper=k)
+    assert main(["analyze", "--input", write_state(tmp_path / "in.json", rho),
+                 "--search-upper", str(k)]) == 2
+    assert "rank bound must lie in [1, 3]" in capsys.readouterr().err
 
 
 def test_cli_isotropic_rejects_bad_n(capsys):
@@ -593,11 +623,12 @@ def test_cli_rejects_non_finite_entries(tmp_path, capsys, part, entry):
 
 
 def test_cli_analyze_text_summary(tmp_path, capsys):
-    # The tight point with a rank-2 search yields all four certificate kinds.
+    # The tight point is classified exactly with no search; the same state
+    # tilted out of the isotropic family gets its upper bound from the
+    # rank-2 search. Together they print all four certificate kinds.
     path = write_state(tmp_path / "in.json", isotropic(2, F_TIGHT))
     assert main(["analyze", "--input", path, "--search-upper", "2", "--seed", "0"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[:6] == [
+    assert capsys.readouterr().out.splitlines() == [
         "schmidt number lower bound: 2",
         "schmidt number upper bound: 2",
         "  isotropic state: N=2, F=0.707106781187, SN = 2 exactly",
@@ -605,9 +636,16 @@ def test_cli_analyze_text_summary(tmp_path, capsys):
         "  witness[reduction map p=1, k=1]: min eigenvalue -2.071068e-01",
         "  fidelity bound: f_hat=0.707106781187 -> SN >= 2",
     ]
-    assert len(lines) == 7
+    path = write_state(tmp_path / "tilted.json", tilted_isotropic(2, F_TIGHT))
+    assert main(["analyze", "--input", path, "--search-upper", "2", "--seed", "0"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["schmidt number lower bound: 2", "schmidt number upper bound: 2"]
+    assert [line.split(":")[0] for line in lines[2:5]] == [
+        "  witness[transpose map, k=1]", "  witness[reduction map p=1, k=1]",
+        "  fidelity bound"]
+    assert len(lines) == 6
     assert re.fullmatch(r"  ensemble upper: rank <= 2, \d+ members, residual \d\.\d{3}e-\d\d",
-                        lines[6])
+                        lines[5])
 
 
 def test_cli_analyze_deterministic_json(tmp_path, capsys):

@@ -27,6 +27,7 @@ from schmidtkit import (
     twirl_sectors,
     two_copy_construction,
 )
+from schmidtkit.states import max_entangled_vector
 from schmidtkit.twirl import (
     MC_CHUNK,
     fidelity_with_max_entangled,
@@ -302,17 +303,22 @@ def test_twirl_orbit_equals_per_unitary_kron(ens):
 
 
 def test_sector_weights_project_onto_the_exact_twirl():
+    # In the frame psi = (1 (x) U)|Psi+>, the state rotated by 1 (x) U has the
+    # weights and the distance of rho in the standard frame.
     rng = np.random.default_rng(24)
     for n in (2, 3):
         rho = random_density(n, n, rng)
         scaled = DensityMatrix(rho.matrix * (1 + 9e-11), rho.idx)
+        w = np.kron(np.eye(n), random_unitary(n, rng))
+        turned = DensityMatrix(w @ rho.matrix @ w.conj().T, rho.idx)
         f = fidelity_with_max_entangled(rho)
-        for state in (rho, scaled):
-            weights, dist = sector_weights(state, one_pair_sectors(n))
+        for state, psi in ((rho, max_entangled_vector(n)), (scaled, max_entangled_vector(n)),
+                           (turned, w @ max_entangled_vector(n))):
+            weights, dist = sector_weights(state, one_pair_sectors(psi))
             assert np.allclose(weights, [f, 1 - f], atol=1e-14)
             assert np.isclose(dist, frob(rho.matrix, twirl_exact(rho).matrix), atol=1e-14)
         invariant = twirl_exact(scaled)
-        assert sector_weights(invariant, one_pair_sectors(n))[1] < 1e-15
+        assert sector_weights(invariant, one_pair_sectors(max_entangled_vector(n)))[1] < 1e-15
 
 
 def test_twirl_sectors_only_for_qubit_pairs():

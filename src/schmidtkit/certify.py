@@ -44,7 +44,6 @@ ORACLE_STARTS = 4
 REDUCED_STEPS = 30
 REDUCED_TOL = 1e-13
 SEARCH_ITERS = 2000
-SEARCH_RESTARTS = 10
 VERIFY_ATOL = 1e-10
 
 
@@ -77,8 +76,9 @@ class MapWitness:
                                      f"is not below {NEGATIVITY_THRESHOLD}")
 
     def verify(self, rho: DensityMatrix) -> bool:
-        k_positive = 1 if self.p is None else lambda_p_class(rho.idx.d_b, self.p)
-        if self.k > k_positive:
+        # No state has SN > min(d_a, d_b). Below that, L is k-positive on
+        # M_{d_b} since __post_init__ found it k-positive on M_k.
+        if self.k >= min(rho.idx.d_a, rho.idx.d_b):
             return False
         found = _map_witness(rho, self.p, self.k)
         return found is not None and abs(found.min_eigenvalue - self.min_eigenvalue) <= VERIFY_ATOL
@@ -481,13 +481,12 @@ def ensemble_search(rho: DensityMatrix, k: int, seed: int = 0) -> EnsembleUpper 
     At k = min(d_a, d_b) the spectral decomposition is the answer. A state
     fixed by the local twirl of one or two qubit pairs (twirl_sectors) is
     solved in its 2-3 sector weights (_twirl_reduced_search). Every other
-    state gets alternating minimization from SEARCH_RESTARTS starts (restart
-    r seeds with seed + r) of up to SEARCH_ITERS sweeps: 2 d_a d_b ansatz
-    vectors start as random sums of k product terms and are re-projected
-    onto Schmidt rank <= k each sweep; weights are refit as the exact
-    least-squares optimum on the probability simplex. Success requires the
-    stored ensemble to pass EnsembleUpper.verify; a failed search proves
-    nothing.
+    state gets one run of alternating minimization of up to SEARCH_ITERS
+    sweeps: 2 d_a d_b ansatz vectors start as random sums of k product
+    terms drawn from default_rng(seed) and are re-projected onto Schmidt
+    rank <= k each sweep; weights are refit as the exact least-squares
+    optimum on the probability simplex. Success requires the stored
+    ensemble to pass EnsembleUpper.verify; a failed search proves nothing.
     """
     _check_rank(k, rho.idx)
     d_a, d_b = rho.idx.d_a, rho.idx.d_b
@@ -502,24 +501,13 @@ def ensemble_search(rho: DensityMatrix, k: int, seed: int = 0) -> EnsembleUpper 
         if dist <= ISOTROPIC_DETECTION_TOL:
             return _twirl_reduced_search(rho, k, seed, sectors, weights)
     m_vectors = 2 * d_a * d_b
-    best = None
-    for r in range(SEARCH_RESTARTS):
-        rng = np.random.default_rng(seed + r)
-        psis0 = np.array(
-            [_random_rank_k(d_a, d_b, k, rng) for _ in range(m_vectors)]
-        )
-        probs0 = np.full(m_vectors, 1.0 / m_vectors)
-        res, probs, psis, _ = kernels.ensemble_alt_min(
-            rho.matrix, d_a, d_b, k, psis0, probs0, SEARCH_ITERS, ENSEMBLE_TOL
-        )
-        if best is None or res < best[0]:
-            best = (float(res), probs, psis)
-        if res < 0.7 * ENSEMBLE_TOL:
-            break
-    res, probs, psis = best
-    if res >= ENSEMBLE_TOL:
-        return None
-    return _certified(rho, k, probs, psis)
+    rng = np.random.default_rng(seed)
+    psis0 = np.array([_random_rank_k(d_a, d_b, k, rng) for _ in range(m_vectors)])
+    probs0 = np.full(m_vectors, 1.0 / m_vectors)
+    res, probs, psis, _ = kernels.ensemble_alt_min(
+        rho.matrix, d_a, d_b, k, psis0, probs0, SEARCH_ITERS, ENSEMBLE_TOL
+    )
+    return _certified(rho, k, probs, psis) if res < ENSEMBLE_TOL else None
 
 
 def _check_rank(k: int, idx: BipartiteIndex) -> None:

@@ -58,7 +58,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also search for a rank-<=K decomposition, 1 <= K <= min(d_a, d_b); "
                         "it runs only when lower <= K < upper for the bounds proven "
                         "without it (no upper bound: infinite)")
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--seed", type=_seed, default=0,
+                   help="seed of the --search-upper search's random starts (default 0)")
     p.add_argument("--json", action="store_true",
                    help="print the report as JSON instead of a text summary")
     p.add_argument("--out", default=None, help="also write the JSON report here")

@@ -214,13 +214,15 @@ def test_isotropic_exact_rejects_a_frame_that_is_not_maximally_entangled():
 
 
 def test_certificates_reject_a_state_of_other_dimensions():
-    other = isotropic(2, 0.8)
+    # d_b = 1 leaves no room for SN >= 2, and the reduction family needs N >= 2.
+    others = (isotropic(2, 0.8), DensityMatrix(np.eye(2) / 2, BipartiteIndex(2, 1)))
     kinds = set()
     for report, rho in _reports_of_every_kind():
         kinds |= {c.kind for c in report.certificates}
         for cert in report.certificates:
             assert cert.verify(rho)
-            assert cert.verify(other) is False
+            for other in others:
+                assert cert.verify(other) is False
     assert kinds == {"map_witness", "fidelity_bound", "ensemble_upper", "isotropic_exact"}
 
 

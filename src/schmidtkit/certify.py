@@ -4,8 +4,8 @@ Lower bounds come from k-positive map witnesses and from the fully entangled
 fraction, bounded from below in one step by the maximally entangled state
 nearest rho's top eigenvector; upper bounds come from explicit
 rank-constrained pure-state decompositions; a state that is isotropic in any
-local frame is classified exactly. Every certificate can be re-verified
-independently of the routine that produced it.
+local frame is classified exactly. Every certificate re-derives its bound
+from the state, a stored psi in the maximally entangled frame nearest it.
 """
 
 from __future__ import annotations
@@ -107,7 +107,8 @@ class MapWitness:
 
 @dataclass(frozen=True)
 class FidelityBound:
-    """An achieved overlap with a maximally entangled state; proves SN >= sn_bound."""
+    """An achieved overlap with a maximally entangled state, verified in the
+    frame _max_entangled_frame gives; proves SN >= sn_bound."""
 
     f_hat: float
     state: PureBipartiteState
@@ -127,14 +128,12 @@ class FidelityBound:
                                      f"SN >= {sn}, not {self.sn_bound}")
 
     def verify(self, rho: DensityMatrix) -> bool:
-        if self.state.idx != rho.idx:
+        psi = _max_entangled_frame(self.state, rho.idx)
+        if psi is None:
             return False
-        achieved = overlap(rho, self.state.amplitudes)
-        if abs(achieved - self.f_hat) > VERIFY_ATOL:
-            return False
-        if _entanglement_defect(self.state) > 1e-8:
-            return False
-        return self.sn_bound <= _fraction_sn(self.state.idx.d_a, achieved)
+        achieved = overlap(rho, psi)
+        return (abs(achieved - self.f_hat) <= VERIFY_ATOL
+                and self.sn_bound <= _fraction_sn(rho.idx.d_a, achieved))
 
     def to_payload(self) -> dict:
         amp, idx = self.state.amplitudes, self.state.idx
@@ -205,8 +204,9 @@ class EnsembleUpper:
 class IsotropicExact:
     """Exact classification of an isotropic state in any local frame:
     rho / Tr(rho) is within ISOTROPIC_DETECTION_TOL of
-    F |psi><psi| + (1-F)(1 - |psi><psi|)/(N^2-1) for the stored maximally
-    entangled psi, so SN = k on (k-1)/N < F <= k/N.
+    F |psi><psi| + (1-F)(1 - |psi><psi|)/(N^2-1) for psi the maximally
+    entangled vector nearest the stored one (_max_entangled_frame), so
+    SN = k on (k-1)/N < F <= k/N.
 
     rho_F is U (x) U*-invariant, so every (U (x) V) rho_F (U (x) V)^dagger
     is (1 (x) W) rho_F (1 (x) W)^dagger with W = V U^T, the state above at
@@ -237,11 +237,10 @@ class IsotropicExact:
         return self.state.idx.d_a
 
     def verify(self, rho: DensityMatrix) -> bool:
-        if self.state.idx != rho.idx:
+        psi = _max_entangled_frame(self.state, rho.idx)
+        if psi is None:
             return False
-        if _entanglement_defect(self.state) > ISOTROPIC_DETECTION_TOL:
-            return False
-        f = _isotropic_fidelity(rho, self.state.amplitudes)
+        f = _isotropic_fidelity(rho, psi)
         return (f is not None and abs(f - self.f) <= VERIFY_ATOL
                 and isotropic_sn(self.n, f) == self.k)
 
@@ -356,16 +355,6 @@ def _fraction_sn(n: int, f: float) -> int:
     return 1 if n == 1 else isotropic_sn(n, f)
 
 
-def _entanglement_defect(state: PureBipartiteState) -> float:
-    """max |X^dagger X - 1| for X the N x N amplitude matrix of a square
-    state times sqrt(N): zero exactly when every singular value of the
-    amplitude matrix is 1/sqrt(N), that is, when the state is maximally
-    entangled."""
-    n = state.idx.d_a
-    x = state.amplitude_matrix() * np.sqrt(n)
-    return float(np.max(np.abs(x.conj().T @ x - np.eye(n))))
-
-
 def _nearest_max_entangled(vec: np.ndarray, n: int) -> np.ndarray:
     """The maximally entangled unit vector nearest vec, a vector on
     H_N (x) H_N: vec(U) / sqrt(N) for U the polar factor of vec reshaped
@@ -373,6 +362,17 @@ def _nearest_max_entangled(vec: np.ndarray, n: int) -> np.ndarray:
     entangled psi."""
     amp = kernels.polar_orthonormalize(vec.reshape(n, n)).reshape(n * n)
     return amp / np.linalg.norm(amp)
+
+
+def _max_entangled_frame(state: PureBipartiteState, idx: BipartiteIndex) -> np.ndarray | None:
+    """The maximally entangled vector nearest a stored psi, or None unless
+    psi lies on the space idx within ISOTROPIC_DETECTION_TOL of it.
+    A bound taken there comes from an exactly maximally entangled vector,
+    so no tolerance on psi can raise a fidelity past k/N."""
+    if state.idx != idx:
+        return None
+    psi = _nearest_max_entangled(state.amplitudes, idx.d_a)
+    return psi if np.linalg.norm(state.amplitudes - psi) <= ISOTROPIC_DETECTION_TOL else None
 
 
 def _isotropic_fidelity(rho: DensityMatrix, psi: np.ndarray) -> float | None:

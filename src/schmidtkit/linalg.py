@@ -51,8 +51,11 @@ def hermiticity_defect(m: np.ndarray) -> float:
 
 
 def hermitize(m: np.ndarray) -> np.ndarray:
-    """Return (M + M^dagger)/2; reject inputs that are not Hermitian within
-    HERMITICITY_ATOL or that hold a NaN or infinite entry."""
+    """Return (M + M^dagger)/2; reject inputs that hold a NaN or infinite
+    entry or whose Hermiticity defect exceeds HERMITICITY_ATOL times
+    max(1, max |m_ij|). Rounding in a computed Hermitian product grows with
+    its entries, so the tolerance is relative above unit scale; the scale
+    is only computed when the absolute check fails."""
     m = as_matrix(m)
     if m.shape[0] != m.shape[1]:
         raise InvariantViolation(f"matrix is not square: shape {m.shape}")
@@ -60,9 +63,11 @@ def hermitize(m: np.ndarray) -> np.ndarray:
         raise InvariantViolation("matrix has a NaN or infinite entry")
     defect = hermiticity_defect(m)
     if defect > HERMITICITY_ATOL:
-        raise InvariantViolation(
-            f"matrix is not Hermitian: max entrywise defect {defect:.3e} > {HERMITICITY_ATOL:.1e}"
-        )
+        tol = HERMITICITY_ATOL * max(1.0, float(np.max(np.abs(m))))
+        if defect > tol:
+            raise InvariantViolation(
+                f"matrix is not Hermitian: max entrywise defect {defect:.3e} > {tol:.1e}"
+            )
     return (m + m.conj().T) / 2.0
 
 

@@ -54,14 +54,17 @@ class ProbeResult:
     """Outcome of the numerical k-positivity falsifier.
 
     ``state`` is a maximally entangled Schmidt-rank-k state and
-    ``min_eigenvalue`` the smallest eigenvalue of (1 (x) L) applied to it.
-    ``violation`` is one-sided: True comes with a certified counterexample;
-    False only means the search found none and certifies nothing.
+    ``min_eigenvalue`` the smallest eigenvalue of (1 (x) L) applied to it;
+    ``violation`` says whether it lies below ``cut``, the negativity cut
+    the probe applied. ``violation`` is one-sided: True comes with a
+    certified counterexample; False only means the search found none and
+    certifies nothing.
     """
 
     violation: bool
     min_eigenvalue: float
     state: PureBipartiteState
+    cut: float
 
 
 def reduction_family(n: int, p: float) -> MatrixMap:
@@ -76,11 +79,8 @@ def transpose_map(n: int) -> MatrixMap:
     """Transposition in the computational basis; Choi matrix SWAP/N."""
     if n < 2:
         raise InvariantViolation(f"transpose map needs N >= 2, got {n}")
-    swap = np.zeros((n * n, n * n), dtype=np.complex128)
-    for i in range(n):
-        for j in range(n):
-            swap[i * n + j, j * n + i] = 1.0
-    return MatrixMap(n, swap / n)
+    swap = np.eye(n * n, dtype=np.complex128).reshape(n, n, n, n).transpose(1, 0, 2, 3)
+    return MatrixMap(n, swap.reshape(n * n, n * n) / n)
 
 
 def apply_map(lam: MatrixMap, x: np.ndarray) -> np.ndarray:
@@ -140,7 +140,10 @@ def kpositivity_probe(
     seed: int = 0,
 ) -> ProbeResult:
     """Search for a maximally entangled Schmidt-rank-k state |Psi_k> with
-    (1 (x) L)(|Psi_k><Psi_k|) having an eigenvalue below NEGATIVITY_THRESHOLD.
+    (1 (x) L)(|Psi_k><Psi_k|) having an eigenvalue below the cut
+    NEGATIVITY_THRESHOLD * max(1, max |C_ij|). k-positivity does not depend
+    on the scale of C, and the rounding of the recomputed eigenvalue grows
+    with it, so the cut is relative above unit scale.
 
     One-sided falsifier: a violation comes with the witnessing state; a clean
     run is not a k-positivity certificate.
@@ -169,10 +172,12 @@ def kpositivity_probe(
     g[:k] = u_k.conj().T
     psi = g.reshape(n * n) / np.sqrt(k)
     val = min_eigenvalue(apply_id_tensor_map(lam, np.outer(psi, psi.conj())))
+    cut = NEGATIVITY_THRESHOLD * max(1.0, float(np.max(np.abs(lam.choi))))
     return ProbeResult(
-        violation=val < NEGATIVITY_THRESHOLD,
+        violation=val < cut,
         min_eigenvalue=val,
         state=PureBipartiteState(psi, BipartiteIndex(n, n)),
+        cut=cut,
     )
 
 

@@ -143,13 +143,47 @@ def test_fidelity_bound_rejects_a_wrong_overlap():
 def test_fidelity_bound_rejects_a_state_that_is_not_maximally_entangled():
     payload, rho = _isotropic_certificate("fidelity_bound")
     # sqrt(0.9)|Psi+> + sqrt(0.1)|01>: its true overlap 0.7225 > 2/3 gives
-    # sn_bound 3, so only the maximal-entanglement check can reject it.
+    # sn_bound 3, but it lies far from its nearest maximally entangled
+    # vector, so it has no frame to verify in.
     psi = np.sqrt(0.9) * np.eye(3).reshape(9) / np.sqrt(3)
     psi[1] = np.sqrt(0.1)
     f_hat = float(psi @ rho.matrix.real @ psi)
     assert abs(f_hat - 0.7225) < 1e-12
     payload.update(f_hat=f_hat, sn_bound=3, psi_re=psi.tolist(), psi_im=[0.0] * 9)
     assert not FidelityBound.from_payload(payload).verify(rho)
+
+
+@pytest.mark.parametrize("eps", [5e-12, 1e-9, 5e-9])
+def test_fidelity_bound_takes_its_overlap_in_the_maximally_entangled_frame(eps):
+    # rho is separable, with <Psi+|rho|Psi+> = 1/2 = 1/N exactly. Tilting
+    # psi by eps|00> raises its overlap past 1/2 by about eps/sqrt(2), and
+    # leaves psi 3.5e-12 to 3.5e-9 from Psi+, its nearest maximally
+    # entangled vector; in that frame the overlap is 1/2 again.
+    e00 = np.eye(4)[0]
+    rho = DensityMatrix(0.5 * isotropic(2, 0.5).matrix + 0.5 * np.outer(e00, e00),
+                        BipartiteIndex(2, 2))
+    assert analyze(rho).upper_bound is None and analyze(rho).lower_bound == 1
+    psi = max_entangled_vector(2) + eps * e00
+    psi /= np.linalg.norm(psi)
+    f_hat = float((psi.conj() @ rho.matrix @ psi).real)
+    assert f_hat > 0.5
+    cert = FidelityBound(f_hat, PureBipartiteState(psi, rho.idx), 2)
+    assert not cert.verify(rho)
+    assert not verify_report(SnReport(2, None, (cert,)), rho)
+
+
+def test_fidelity_bound_within_the_frame_tolerance_cannot_raise_the_overlap():
+    # psi = Psi+ + 1e-12|00>, normalized, lies 7e-13 from Psi+, inside the
+    # frame tolerance. On the product state |00><00| its own overlap is
+    # 1/2 + 7e-13, which isotropic_sn would read as SN 2; in the frame of
+    # Psi+ the overlap is 1/2 to rounding, so the bound does not verify.
+    e00 = np.eye(4)[0]
+    rho = DensityMatrix(np.outer(e00, e00), BipartiteIndex(2, 2))
+    psi = max_entangled_vector(2) + 1e-12 * e00
+    psi /= np.linalg.norm(psi)
+    f_hat = float(abs(psi[0]) ** 2)
+    assert isotropic_sn(2, f_hat) == 2
+    assert not FidelityBound(f_hat, PureBipartiteState(psi, rho.idx), 2).verify(rho)
 
 
 def test_isotropic_exact_rejects_a_non_isotropic_state_with_the_same_fidelity():
@@ -202,7 +236,8 @@ def test_isotropic_exact_rejects_a_frame_that_does_not_fit_the_state():
 
 def test_isotropic_exact_rejects_a_frame_that_is_not_maximally_entangled():
     # rho is exactly "isotropic" around phi = sqrt(0.9)|Psi+> + sqrt(0.1)|01>,
-    # which is not maximally entangled, so only that check can reject it.
+    # which lies far from its nearest maximally entangled vector, so it has
+    # no frame to verify in.
     phi = np.sqrt(0.9) * max_entangled_vector(3)
     phi[1] = np.sqrt(0.1)
     p = np.outer(phi, phi.conj())
@@ -211,6 +246,19 @@ def test_isotropic_exact_rejects_a_frame_that_is_not_maximally_entangled():
     assert abs(float((phi.conj() @ rho.matrix @ phi).real) - 0.8) < 1e-15
     assert not cert.verify(rho)
     assert not IsotropicExact.from_payload(io.loads(io.dumps(cert.to_payload()))).verify(rho)
+
+
+def test_psi_certificates_reject_a_psi_far_from_its_frame():
+    # diag(1, 2, 3) has Psi+ as its nearest maximally entangled vector, in
+    # whose frame both certificates of isotropic(3, 0.8) hold, but the
+    # stored psi is not maximally entangled.
+    rho = isotropic(3, 0.8)
+    psi = np.diag([1.0, 2.0, 3.0]).reshape(9) / np.sqrt(14)
+    state = PureBipartiteState(psi, rho.idx)
+    assert FidelityBound(0.8, max_entangled(3), 3).verify(rho)
+    assert IsotropicExact(0.8, max_entangled(3), 3).verify(rho)
+    assert not FidelityBound(0.8, state, 3).verify(rho)
+    assert not IsotropicExact(0.8, state, 3).verify(rho)
 
 
 def test_certificates_reject_a_state_of_other_dimensions():

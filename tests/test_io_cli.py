@@ -788,6 +788,19 @@ def test_cli_probe_map(tmp_path, capsys):
     assert "no violation found" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("n", [3, 4, 6])
+def test_cli_probe_map_accepts_a_scaled_hermitian_choi(tmp_path, capsys, n):
+    # An exactly Hermitian Choi matrix times 1e4: the recomputed
+    # (1 (x) L)(|Psi><Psi|) is Hermitian only to rounding at that scale.
+    choi = tmp_path / "choi.json"
+    rng = np.random.default_rng(n)
+    for _ in range(3):
+        x = rng.normal(size=(n * n,) * 2) + 1j * rng.normal(size=(n * n,) * 2)
+        io.write_matrix_file(choi, 1e4 * (x + x.conj().T) / 2, BipartiteIndex(n, n))
+        assert main(["probe-map", "--choi", str(choi), "--k", "2", "--restarts", "2"]) == 0
+        assert capsys.readouterr().out.startswith("violation: min eigenvalue ")
+
+
 def test_cli_probe_map_rejects_zero_restarts(tmp_path, capsys):
     choi = tmp_path / "choi.json"
     io.write_matrix_file(choi, transpose_map(2).choi, BipartiteIndex(2, 2))

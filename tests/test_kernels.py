@@ -342,7 +342,8 @@ def test_probe_state_is_flat_and_recomputes(seed, n, data, restarts):
     assert np.all(sv[k:] <= 1e-12)
     lo = min_eigenvalue(apply_id_tensor_map(lam, res.state.density().matrix))
     assert abs(lo - res.min_eigenvalue) <= 1e-10
-    assert res.violation == (res.min_eigenvalue < NEGATIVITY_THRESHOLD)
+    assert res.cut == NEGATIVITY_THRESHOLD * max(1.0, np.max(np.abs(lam.choi)))
+    assert res.violation == (res.min_eigenvalue < res.cut)
     # (1 (x) L)(|Psi><Psi|) is (N/k) C compressed to a Schmidt-rank-k
     # subspace, padded with zeros when k < N, so the floor is capped at 0
     # there (it is 0 itself when C is positive definite).

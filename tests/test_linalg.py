@@ -120,6 +120,17 @@ def test_eigh_rejects_non_hermitian():
         hermitize(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_hermitize_tolerance_is_relative_above_unit_scale():
+    # Rounding in a computed Hermitian product grows with its entries.
+    with pytest.raises(InvariantViolation, match="not Hermitian"):
+        hermitize(1e4 * np.array([[0.0, 1.0], [0.0, 0.0]]))
+    h = 1e4 * random_hermitian(6, np.random.default_rng(0))
+    h[0, 1] += 5e-9  # a defect within 1e-12 * max |h_ij|, far above 1e-12
+    assert np.array_equal(hermitize(h), (h + h.conj().T) / 2)
+    with pytest.raises(InvariantViolation, match="not Hermitian"):
+        hermitize(h + 1e-6 * np.eye(6, k=1))
+
+
 def test_random_state_norm_tolerance():
     rng = np.random.default_rng(10)
     psi = random_pure(3, 4, rng)

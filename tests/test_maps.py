@@ -19,6 +19,7 @@ from schmidtkit import (
     reduction_family,
     transpose_map,
 )
+from schmidtkit.maps import NEGATIVITY_THRESHOLD
 from schmidtkit.states import max_entangled_projector
 
 
@@ -243,6 +244,19 @@ def test_probe_transpose_map():
     assert not kpositivity_probe(lam, 1, restarts=6, seed=0).violation
     res = kpositivity_probe(lam, 2, restarts=6, seed=0)
     assert res.violation and abs(res.min_eigenvalue + 0.5) < 1e-6
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_probe_verdict_does_not_depend_on_the_scale_of_the_map(seed):
+    # The transposition is 1-positive and not 2-positive at every scale;
+    # at 1e8 the eigenvalue rounding alone exceeds the unit-scale cut.
+    for scale in (1.0, 1e4, 1e8, 1e12):
+        lam = MatrixMap(3, scale * transpose_map(3).choi)
+        one = kpositivity_probe(lam, 1, restarts=2, seed=seed)
+        two = kpositivity_probe(lam, 2, restarts=2, seed=seed)
+        assert not one.violation and two.violation
+        assert two.cut == one.cut == NEGATIVITY_THRESHOLD * max(1.0, np.max(np.abs(lam.choi)))
+        assert two.min_eigenvalue < two.cut
 
 
 def test_probe_agrees_with_class_small_grid():

@@ -1,8 +1,8 @@
 """Schmidt-number bound engine.
 
-Lower bounds come from k-positive map witnesses and from the fully entangled
-fraction, bounded from below in one step by the maximally entangled state
-nearest rho's top eigenvector; upper bounds come from explicit
+Lower bounds come from k-positive map witnesses, taken in closed form, and
+from the fully entangled fraction, bounded from below in one step by the
+maximally entangled state nearest rho's top eigenvector; upper bounds come from explicit
 rank-constrained pure-state decompositions; a state that is isotropic in any
 local frame is classified exactly. Every certificate re-derives its bound
 from the state, a stored psi in the maximally entangled frame nearest it.
@@ -16,16 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import io, kernels
-from .linalg import BipartiteIndex, InvariantViolation, min_eigenvalue
-from .maps import (
-    NEGATIVITY_THRESHOLD,
-    ORACLE_ITERS,
-    ORACLE_TOL,
-    apply_id_tensor_map,
-    lambda_p_class,
-    reduction_family,
-    transpose_map,
-)
+from .linalg import BipartiteIndex, InvariantViolation, min_eigenvalue, partial_trace
+from .linalg import partial_transpose
+from .maps import NEGATIVITY_THRESHOLD, ORACLE_ITERS, ORACLE_TOL, lambda_p_class
 from .states import DensityMatrix, PureBipartiteState, max_entangled_vector, schmidt_ranks
 from .twirl import (
     PureEnsemble,
@@ -108,7 +101,7 @@ class MapWitness:
 @dataclass(frozen=True)
 class FidelityBound:
     """An achieved overlap with a maximally entangled state, verified in the
-    frame _max_entangled_frame gives; proves SN >= sn_bound."""
+    frame _max_entangled_frame gives; proves SN >= sn_bound >= 2."""
 
     f_hat: float
     state: PureBipartiteState
@@ -122,8 +115,8 @@ class FidelityBound:
             raise InvariantViolation(
                 f"fidelity bound needs a square state, got ({idx.d_a}, {idx.d_b})"
             )
-        sn = _fraction_sn(idx.d_a, self.f_hat)
-        if not 1 <= self.sn_bound <= sn:
+        sn = isotropic_sn(idx.d_a, self.f_hat)  # rejects N < 2 and F outside [0, 1]
+        if not 2 <= self.sn_bound <= sn:
             raise InvariantViolation(f"fidelity {self.f_hat!r} at N={idx.d_a} proves "
                                      f"SN >= {sn}, not {self.sn_bound}")
 
@@ -133,7 +126,7 @@ class FidelityBound:
             return False
         achieved = overlap(rho, psi)
         return (abs(achieved - self.f_hat) <= VERIFY_ATOL
-                and self.sn_bound <= _fraction_sn(rho.idx.d_a, achieved))
+                and self.sn_bound <= isotropic_sn(rho.idx.d_a, achieved))
 
     def to_payload(self) -> dict:
         amp, idx = self.state.amplitudes, self.state.idx
@@ -324,10 +317,14 @@ class SnReport:
 def _map_witness(rho: DensityMatrix, p: float | None, k: int) -> MapWitness | None:
     """The witness of SN >= k+1 by L, the reduction map L_p on B or the
     transpose map when p is None, if lambda_min((1 (x) L)(rho)) lies below
-    the negativity threshold."""
-    n = rho.idx.d_b
-    lam = transpose_map(n) if p is None else reduction_family(n, p)
-    lo = min_eigenvalue(apply_id_tensor_map(lam, rho))
+    the negativity threshold: (1 (x) L_p)(rho) = rho_A (x) 1 - p rho, and
+    (1 (x) T)(rho) is the partial transpose."""
+    if p is None:
+        mapped = partial_transpose(rho.matrix, rho.idx)
+    else:
+        rho_a = partial_trace(rho.matrix, rho.idx, "B")
+        mapped = np.kron(rho_a, np.eye(rho.idx.d_b)) - p * rho.matrix
+    lo = min_eigenvalue(mapped)
     if lo < NEGATIVITY_THRESHOLD:
         return MapWitness("transpose" if p is None else "reduction", p, k, lo)
     return None
@@ -348,11 +345,6 @@ def sn_lower_via_map(rho: DensityMatrix, k: int) -> MapWitness | None:
 def peres_witness(rho: DensityMatrix) -> MapWitness | None:
     """Partial-transposition negativity; proves SN >= 2."""
     return _map_witness(rho, None, 1)
-
-
-def _fraction_sn(n: int, f: float) -> int:
-    """isotropic_sn(n, f), or 1 at N = 1, where every state is a product."""
-    return 1 if n == 1 else isotropic_sn(n, f)
 
 
 def _nearest_max_entangled(vec: np.ndarray, n: int) -> np.ndarray:
@@ -415,12 +407,11 @@ def _classify_isotropic(
     return None
 
 
-def fidelity_max(
-    rho: DensityMatrix, spectrum: tuple[np.ndarray, np.ndarray] | None = None
-) -> FidelityBound:
+def fidelity_max(rho: DensityMatrix) -> FidelityBound | None:
     """Lower-bound the fully entangled fraction in one step: the maximally
     entangled state nearest rho's top eigenvector v (_nearest_max_entangled).
-    spectrum is rho's np.linalg.eigh, when the caller has it.
+    None when that overlap f_hat <= 1/N proves only SN >= 1, as on every
+    1 x 1 state.
 
     One-sided: f_hat = overlap(rho, psi) is at most f(rho / Tr(rho)),
     the fully entangled fraction, since psi is maximally entangled by
@@ -433,15 +424,16 @@ def fidelity_max(
         raise InvariantViolation(
             f"fidelity bound needs d_a == d_b, got ({rho.idx.d_a}, {rho.idx.d_b})"
         )
-    if spectrum is None:
-        spectrum = np.linalg.eigh(rho.matrix)
-    amp = _nearest_max_entangled(spectrum[1][:, -1], n)
-    f_hat = overlap(rho, amp)
-    return FidelityBound(
-        f_hat=f_hat,
-        state=PureBipartiteState(amp, rho.idx),
-        sn_bound=_fraction_sn(n, f_hat),
-    )
+    top = np.linalg.eigh(rho.matrix)[1][:, -1]
+    return None if n < 2 else _fidelity_bound(rho, _nearest_max_entangled(top, n))
+
+
+def _fidelity_bound(rho: DensityMatrix, psi: np.ndarray) -> FidelityBound | None:
+    """The fidelity bound of a square rho (N >= 2) at the maximally
+    entangled psi, or None when its overlap proves only SN >= 1."""
+    f_hat = overlap(rho, psi)
+    sn = isotropic_sn(rho.idx.d_a, f_hat)
+    return FidelityBound(f_hat, PureBipartiteState(psi, rho.idx), sn) if sn >= 2 else None
 
 
 def isotropic_sn(n: int, f: float) -> int:
@@ -480,13 +472,16 @@ def ensemble_search(rho: DensityMatrix, k: int, seed: int = 0) -> EnsembleUpper 
 
     At k = min(d_a, d_b) the spectral decomposition is the answer. A state
     fixed by the local twirl of one or two qubit pairs (twirl_sectors) is
-    solved in its 2-3 sector weights (_twirl_reduced_search). Every other
-    state gets one run of alternating minimization of up to SEARCH_ITERS
-    sweeps: 2 d_a d_b ansatz vectors start as random sums of k product
-    terms drawn from default_rng(seed) and are re-projected onto Schmidt
-    rank <= k each sweep; weights are refit as the exact least-squares
-    optimum on the probability simplex. Success requires the stored
-    ensemble to pass EnsembleUpper.verify; a failed search proves nothing.
+    solved in its 2-3 sector weights (_twirl_reduced_search); analyze takes
+    it only on two pairs: one pair's sectors are those of Psi+, the first
+    frame _classify_isotropic tries, and an exact classification skips the
+    search. Every other state gets one run of alternating
+    minimization of up to SEARCH_ITERS sweeps: 2 d_a d_b ansatz vectors
+    start as random sums of k product terms drawn from default_rng(seed) and
+    are re-projected onto Schmidt rank <= k each sweep; weights are refit as
+    the exact least-squares optimum on the probability simplex. Success
+    requires the stored ensemble to pass EnsembleUpper.verify; a failed
+    search proves nothing.
     """
     _check_rank(k, rho.idx)
     d_a, d_b = rho.idx.d_a, rho.idx.d_b
@@ -623,14 +618,14 @@ def analyze(
 
     The lower bound combines the partial-transposition baseline, the
     reduction-family witness scan on every shape, and, on square input, the
-    one-step fully-entangled-fraction bound of fidelity_max; an input that
-    is isotropic in any local frame is classified exactly, from the same
-    eigendecomposition. When search_upper=k is given, which must lie in
-    [1, min(d_a, d_b)], a rank-<=k decomposition search seeded with seed
-    supplies the upper bound. It runs only when lower <= k < upper for the
-    bounds proven so far, a missing upper bound counting as infinite: below
-    the lower bound no rank-<=k decomposition of rho exists, and from the
-    upper bound on the search cannot lower it.
+    one-step fully-entangled-fraction bound of fidelity_max when it proves
+    SN >= 2; an input isotropic in any local frame is classified exactly,
+    from the same eigh and frame. When search_upper=k is given, which must
+    lie in [1, min(d_a, d_b)], a rank-<=k decomposition search seeded with
+    seed supplies the upper bound. It runs only when lower <= k < upper for
+    the bounds proven so far, a missing upper bound counting as infinite:
+    below the lower bound no rank-<=k decomposition of rho exists, and from
+    the upper bound on the search cannot lower it.
     """
     if search_upper is not None:
         _check_rank(search_upper, rho.idx)
@@ -639,13 +634,13 @@ def analyze(
     square = d_a == d_b and d_a >= 2
     if square:
         spectrum = np.linalg.eigh(rho.matrix)
-        fidelity = fidelity_max(rho, spectrum)
-        certificates.append(_classify_isotropic(rho, spectrum, fidelity.state.amplitudes))
+        top = _nearest_max_entangled(spectrum[1][:, -1], d_a)
+        certificates.append(_classify_isotropic(rho, spectrum, top))
     if d_b >= 2:
         certificates.append(peres_witness(rho))
     certificates += [sn_lower_via_map(rho, k) for k in range(1, min(d_a, d_b))]
     if square:
-        certificates.append(fidelity)
+        certificates.append(_fidelity_bound(rho, top))
     certificates = [c for c in certificates if c is not None]
     if search_upper is not None:
         lower, upper = proven_bounds(certificates)

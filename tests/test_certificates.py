@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_unitary, rotated, tilted_isotropic
+from helpers import random_density, random_unitary, rotated, tilted_isotropic
 from schmidtkit import io
 from schmidtkit.certify import (
     BOUNDARY_TOL,
@@ -61,12 +61,20 @@ def map_witnesses(draw):
 @st.composite
 def fidelity_bounds(draw):
     # psi = (1 (x) U)|Psi+> for a random U: fidelity_max takes U from rho's
-    # top eigenvector, but older reports hold states of any such U.
+    # top eigenvector, but older reports hold states of any such U. rho is
+    # rotated into psi's frame or not. f_hat is psi's overlap with rho when
+    # that proves SN >= 2, else a made-up one that does: constructible, but
+    # it need not hold for rho.
     rho = draw(isotropic_states)
     n = rho.idx.d_a
     u = random_unitary(n, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
     amp = u.T.reshape(n * n) / np.sqrt(n)
+    if draw(st.booleans()):
+        w = np.kron(np.eye(n), u)
+        rho = DensityMatrix(w @ rho.matrix @ w.conj().T, rho.idx)
     f_hat = float((amp.conj() @ rho.matrix @ amp).real)
+    if isotropic_sn(n, f_hat) < 2:
+        f_hat = draw(st.floats(1.0 / n + 1e-9, 1.0))
     state = PureBipartiteState(amp / np.linalg.norm(amp), rho.idx)
     return FidelityBound(f_hat, state, isotropic_sn(n, f_hat)), rho
 
@@ -298,14 +306,13 @@ def test_isotropic_exact_does_not_verify_across_the_boundary():
 @given(n=st.integers(1, 5), f_hat=st.one_of(st.floats(0.0, 1.0), finite),
        sn_bound=st.integers(-1, 6))
 def test_fidelity_bound_builds_only_with_a_bound_its_fidelity_proves(n, f_hat, sn_bound):
+    # A fidelity bound must prove SN >= 2, which no 1 x 1 state has.
     state = max_entangled(n)
-    if n == 1:
-        proven = 1  # a 1 x 1 state has Schmidt number 1 whatever f_hat says
-    elif -BOUNDARY_TOL <= f_hat <= 1.0 + BOUNDARY_TOL:
+    if n >= 2 and -BOUNDARY_TOL <= f_hat <= 1.0 + BOUNDARY_TOL:
         proven = isotropic_sn(n, f_hat)
     else:
         proven = 0
-    if 1 <= sn_bound <= proven:
+    if 2 <= sn_bound <= proven:
         assert FidelityBound(f_hat, state, sn_bound).bounds() == (sn_bound, None)
     else:
         with pytest.raises(InvariantViolation):
@@ -326,6 +333,26 @@ def test_report_file_rejects_a_fidelity_bound_its_fidelity_does_not_prove(tmp_pa
         "psi_re": psi.real.tolist(), "psi_im": psi.imag.tolist()})
     with pytest.raises(InvariantViolation, match="proves"):
         io.read_report_file(path)
+
+
+@settings(max_examples=50, deadline=None)
+@given(d_a=st.integers(1, 4), d_b=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+       data=st.data())
+def test_no_certificate_proves_only_sn_at_least_one(tmp_path_factory, d_a, d_b, seed, data):
+    # Every certificate analyze stores proves something; a fidelity bound
+    # that proves only SN >= 1 is rejected when a report holding it is read.
+    rank = data.draw(st.integers(1, d_a * d_b))
+    rho = random_density(d_a, d_b, np.random.default_rng(seed), rank=rank)
+    report = analyze(rho)
+    assert all(c.bounds() != (1, None) for c in report.certificates)
+    if d_a == d_b >= 2:
+        psi = max_entangled(d_a).amplitudes
+        f_hat = float((psi.conj() @ rho.matrix @ psi).real)
+        path = _write_report(tmp_path_factory.mktemp("report"), 1, None, {
+            "kind": "fidelity_bound", "f_hat": f_hat, "sn_bound": 1, "d_a": d_a, "d_b": d_b,
+            "psi_re": psi.real.tolist(), "psi_im": psi.imag.tolist()})
+        with pytest.raises(InvariantViolation, match="proves"):
+            io.read_report_file(path)
 
 
 @pytest.mark.parametrize("residual", [0.5, ENSEMBLE_TOL, -1e-3])

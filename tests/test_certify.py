@@ -18,17 +18,21 @@ from schmidtkit import (
     PureBipartiteState,
     PureEnsemble,
     analyze,
+    apply_id_tensor_map,
     ensemble_search,
     fidelity_max,
     isotropic,
     isotropic_sn,
     max_entangled,
+    min_eigenvalue,
+    reduction_family,
     schmidt_rank,
     schmidt_ranks,
     sn_lower_via_map,
     tensor_copies,
     tensor_copy_bound,
     tetrahedral_ensemble_qubit,
+    transpose_map,
     twirl_orbit,
     twirl_sectors,
     two_copy_construction,
@@ -37,6 +41,7 @@ from schmidtkit import (
 )
 from schmidtkit import certify, io, kernels, twirl
 from schmidtkit.certify import VERIFY_ATOL, FidelityBound, IsotropicExact, SnReport, peres_witness
+from schmidtkit.maps import NEGATIVITY_THRESHOLD
 
 F_TIGHT = 1 / np.sqrt(2)
 
@@ -65,6 +70,27 @@ def test_peres_witness():
     assert peres_witness(random_separable(2, 2, 8, rng)) is None
 
 
+@pytest.mark.parametrize("d_a, d_b", [(2, 2), (2, 3), (3, 2), (3, 3), (2, 4), (4, 4)])
+def test_closed_form_witnesses_match_the_choi_reference(d_a, d_b):
+    # The witnesses take (1 (x) L)(rho) in closed form: rho^Gamma and
+    # rho_A (x) 1 - p rho. The reference pushes rho through L's Choi matrix.
+    rng = np.random.default_rng(35)
+    compared = 0
+    for rank in (1, 1, 2, 2, 3, 3, 4, 4):
+        rho = random_density(d_a, d_b, rng, rank=rank)
+        witnesses = [(peres_witness(rho), transpose_map(d_b))]
+        witnesses += [(sn_lower_via_map(rho, k), reduction_family(d_b, 1.0 / k))
+                      for k in range(1, min(d_a, d_b))]
+        for found, lam in witnesses:
+            reference = min_eigenvalue(apply_id_tensor_map(lam, rho.matrix))
+            if found is None:
+                assert reference >= NEGATIVITY_THRESHOLD
+            else:
+                assert abs(found.min_eigenvalue - reference) <= 1e-14
+                compared += 1
+    assert compared >= 8
+
+
 # ---------------------------------------------------------------- fidelity
 
 
@@ -72,7 +98,10 @@ def test_fidelity_max_isotropic():
     for n in (2, 3):
         for f in (1 / n**2, 0.4, 0.75, 1.0):
             fb = fidelity_max(isotropic(n, f))
-            assert abs(fb.f_hat - f) < 1e-12  # the true optimum is F on this range
+            if f <= 1 / n:  # an overlap that proves only SN >= 1 gives no bound
+                assert fb is None
+            else:
+                assert abs(fb.f_hat - f) < 1e-12  # the true optimum is F on this range
 
 
 def test_fidelity_max_pure_state():
@@ -140,9 +169,9 @@ def test_a_trace_within_tolerance_does_not_move_the_bound_across_k_over_n(scale)
     assert (report.lower_bound, report.upper_bound) == (1, 1)
     assert verify_report(report, rho)
     raw = 0.5 * scale
-    cert = FidelityBound(raw, max_entangled(2), isotropic_sn(2, raw))
     assert abs(raw - 0.5) <= VERIFY_ATOL
     if scale > 1:
+        cert = FidelityBound(raw, max_entangled(2), isotropic_sn(2, raw))
         assert cert.sn_bound == 2 and not cert.verify(rho)
         assert not verify_report(SnReport(2, None, (cert,)), rho)
         assert not IsotropicExact(raw, max_entangled(2), 2).verify(rho)
@@ -180,7 +209,8 @@ def test_lower_bound_invariant_under_local_unitaries(n):
     for f, top_is_psi in cases:
         rho = rotated(isotropic(n, f), rng)
         if top_is_psi:
-            assert abs(fidelity_max(rho).f_hat - f) < 1e-12, (n, f)
+            fb = fidelity_max(rho)
+            assert fb is None if f <= 1 / n else abs(fb.f_hat - f) < 1e-12, (n, f)
         report = analyze(rho)
         sn = isotropic_sn(n, f)
         assert (report.lower_bound, report.upper_bound) == (sn, sn), (n, f)

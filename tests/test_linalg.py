@@ -107,7 +107,7 @@ def test_permute_subsystems_four_factors():
 def test_min_eigenvalue():
     assert np.isclose(min_eigenvalue(np.eye(3)), 1.0)
     assert np.isclose(min_eigenvalue(np.diag([1.0, -2.0])), -2.0)
-    mapped = apply_id_tensor_map(reduction_family(2, 1.0), max_entangled(2).density())
+    mapped = apply_id_tensor_map(reduction_family(2, 1.0), max_entangled(2).density().matrix)
     assert np.isclose(min_eigenvalue(mapped), -0.5, atol=1e-12)
     with pytest.raises(InvariantViolation):
         min_eigenvalue(np.array([[0.0, 1.0], [0.0, 0.0]]))

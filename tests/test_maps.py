@@ -119,7 +119,7 @@ def test_transpose_map_matches_partial_transpose():
     rho = random_density(3, 3, rng)
     lam = transpose_map(3)
     assert np.allclose(
-        apply_id_tensor_map(lam, rho),
+        apply_id_tensor_map(lam, rho.matrix),
         partial_transpose(rho.matrix, rho.idx),
         atol=1e-12,
     )
@@ -168,13 +168,13 @@ def test_apply_id_tensor_map_identity_map():
     rng = np.random.default_rng(7)
     rho = random_density(2, 3, rng)
     ident = MatrixMap(3, max_entangled_projector(3))
-    assert np.allclose(apply_id_tensor_map(ident, rho), rho.matrix, atol=1e-12)
+    assert np.allclose(apply_id_tensor_map(ident, rho.matrix), rho.matrix, atol=1e-12)
 
 
 def test_apply_id_tensor_map_reduction_closed_form():
     for n, f, p in ((2, 0.8, 1.0), (3, 0.7, 0.5), (4, 0.6, 0.5)):
         rho = isotropic(n, f)
-        mapped = apply_id_tensor_map(reduction_family(n, p), rho)
+        mapped = apply_id_tensor_map(reduction_family(n, p), rho.matrix)
         assert np.allclose(mapped, np.eye(n * n) / n - p * rho.matrix, atol=1e-12)
         if f > (1 - f) / (n * n - 1):
             assert abs(min_eigenvalue(mapped) - (1 / n - p * f)) < 1e-12
@@ -185,14 +185,14 @@ def test_apply_id_tensor_map_equals_marginal_form():
     for _ in range(5):
         n, p = 3, 0.65
         rho = random_density(n, n, rng)
-        mapped = apply_id_tensor_map(reduction_family(n, p), rho)
+        mapped = apply_id_tensor_map(reduction_family(n, p), rho.matrix)
         marginal = partial_trace(rho.matrix, rho.idx, "B")
         expected = np.kron(marginal, np.eye(n)) - p * rho.matrix
         assert np.allclose(mapped, expected, atol=1e-10)
 
 
 def test_apply_id_tensor_map_bell_transpose():
-    mapped = apply_id_tensor_map(transpose_map(2), max_entangled(2).density())
+    mapped = apply_id_tensor_map(transpose_map(2), max_entangled(2).density().matrix)
     assert np.isclose(min_eigenvalue(mapped), -0.5, atol=1e-12)
 
 
@@ -226,7 +226,7 @@ def test_probe_finds_reduction_violations():
     res = kpositivity_probe(lam, 2, restarts=6, seed=0)
     assert res.violation
     assert abs(res.min_eigenvalue - (0.5 - 0.6)) < 1e-6
-    mapped = apply_id_tensor_map(lam, res.state.density())
+    mapped = apply_id_tensor_map(lam, res.state.density().matrix)
     assert abs(min_eigenvalue(mapped) - res.min_eigenvalue) < 1e-10
 
 

@@ -1,8 +1,9 @@
 """Hot numeric kernels.
 
-Every function here is array-in / array-out, free of Python objects, and
-plain numpy. Seeding happens in the callers; kernels only consume pre-drawn
-randomness.
+Every function here is array-in / array-out (mc_twirl_sum takes an
+iterable of arrays), free of Python objects, and plain numpy. Seeding and
+drawing happen in the callers; kernels only consume the randomness they are
+handed.
 """
 
 from __future__ import annotations
@@ -26,52 +27,63 @@ def haar_from_ginibre(gin):
     Notices AMS 54, 592 (2007)).
 
     Gram-Schmidt runs one column at a time over the whole stack, so no
-    per-matrix LAPACK call is made. Each column is orthogonalized twice
-    against the columns before it, which keeps Q unitary to rounding even
-    when the columns are nearly dependent; the norm it is divided by is R's
-    diagonal entry, real and positive.
+    per-matrix LAPACK call is made. The stack axes are moved last, so each
+    step is an elementwise operation whose inner loop runs over the
+    samples. Each column is orthogonalized twice against the columns
+    before it, which keeps Q unitary to rounding even when the columns are
+    nearly dependent; the norm it is divided by is R's diagonal entry, real
+    and positive. Returns a view with the stack axes first again, of a
+    samples-last array, so any leading stack shape works.
     """
-    q = np.empty_like(gin)
-    for j in range(gin.shape[-1]):
-        v = gin[..., j]
+    g = np.moveaxis(gin, (-2, -1), (0, 1))
+    q = np.empty(g.shape, dtype=np.complex128)
+    for j in range(g.shape[1]):
+        v = g[:, j]
         if j:
-            qj = q[..., :j]
+            qj = q[:, :j]
             for _ in range(2):
-                coef = np.einsum("...ij,...i->...j", qj.conj(), v)
-                v = v - np.einsum("...ij,...j->...i", qj, coef)
-        q[..., j] = v / np.linalg.norm(v, axis=-1, keepdims=True)
-    return q
+                coef = np.sum(qj.conj() * v[:, None], axis=0)
+                v = v - np.sum(qj * coef[None], axis=1)
+        q[:, j] = v / np.linalg.norm(v, axis=0)
+    return np.moveaxis(q, (0, 1), (-2, -1))
 
 
-def mc_twirl_sum(rho, gin):
-    """Sum of W rho W^dagger over W = U (x) U*, U = haar_from_ginibre(gin).
+def mc_twirl_sum(rho, chunks):
+    """Sum of W rho W^dagger over W = U (x) U*, U = haar_from_ginibre(g), for
+    every Ginibre matrix g of every stack in the iterable chunks.
 
     The samples are taken in blocks of at most MC_BLOCK_BYTES of W each, so
-    W and W rho take two such buffers, allocated once per call, whatever
-    the number of samples. A block's W is built in the layout
-    (a, s, c) = W_s[a, c], so its share of the sum is two flat matrix
-    products: X = W rho, then X (as D x sD) times W* (as D x sD) transposed,
-    added into the D x D result. W is conjugated in place between the two,
-    so no second copy of it is made.
+    W and X (W rho, in W's layout) take two such buffers, allocated once
+    per call (sized by the first chunk), whatever the number of samples or
+    chunks. A chunk is
+    read only while its own blocks run, so the iterable may reuse one
+    buffer for every chunk. Each block's unitaries come from
+    haar_from_ginibre on that block alone, samples last, and its W is built
+    in the layout (ab, cd, s) = W_s[ab, cd] by one elementwise product. Its
+    share of the sum is then two flat matrix products: X = rho^T W for each
+    row ab, then X (as D x Ds) times W* (as D x Ds) transposed, added into
+    the D x D result. W is conjugated in place between the two, so no
+    second copy of it is made.
     """
-    # Contiguous, so that a block's columns ut[:, s0:s1] lay W out as
-    # (a, s, c) and every reshape below is a view.
-    ut = np.ascontiguousarray(haar_from_ginibre(gin).transpose(1, 0, 2))
-    n, ns = ut.shape[:2]
-    d = n * n
-    block = max(1, min(ns, MC_BLOCK_BYTES // (d * d * 16)))
-    w_buf = np.empty(d * block * d, dtype=np.complex128)
-    x_buf = np.empty_like(w_buf)
+    d = rho.shape[0]
     acc = np.zeros((d, d), dtype=np.complex128)
-    for s0 in range(0, ns, block):
-        u = ut[:, s0:s0 + block]
-        b = u.shape[1]
-        w = w_buf[:d * b * d].reshape(d, b, d)
-        np.multiply(u[:, None, :, :, None], u.conj()[None, :, :, None, :],
-                    out=w.reshape(n, n, b, n, n))
-        x = np.matmul(w, rho, out=x_buf[:d * b * d].reshape(d, b, d))
-        np.conjugate(w, out=w)
-        acc += x.reshape(d, b * d) @ w.reshape(d, b * d).T
+    w_buf = x_buf = None
+    for gin in chunks:
+        n = gin.shape[-1]
+        if w_buf is None:
+            block = max(1, min(len(gin), MC_BLOCK_BYTES // (d * d * 16)))
+            w_buf = np.empty(d * d * block, dtype=np.complex128)
+            x_buf = np.empty_like(w_buf)
+        for s0 in range(0, len(gin), block):
+            # (a, c, s) = U_s[a, c], contiguous.
+            u = haar_from_ginibre(gin[s0:s0 + block]).transpose(1, 2, 0)
+            b = u.shape[-1]
+            w = w_buf[:d * d * b].reshape(d, d, b)
+            np.multiply(u[:, None, :, None], u.conj()[None, :, None, :],
+                        out=w.reshape(n, n, n, n, b))
+            x = np.matmul(rho.T, w, out=x_buf[:d * d * b].reshape(d, d, b))
+            np.conjugate(w, out=w)
+            acc += x.reshape(d, d * b) @ w.reshape(d, d * b).T
     return acc
 
 

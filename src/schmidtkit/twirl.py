@@ -94,9 +94,11 @@ def twirl_exact(rho: DensityMatrix) -> DensityMatrix:
 def twirl_mc(rho: DensityMatrix, samples: int, seed: int = 0) -> DensityMatrix:
     """Monte-Carlo twirl: average of (U (x) U*) rho (..)^dagger over Haar samples.
 
-    Samples are drawn in fixed-size chunks with chunk seeds derived from
-    (seed, chunk index) and accumulated in ascending order, so the result is
-    bit-stable for a fixed seed regardless of how chunks are scheduled.
+    Samples are drawn in chunks of MC_CHUNK, chunk c from
+    SeedSequence((seed, c)), so the samples are fixed by the seed alone.
+    The chunks are handed to kernels.mc_twirl_sum as they are drawn, each
+    in the same reused buffer: a chunk is valid only until the next one is
+    drawn.
     """
     if samples < 1:
         raise InvariantViolation(f"sample count must be positive, got {samples}")
@@ -107,22 +109,22 @@ def twirl_mc(rho: DensityMatrix, samples: int, seed: int = 0) -> DensityMatrix:
         )
     if n < 2:
         raise InvariantViolation(f"isotropic states need N >= 2, got N={n}")
-    acc = np.zeros_like(rho.matrix)
-    done = 0
-    chunk_index = 0
-    while done < samples:
-        count = min(MC_CHUNK, samples - done)
-        rng = np.random.default_rng(np.random.SeedSequence((seed, chunk_index)))
-        # Filled in place: the same values as (a + 1j * b) / sqrt(2), bit
-        # for bit, without its three chunk-sized temporaries.
-        gin = np.empty((count, n, n), dtype=np.complex128)
-        gin.real = rng.normal(size=(count, n, n))
-        gin.imag = rng.normal(size=(count, n, n))
-        gin /= np.sqrt(2)
-        acc += kernels.mc_twirl_sum(rho.matrix, gin)
-        done += count
-        chunk_index += 1
-    return DensityMatrix(acc / samples, rho.idx)
+
+    def chunks():
+        gin = np.empty((min(MC_CHUNK, samples), n, n), dtype=np.complex128)
+        normal = np.empty(gin.shape)
+        for c, start in enumerate(range(0, samples, MC_CHUNK)):
+            count = min(MC_CHUNK, samples - start)
+            rng = np.random.default_rng(np.random.SeedSequence((seed, c)))
+            g, z = gin[:count], normal[:count]
+            # The same values as (a + 1j * b) / sqrt(2) with a, b from
+            # rng.normal, bit for bit, without chunk-sized temporaries.
+            g.real = rng.standard_normal(out=z)
+            g.imag = rng.standard_normal(out=z)
+            g /= np.sqrt(2)
+            yield g
+
+    return DensityMatrix(kernels.mc_twirl_sum(rho.matrix, chunks()) / samples, rho.idx)
 
 
 def _canonical_phase(u: np.ndarray) -> np.ndarray:

@@ -859,7 +859,7 @@ def test_cli_twirl(tmp_path, capsys):
 
 
 def test_cli_twirl_mc_rejects_n1_before_sampling(tmp_path, capsys, monkeypatch):
-    def no_samples(rho, gin):
+    def no_samples(rho, chunks):
         raise AssertionError("drew Haar samples for a 1x1 state")
 
     monkeypatch.setattr(kernels, "mc_twirl_sum", no_samples)

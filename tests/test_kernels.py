@@ -36,43 +36,45 @@ def _mc_block(n):
 
 
 def test_mc_kernel_variants_agree():
-    # The blocked kernel against a per-sample sum written out here: on whole
-    # chunks, on one block plus one sample (a last block of one), and on a
-    # single sample.
+    # The blocked kernel, fed an iterable of chunks, against a per-sample sum
+    # written out here: a full chunk followed by a partial one, one block
+    # plus one sample (a last block of one), and a single sample.
     rng = np.random.default_rng(50)
-    cases = [(3, 64), (2, MC_CHUNK), (3, MC_CHUNK), (4, MC_CHUNK), (6, MC_CHUNK)]
-    for n in (3, 4, 6):
-        assert _mc_block(n) + 1 < MC_CHUNK
-        cases += [(n, _mc_block(n) + 1), (n, 1)]
-    for n, samples in cases:
+    for n in (2, 3, 4, 6):
         d = n * n
-        x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        rho = x @ x.conj().T
-        rho /= np.trace(rho).real
-        gin = _ginibre(rng, samples, n, n)
-        reference = np.zeros((d, d), dtype=np.complex128)
-        for z in gin:
-            u = _haar_by_qr(z)
-            w = np.kron(u, u.conj())
-            reference += w @ rho @ w.conj().T
-        np.testing.assert_allclose(kernels.mc_twirl_sum(rho, gin) / samples,
-                                   reference / samples, rtol=0, atol=1e-14)
+        for sizes in ([MC_CHUNK, 37], [_mc_block(n) + 1], [1]):
+            x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            rho = x @ x.conj().T
+            rho /= np.trace(rho).real
+            chunks = [_ginibre(rng, size, n, n) for size in sizes]
+            reference = np.zeros((d, d), dtype=np.complex128)
+            for z in np.concatenate(chunks):
+                u = _haar_by_qr(z)
+                w = np.kron(u, u.conj())
+                reference += w @ rho @ w.conj().T
+            samples = sum(sizes)
+            np.testing.assert_allclose(kernels.mc_twirl_sum(rho, iter(chunks)) / samples,
+                                       reference / samples, rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("n", [4, 6])
 def test_mc_twirl_kernel_memory_is_bounded(n):
     # W and W rho for a whole 2048-sample chunk would take 16.8 MB at N=4
-    # and 84.9 MB at N=6.
+    # and 84.9 MB at N=6. Three chunks take no more than one: the buffers
+    # are allocated once per call.
     rng = np.random.default_rng(60 + n)
     rho = np.eye(n * n, dtype=np.complex128) / (n * n)
     gin = _ginibre(rng, MC_CHUNK, n, n)
-    tracemalloc.start()
-    try:
-        kernels.mc_twirl_sum(rho, gin)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 6 * 2**20
+    peaks = []
+    for chunks in ([gin], [gin, gin, gin]):
+        tracemalloc.start()
+        try:
+            kernels.mc_twirl_sum(rho, iter(chunks))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) < 6 * 2**20
+    assert peaks[1] < peaks[0] + 2**16
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -87,6 +89,19 @@ def test_haar_from_ginibre_is_qr_with_positive_diagonal(n):
     diag = np.diagonal(r, axis1=1, axis2=2)
     assert np.max(np.abs(diag.imag)) < 1e-12
     assert np.all(diag.real > 0.0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_haar_from_ginibre_takes_any_stack_shape(n):
+    # No stack axis (one matrix) and a 2-D stack give the per-matrix Q.
+    rng = np.random.default_rng(58 + n)
+    one = _ginibre(rng, n, n)
+    np.testing.assert_allclose(kernels.haar_from_ginibre(one), _haar_by_qr(one),
+                               rtol=0, atol=1e-12)
+    stack = _ginibre(rng, 3, 5, n, n)
+    reference = np.array([[_haar_by_qr(z) for z in row] for row in stack])
+    np.testing.assert_allclose(kernels.haar_from_ginibre(stack), reference,
+                               rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

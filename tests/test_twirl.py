@@ -180,11 +180,12 @@ def test_twirl_mc_deterministic_given_seed():
 def test_twirl_mc_draws_each_chunk_from_its_own_seed(monkeypatch):
     # Chunk c of seed s is (a + 1j b) / sqrt(2) with a, b drawn from
     # SeedSequence((s, c)), bit for bit, whole chunks first.
+    # The chunks share one buffer, so each is copied as it is drawn.
     drawn = []
 
-    def record(rho, gin):
-        drawn.append(gin.copy())
-        return len(gin) * rho  # what the twirl gives an isotropic rho
+    def record(rho, chunks):
+        drawn.extend(gin.copy() for gin in chunks)
+        return sum(map(len, drawn)) * rho  # what the twirl gives an isotropic rho
 
     monkeypatch.setattr(kernels, "mc_twirl_sum", record)
     samples = 2 * MC_CHUNK + 5

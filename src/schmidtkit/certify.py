@@ -18,7 +18,7 @@ import numpy as np
 from . import io, kernels
 from .linalg import BipartiteIndex, InvariantViolation, min_eigenvalue, partial_trace
 from .linalg import partial_transpose
-from .maps import NEGATIVITY_THRESHOLD, ORACLE_ITERS, ORACLE_TOL, lambda_p_class
+from .maps import NEGATIVITY_THRESHOLD, lambda_p_class
 from .states import DensityMatrix, PureBipartiteState, max_entangled_vector, schmidt_ranks
 from .twirl import (
     PureEnsemble,
@@ -101,7 +101,7 @@ class MapWitness:
 @dataclass(frozen=True)
 class FidelityBound:
     """An achieved overlap with a maximally entangled state, verified in the
-    frame _max_entangled_frame gives; proves SN >= sn_bound >= 2."""
+    frame _in_frame gives; proves SN >= sn_bound >= 2."""
 
     f_hat: float
     state: PureBipartiteState
@@ -121,28 +121,23 @@ class FidelityBound:
                                      f"SN >= {sn}, not {self.sn_bound}")
 
     def verify(self, rho: DensityMatrix) -> bool:
-        psi = _max_entangled_frame(self.state, rho.idx)
-        if psi is None:
-            return False
-        achieved = overlap(rho, psi)
-        return (abs(achieved - self.f_hat) <= VERIFY_ATOL
+        achieved = _in_frame(self.state, rho, overlap)
+        return (achieved is not None and abs(achieved - self.f_hat) <= VERIFY_ATOL
                 and self.sn_bound <= isotropic_sn(rho.idx.d_a, achieved))
 
     def to_payload(self) -> dict:
-        amp, idx = self.state.amplitudes, self.state.idx
+        idx = self.state.idx
         return {"kind": self.kind, "f_hat": self.f_hat, "sn_bound": self.sn_bound,
-                "d_a": idx.d_a, "d_b": idx.d_b,
-                "psi_re": amp.real.tolist(), "psi_im": amp.imag.tolist()}
+                "d_a": idx.d_a, "d_b": idx.d_b, **_psi_payload(self.state)}
 
     @classmethod
     def from_payload(cls, payload) -> FidelityBound:
         io._require(payload, ("f_hat", "sn_bound", "d_a", "d_b", "psi_re", "psi_im"),
                     "fidelity_bound certificate")
-        idx = io._parse_index(payload)
-        amp = io._parse_blocks(payload["psi_re"], payload["psi_im"], (idx.dim,), "psi_re/psi_im")
+        state = _parse_psi(payload, io._parse_index(payload))
         return cls(
             f_hat=io._parse_number(payload, "f_hat"),
-            state=PureBipartiteState(amp, idx),
+            state=state,
             sn_bound=io._parse_number(payload, "sn_bound", int),
         )
 
@@ -198,7 +193,7 @@ class IsotropicExact:
     """Exact classification of an isotropic state in any local frame:
     rho / Tr(rho) is within ISOTROPIC_DETECTION_TOL of
     F |psi><psi| + (1-F)(1 - |psi><psi|)/(N^2-1) for psi the maximally
-    entangled vector nearest the stored one (_max_entangled_frame), so
+    entangled vector nearest the stored one (_in_frame), so
     SN = k on (k-1)/N < F <= k/N.
 
     rho_F is U (x) U*-invariant, so every (U (x) V) rho_F (U (x) V)^dagger
@@ -230,27 +225,22 @@ class IsotropicExact:
         return self.state.idx.d_a
 
     def verify(self, rho: DensityMatrix) -> bool:
-        psi = _max_entangled_frame(self.state, rho.idx)
-        if psi is None:
-            return False
-        f = _isotropic_fidelity(rho, psi)
+        f = _in_frame(self.state, rho, _isotropic_fidelity)
         return (f is not None and abs(f - self.f) <= VERIFY_ATOL
                 and isotropic_sn(self.n, f) == self.k)
 
     def to_payload(self) -> dict:
-        amp = self.state.amplitudes
         return {"kind": self.kind, "n": self.n, "f": self.f, "k": self.k,
-                "psi_re": amp.real.tolist(), "psi_im": amp.imag.tolist()}
+                **_psi_payload(self.state)}
 
     @classmethod
     def from_payload(cls, payload) -> IsotropicExact:
         io._require(payload, ("n", "f", "k", "psi_re", "psi_im"), "isotropic_exact certificate")
         n = io._parse_number(payload, "n", int)
-        idx = BipartiteIndex(n, n)
-        amp = io._parse_blocks(payload["psi_re"], payload["psi_im"], (idx.dim,), "psi_re/psi_im")
+        state = _parse_psi(payload, BipartiteIndex(n, n))
         return cls(
             f=io._parse_number(payload, "f"),
-            state=PureBipartiteState(amp, idx),
+            state=state,
             k=io._parse_number(payload, "k", int),
         )
 
@@ -356,15 +346,26 @@ def _nearest_max_entangled(vec: np.ndarray, n: int) -> np.ndarray:
     return amp / np.linalg.norm(amp)
 
 
-def _max_entangled_frame(state: PureBipartiteState, idx: BipartiteIndex) -> np.ndarray | None:
-    """The maximally entangled vector nearest a stored psi, or None unless
-    psi lies on the space idx within ISOTROPIC_DETECTION_TOL of it.
-    A bound taken there comes from an exactly maximally entangled vector,
-    so no tolerance on psi can raise a fidelity past k/N."""
-    if state.idx != idx:
+def _in_frame(state: PureBipartiteState, rho: DensityMatrix, fidelity):
+    """fidelity(rho, psi) for psi the maximally entangled vector nearest a
+    stored state, or None unless the state lies on rho's space within
+    ISOTROPIC_DETECTION_TOL of psi. A bound taken there comes from an exactly
+    maximally entangled vector, so no tolerance on the state can raise a
+    fidelity past k/N."""
+    if state.idx != rho.idx:
         return None
-    psi = _nearest_max_entangled(state.amplitudes, idx.d_a)
-    return psi if np.linalg.norm(state.amplitudes - psi) <= ISOTROPIC_DETECTION_TOL else None
+    psi = _nearest_max_entangled(state.amplitudes, rho.idx.d_a)
+    close = np.linalg.norm(state.amplitudes - psi) <= ISOTROPIC_DETECTION_TOL
+    return fidelity(rho, psi) if close else None
+
+
+def _psi_payload(state: PureBipartiteState) -> dict:
+    return {"psi_re": state.amplitudes.real.tolist(), "psi_im": state.amplitudes.imag.tolist()}
+
+
+def _parse_psi(payload, idx: BipartiteIndex) -> PureBipartiteState:
+    return PureBipartiteState(io._parse_blocks(payload["psi_re"], payload["psi_im"], (idx.dim,),
+                                               "psi_re/psi_im"), idx)
 
 
 def _isotropic_fidelity(rho: DensityMatrix, psi: np.ndarray) -> float | None:
@@ -543,7 +544,7 @@ def _twirl_reduced_search(
         x = -np.einsum("j,jab->ab", grad * scale, sectors)
         shape = (ORACLE_STARTS, d_b, k)
         b0 = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        vals, psis = kernels.rank_k_oracle(x, d_a, d_b, k, b0, ORACLE_ITERS, ORACLE_TOL)
+        vals, psis = kernels.rank_k_oracle(x, d_a, d_b, k, b0)
         psi = psis[np.argmax(vals)]
         u = np.einsum("a,jab,b->j", psi.conj(), sectors, psi).real * scale
         # If rho's weights lie in the hull, the best seed u has

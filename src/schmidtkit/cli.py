@@ -1,7 +1,8 @@
 """Command-line front end; main builds its parser once per process and reuses it.
 
-Exit codes: 0 success, 1 internal numeric failure, 2 invalid input. All JSON
-output is deterministic for a fixed --seed (default 0).
+Exit codes: 0 success, 1 internal numeric failure, 2 invalid input, including
+an input too large to allocate. All JSON output is deterministic for a fixed
+--seed (default 0).
 """
 
 from __future__ import annotations
@@ -65,10 +66,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="also write the JSON report here")
 
     p = sub.add_parser("isotropic", help="classify an isotropic state exactly")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--f", type=float, required=True)
-    p.add_argument("--emit-state", default=None, metavar="FILE")
-    p.add_argument("--json", action="store_true")
+    p.add_argument("--n", type=int, required=True, help="local dimension N >= 2")
+    p.add_argument("--f", type=float, required=True,
+                   help="fidelity F with the maximally entangled state, 0 <= F <= 1")
+    p.add_argument("--emit-state", default=None, metavar="FILE",
+                   help="also write the state's density matrix to FILE")
+    p.add_argument("--json", action="store_true",
+                   help="print the classification as JSON instead of text")
 
     p = sub.add_parser("demo-nonadditivity",
                        help="run the two-copy rank-2 construction and verify it")
@@ -77,22 +81,31 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("figure-step",
                        help="emit N=2 one- and two-copy Schmidt-number step data as CSV")
-    p.add_argument("--grid", type=int, default=400)
-    p.add_argument("--out", required=True)
+    p.add_argument("--grid", type=int, default=400,
+                   help="evenly spaced F values on [0, 1], at least 2 (default 400)")
+    p.add_argument("--out", required=True, help="CSV file to write")
 
     p = sub.add_parser("probe-map", help="search for a k-positivity violation of a Choi file")
     p.add_argument("--choi", required=True, help="Hermitian Choi-matrix JSON file (raw)")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--restarts", type=int, default=50)
-    p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--json", action="store_true")
+    p.add_argument("--k", type=int, required=True,
+                   help="Schmidt rank of the probe states, 1 <= K <= N")
+    p.add_argument("--restarts", type=int, default=50,
+                   help="random starts of the search (default 50)")
+    p.add_argument("--seed", type=_seed, default=0,
+                   help="seed of the random starts (default 0)")
+    p.add_argument("--json", action="store_true",
+                   help="print the result as JSON instead of text")
 
     p = sub.add_parser("twirl", help="project a state onto the isotropic family")
-    p.add_argument("--input", required=True)
-    p.add_argument("--mode", choices=("exact", "mc"), default="exact")
-    p.add_argument("--samples", type=int, default=100000)
-    p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--out", required=True)
+    p.add_argument("--input", required=True, help="density-matrix JSON file, d_a == d_b")
+    p.add_argument("--mode", choices=("exact", "mc"), default="exact",
+                   help="exact projection or Monte-Carlo average over Haar samples "
+                        "(default exact)")
+    p.add_argument("--samples", type=int, default=100000,
+                   help="Haar samples of --mode mc (default 100000)")
+    p.add_argument("--seed", type=_seed, default=0,
+                   help="seed of the --mode mc samples (default 0)")
+    p.add_argument("--out", required=True, help="file to write the twirled state to")
 
     return parser
 
@@ -237,7 +250,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except (InvariantViolation, OSError) as exc:
+    except (InvariantViolation, OSError, MemoryError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except (np.linalg.LinAlgError, FloatingPointError, RuntimeError) as exc:

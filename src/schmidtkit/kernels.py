@@ -1,17 +1,17 @@
 """Hot numeric kernels.
 
-Every function here is array-in / array-out (mc_twirl_sum takes an
-iterable of arrays), free of Python objects, and plain numpy. Seeding and
-drawing happen in the callers; kernels only consume the randomness they are
-handed.
+Every function here is array-in / array-out, free of Python objects, and
+plain numpy. Seeding and drawing happen in the callers; kernels only
+consume the randomness they are handed.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-# Bytes of W (and of W rho) per block of mc_twirl_sum.
-MC_BLOCK_BYTES = 1 << 20
+# The stop rule of rank_k_oracle.
+ORACLE_ITERS = 500
+ORACLE_TOL = 1e-15
 
 
 def polar_orthonormalize(m):
@@ -46,45 +46,6 @@ def haar_from_ginibre(gin):
                 v = v - np.sum(qj * coef[None], axis=1)
         q[:, j] = v / np.linalg.norm(v, axis=0)
     return np.moveaxis(q, (0, 1), (-2, -1))
-
-
-def mc_twirl_sum(rho, chunks):
-    """Sum of W rho W^dagger over W = U (x) U*, U = haar_from_ginibre(g), for
-    every Ginibre matrix g of every stack in the iterable chunks.
-
-    The samples are taken in blocks of at most MC_BLOCK_BYTES of W each, so
-    W and X (W rho, in W's layout) take two such buffers, allocated once
-    per call (sized by the first chunk), whatever the number of samples or
-    chunks. A chunk is
-    read only while its own blocks run, so the iterable may reuse one
-    buffer for every chunk. Each block's unitaries come from
-    haar_from_ginibre on that block alone, samples last, and its W is built
-    in the layout (ab, cd, s) = W_s[ab, cd] by one elementwise product. Its
-    share of the sum is then two flat matrix products: X = rho^T W for each
-    row ab, then X (as D x Ds) times W* (as D x Ds) transposed, added into
-    the D x D result. W is conjugated in place between the two, so no
-    second copy of it is made.
-    """
-    d = rho.shape[0]
-    acc = np.zeros((d, d), dtype=np.complex128)
-    w_buf = x_buf = None
-    for gin in chunks:
-        n = gin.shape[-1]
-        if w_buf is None:
-            block = max(1, min(len(gin), MC_BLOCK_BYTES // (d * d * 16)))
-            w_buf = np.empty(d * d * block, dtype=np.complex128)
-            x_buf = np.empty_like(w_buf)
-        for s0 in range(0, len(gin), block):
-            # (a, c, s) = U_s[a, c], contiguous.
-            u = haar_from_ginibre(gin[s0:s0 + block]).transpose(1, 2, 0)
-            b = u.shape[-1]
-            w = w_buf[:d * d * b].reshape(d, d, b)
-            np.multiply(u[:, None, :, None], u.conj()[None, :, None, :],
-                        out=w.reshape(n, n, n, n, b))
-            x = np.matmul(rho.T, w, out=x_buf[:d * d * b].reshape(d, d, b))
-            np.conjugate(w, out=w)
-            acc += x.reshape(d, d * b) @ w.reshape(d, d * b).T
-    return acc
 
 
 def simplex_project(v):
@@ -154,7 +115,7 @@ def simplex_qp(gram, bvec, p0):
     return p
 
 
-def rank_k_oracle(x, d_a, d_b, k, b0, max_iters, tol):
+def rank_k_oracle(x, d_a, d_b, k, b0):
     """Maximize <psi|X|psi> over unit psi of Schmidt rank <= k, from every
     start of the stack b0 (S, d_b, k) at once.
 
@@ -163,13 +124,13 @@ def rank_k_oracle(x, d_a, d_b, k, b0, max_iters, tol):
     eigenvector of (1 (x) B)^dag X (1 (x) B); A is then orthonormalized by
     QR and B is refit the same way with the roles swapped. Each half-step
     maximizes over a set that contains the current psi, so no step lowers
-    the value. Stops when no start gains more than tol, or after max_iters
-    rounds. Returns (values (S,), psis (S, d_a d_b)).
+    the value. Stops when no start gains more than ORACLE_TOL, or after
+    ORACLE_ITERS rounds. Returns (values (S,), psis (S, d_a d_b)).
     """
     x4 = x.reshape(d_a, d_b, d_a, d_b)
     b = np.linalg.qr(b0)[0]
     val = None
-    for _ in range(max_iters):
+    for _ in range(ORACLE_ITERS):
         m = np.einsum("sjn,ijkl,slm->sinkm", b.conj(), x4, b, optimize=True)
         v = np.linalg.eigh(m.reshape(-1, d_a * k, d_a * k))[1][:, :, -1]
         a = np.linalg.qr(v.reshape(-1, d_a, k))[0]
@@ -177,7 +138,7 @@ def rank_k_oracle(x, d_a, d_b, k, b0, max_iters, tol):
         w, v = np.linalg.eigh(m.reshape(-1, k * d_b, k * d_b))
         bt = v[:, :, -1].reshape(-1, k, d_b)
         prev, val = val, w[:, -1]
-        if prev is not None and np.all(val - prev <= tol):
+        if prev is not None and np.all(val - prev <= ORACLE_TOL):
             break
         b = np.linalg.qr(bt.transpose(0, 2, 1))[0]
     return val, (a @ bt).reshape(-1, d_a * d_b)

@@ -5,8 +5,8 @@ C = (1 (x) L)(|Psi+><Psi+|) with |Psi+> on H_N (x) H_N; the action is
 recovered as L(X) = N * Tr_A[(X^T (x) 1) C]. L is k-positive
 exactly when <phi|C|phi> >= 0 for every phi of Schmidt rank <= k, so the
 k-positivity probe is one rank-constrained extremum of C
-(kernels.rank_k_oracle); no N^2 x N^2 superoperator (N^8 entries) is ever
-built.
+(kernels.rank_k_oracle, which owns its stop rule); no N^2 x N^2
+superoperator (N^8 entries) is ever built.
 """
 
 from __future__ import annotations
@@ -20,8 +20,6 @@ from .linalg import BipartiteIndex, InvariantViolation, as_matrix, hermitize, mi
 from .states import PureBipartiteState, max_entangled_projector
 
 NEGATIVITY_THRESHOLD = -1e-8
-ORACLE_ITERS = 500
-ORACLE_TOL = 1e-15
 
 
 @dataclass(frozen=True)
@@ -154,7 +152,7 @@ def kpositivity_probe(
     if restarts < 1:
         raise InvariantViolation(f"need at least one restart, got {restarts}")
     b0 = np.array([_ginibre(n, k, np.random.default_rng(seed + r)) for r in range(restarts)])
-    vals, phis = kernels.rank_k_oracle(-lam.choi, n, n, k, b0, ORACLE_ITERS, ORACLE_TOL)
+    vals, phis = kernels.rank_k_oracle(-lam.choi, n, n, k, b0)
     u_k = np.linalg.svd(phis[np.argmax(vals)].reshape(n, n))[0][:, :k]
     g = np.zeros((n, n), dtype=np.complex128)
     g[:k] = u_k.conj().T

@@ -129,6 +129,8 @@ def isotropic(n: int, f: float) -> DensityMatrix:
     """Isotropic state F P+ + (1-F)/(N^2-1) (1 - P+) with fidelity F to P+."""
     if n < 2:
         raise InvariantViolation(f"isotropic states need N >= 2, got N={n}")
+    if 16 * int(n) ** 4 > np.iinfo(np.intp).max:
+        raise InvariantViolation(f"an N={n} isotropic state has more bytes than an array can hold")
     if not 0.0 <= f <= 1.0:
         raise InvariantViolation(f"fidelity must lie in [0, 1], got {f}")
     return DensityMatrix(isotropic_matrix(n, f), BipartiteIndex(n, n))

@@ -18,6 +18,8 @@ from .states import (
 )
 
 MC_CHUNK = 2048
+# Bytes of W (and of W rho) per block of twirl_mc.
+MC_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -92,13 +94,20 @@ def twirl_exact(rho: DensityMatrix) -> DensityMatrix:
 
 
 def twirl_mc(rho: DensityMatrix, samples: int, seed: int = 0) -> DensityMatrix:
-    """Monte-Carlo twirl: average of (U (x) U*) rho (..)^dagger over Haar samples.
+    """Monte-Carlo twirl: average of W rho W^dagger over W = U (x) U*, U Haar.
 
     Samples are drawn in chunks of MC_CHUNK, chunk c from
     SeedSequence((seed, c)), so the samples are fixed by the seed alone.
-    The chunks are handed to kernels.mc_twirl_sum as they are drawn, each
-    in the same reused buffer: a chunk is valid only until the next one is
-    drawn.
+    Every chunk is drawn into one buffer and summed before the next is
+    drawn, in blocks of at most MC_BLOCK_BYTES of W each; blocks restart at
+    each chunk boundary. W and X (W rho, in W's layout) take one buffer
+    each, so memory does not grow with the number of samples. A block's
+    unitaries come from kernels.haar_from_ginibre on that block alone,
+    samples last, and its W is built in the layout (ab, cd, s) = W_s[ab, cd]
+    by one elementwise product. Its share of the sum is then two flat
+    matrix products: X = rho^T W for each row ab, then X (as D x Ds) times
+    W* (as D x Ds) transposed. W is conjugated in place between the two, so
+    no second copy of it is made.
     """
     if samples < 1:
         raise InvariantViolation(f"sample count must be positive, got {samples}")
@@ -109,22 +118,33 @@ def twirl_mc(rho: DensityMatrix, samples: int, seed: int = 0) -> DensityMatrix:
         )
     if n < 2:
         raise InvariantViolation(f"isotropic states need N >= 2, got N={n}")
-
-    def chunks():
-        gin = np.empty((min(MC_CHUNK, samples), n, n), dtype=np.complex128)
-        normal = np.empty(gin.shape)
-        for c, start in enumerate(range(0, samples, MC_CHUNK)):
-            count = min(MC_CHUNK, samples - start)
-            rng = np.random.default_rng(np.random.SeedSequence((seed, c)))
-            g, z = gin[:count], normal[:count]
-            # The same values as (a + 1j * b) / sqrt(2) with a, b from
-            # rng.normal, bit for bit, without chunk-sized temporaries.
-            g.real = rng.standard_normal(out=z)
-            g.imag = rng.standard_normal(out=z)
-            g /= np.sqrt(2)
-            yield g
-
-    return DensityMatrix(kernels.mc_twirl_sum(rho.matrix, chunks()) / samples, rho.idx)
+    d = n * n
+    gin = np.empty((min(MC_CHUNK, samples), n, n), dtype=np.complex128)
+    normal = np.empty(gin.shape)
+    block = max(1, min(len(gin), MC_BLOCK_BYTES // (d * d * 16)))
+    w_buf = np.empty(d * d * block, dtype=np.complex128)
+    x_buf = np.empty_like(w_buf)
+    acc = np.zeros((d, d), dtype=np.complex128)
+    for c, start in enumerate(range(0, samples, MC_CHUNK)):
+        count = min(MC_CHUNK, samples - start)
+        rng = np.random.default_rng(np.random.SeedSequence((seed, c)))
+        g, z = gin[:count], normal[:count]
+        # The same values as (a + 1j * b) / sqrt(2) with a, b from
+        # rng.normal, bit for bit, without chunk-sized temporaries.
+        g.real = rng.standard_normal(out=z)
+        g.imag = rng.standard_normal(out=z)
+        g /= np.sqrt(2)
+        for s0 in range(0, count, block):
+            # (a, c, s) = U_s[a, c], contiguous.
+            u = kernels.haar_from_ginibre(g[s0:s0 + block]).transpose(1, 2, 0)
+            b = u.shape[-1]
+            w = w_buf[:d * d * b].reshape(d, d, b)
+            np.multiply(u[:, None, :, None], u.conj()[None, :, None, :],
+                        out=w.reshape(n, n, n, n, b))
+            x = np.matmul(rho.matrix.T, w, out=x_buf[:d * d * b].reshape(d, d, b))
+            np.conjugate(w, out=w)
+            acc += x.reshape(d, d * b) @ w.reshape(d, d * b).T
+    return DensityMatrix(acc / samples, rho.idx)
 
 
 def _canonical_phase(u: np.ndarray) -> np.ndarray:

@@ -825,6 +825,24 @@ def test_cli_numeric_failure_exits_1(tmp_path, capsys, monkeypatch):
     assert "numeric failure: eigh did not converge" in capsys.readouterr().err
 
 
+def test_cli_out_of_memory_is_invalid_input(capsys, monkeypatch):
+    def too_big(args):
+        raise MemoryError("Unable to allocate 728. TiB for an array")
+
+    monkeypatch.setitem(cli._HANDLERS, "figure-step", too_big)
+    assert main(["figure-step", "--out", "unused.csv"]) == cli.EXIT_INVALID
+    err = capsys.readouterr().err
+    assert err == "invalid input: Unable to allocate 728. TiB for an array\n"
+
+
+def test_cli_every_option_has_help():
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    for command, parser in sub.choices.items():
+        for action in parser._actions:
+            assert action.help, (command, action.option_strings)
+
+
 def test_readme_usage_block_lists_every_option():
     path = os.path.join(os.path.dirname(__file__), "..", "README.md")
     with open(path, encoding="utf-8") as readme:
@@ -859,10 +877,10 @@ def test_cli_twirl(tmp_path, capsys):
 
 
 def test_cli_twirl_mc_rejects_n1_before_sampling(tmp_path, capsys, monkeypatch):
-    def no_samples(rho, chunks):
+    def no_samples(gin):
         raise AssertionError("drew Haar samples for a 1x1 state")
 
-    monkeypatch.setattr(kernels, "mc_twirl_sum", no_samples)
+    monkeypatch.setattr(kernels, "haar_from_ginibre", no_samples)
     path = tmp_path / "one.json"
     io.write_matrix_file(path, np.ones((1, 1), dtype=complex), BipartiteIndex(1, 1))
     assert main(["twirl", "--input", str(path), "--mode", "mc", "--samples", "10",

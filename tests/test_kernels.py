@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from helpers import random_hermitian
 from schmidtkit import kernels
-from schmidtkit.linalg import min_eigenvalue
+from schmidtkit.linalg import BipartiteIndex, min_eigenvalue
 from schmidtkit.maps import (
     NEGATIVITY_THRESHOLD,
     MatrixMap,
@@ -18,7 +18,8 @@ from schmidtkit.maps import (
     reduction_family,
     transpose_map,
 )
-from schmidtkit.twirl import MC_CHUNK
+from schmidtkit.states import DensityMatrix
+from schmidtkit.twirl import MC_BLOCK_BYTES, MC_CHUNK, twirl_mc
 
 
 def _ginibre(rng, *shape):
@@ -31,29 +32,31 @@ def _haar_by_qr(z):
 
 
 def _mc_block(n):
-    # The samples per block that mc_twirl_sum takes at N = n.
-    return kernels.MC_BLOCK_BYTES // (n**4 * 16)
+    # The samples per block that twirl_mc takes at N = n.
+    return MC_BLOCK_BYTES // (n**4 * 16)
 
 
 def test_mc_kernel_variants_agree():
-    # The blocked kernel, fed an iterable of chunks, against a per-sample sum
-    # written out here: a full chunk followed by a partial one, one block
-    # plus one sample (a last block of one), and a single sample.
+    # The blocked twirl against a per-sample sum written out here, from the
+    # same draws: a full chunk followed by a partial one, one block plus one
+    # sample (a last block of one), and a single sample.
     rng = np.random.default_rng(50)
     for n in (2, 3, 4, 6):
         d = n * n
-        for sizes in ([MC_CHUNK, 37], [_mc_block(n) + 1], [1]):
+        for samples in (MC_CHUNK + 37, _mc_block(n) + 1, 1):
             x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
             rho = x @ x.conj().T
-            rho /= np.trace(rho).real
-            chunks = [_ginibre(rng, size, n, n) for size in sizes]
+            rho = DensityMatrix(rho / np.trace(rho).real, BipartiteIndex(n, n))
             reference = np.zeros((d, d), dtype=np.complex128)
-            for z in np.concatenate(chunks):
-                u = _haar_by_qr(z)
-                w = np.kron(u, u.conj())
-                reference += w @ rho @ w.conj().T
-            samples = sum(sizes)
-            np.testing.assert_allclose(kernels.mc_twirl_sum(rho, iter(chunks)) / samples,
+            for c, start in enumerate(range(0, samples, MC_CHUNK)):
+                draw = np.random.default_rng(np.random.SeedSequence((7, c)))
+                shape = (min(MC_CHUNK, samples - start), n, n)
+                gin = (draw.normal(size=shape) + 1j * draw.normal(size=shape)) / np.sqrt(2)
+                for z in gin:
+                    u = _haar_by_qr(z)
+                    w = np.kron(u, u.conj())
+                    reference += w @ rho.matrix @ w.conj().T
+            np.testing.assert_allclose(twirl_mc(rho, samples, seed=7).matrix,
                                        reference / samples, rtol=0, atol=1e-14)
 
 
@@ -61,15 +64,13 @@ def test_mc_kernel_variants_agree():
 def test_mc_twirl_kernel_memory_is_bounded(n):
     # W and W rho for a whole 2048-sample chunk would take 16.8 MB at N=4
     # and 84.9 MB at N=6. Three chunks take no more than one: the buffers
-    # are allocated once per call.
-    rng = np.random.default_rng(60 + n)
-    rho = np.eye(n * n, dtype=np.complex128) / (n * n)
-    gin = _ginibre(rng, MC_CHUNK, n, n)
+    # are allocated once per twirl.
+    rho = DensityMatrix(np.eye(n * n, dtype=np.complex128) / (n * n), BipartiteIndex(n, n))
     peaks = []
-    for chunks in ([gin], [gin, gin, gin]):
+    for samples in (MC_CHUNK, 3 * MC_CHUNK):
         tracemalloc.start()
         try:
-            kernels.mc_twirl_sum(rho, iter(chunks))
+            twirl_mc(rho, samples, seed=60 + n)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -381,16 +382,17 @@ def test_probe_below_full_rank_reads_zero_on_positive_definite_choi(n):
         assert not res.violation
 
 
-def test_rank_k_oracle_on_maximally_entangled_projector():
+def test_rank_k_oracle_on_maximally_entangled_projector(monkeypatch):
     # P (x) P over the cut A1 A2 : B1 B2 is |Phi_4><Phi_4|, whose largest
     # overlap with a Schmidt-rank-<=k state is k/4.
     from schmidtkit.twirl import twirl_sectors
-    from schmidtkit.linalg import BipartiteIndex
 
+    monkeypatch.setattr(kernels, "ORACLE_ITERS", 500)
+    monkeypatch.setattr(kernels, "ORACLE_TOL", 1e-15)
     pp = twirl_sectors(BipartiteIndex(4, 4))[0]
     rng = np.random.default_rng(71)
     for k in range(1, 5):
-        vals, psis = kernels.rank_k_oracle(pp, 4, 4, k, _ginibre(rng, 4, k)[None], 500, 1e-15)
+        vals, psis = kernels.rank_k_oracle(pp, 4, 4, k, _ginibre(rng, 4, k)[None])
         assert abs(vals[0] - k / 4) <= 1e-12
         psi = psis[0]
         assert abs(np.linalg.norm(psi) - 1.0) <= 1e-12
@@ -411,7 +413,10 @@ def test_rank_k_oracle_never_descends(seed, d_a, d_b, data, max_iters):
     rng = np.random.default_rng(seed)
     x = random_hermitian(d_a * d_b, rng)
     b0 = np.array([_ginibre(rng, d_b, k) for _ in range(3)])
-    vals, psis = kernels.rank_k_oracle(x, d_a, d_b, k, b0, max_iters, 0.0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "ORACLE_ITERS", max_iters)
+        mp.setattr(kernels, "ORACLE_TOL", 0.0)
+        vals, psis = kernels.rank_k_oracle(x, d_a, d_b, k, b0)
     # The first A step alone reaches the top eigenvalue over span(B0).
     q = np.linalg.qr(b0)[0]
     for s in range(3):

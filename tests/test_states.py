@@ -120,6 +120,10 @@ def test_isotropic_rejects_bad_input():
         isotropic(2, 1.2)
     with pytest.raises(InvariantViolation):
         isotropic(1, 0.5)
+    # 16 N^4 bytes are more than an array can hold: rejected before any
+    # allocation is tried.
+    with pytest.raises(InvariantViolation, match="more bytes than an array can hold"):
+        isotropic(30000, 0.5)
 
 
 def test_schmidt_sum_bound_random():

@@ -29,6 +29,7 @@ from schmidtkit import (
 )
 from schmidtkit.states import max_entangled_vector
 from schmidtkit.twirl import (
+    MC_BLOCK_BYTES,
     MC_CHUNK,
     fidelity_with_max_entangled,
     one_pair_sectors,
@@ -179,17 +180,24 @@ def test_twirl_mc_deterministic_given_seed():
 
 def test_twirl_mc_draws_each_chunk_from_its_own_seed(monkeypatch):
     # Chunk c of seed s is (a + 1j b) / sqrt(2) with a, b drawn from
-    # SeedSequence((s, c)), bit for bit, whole chunks first.
-    # The chunks share one buffer, so each is copied as it is drawn.
-    drawn = []
+    # SeedSequence((s, c)), bit for bit, whole chunks first. The chunks share
+    # one buffer, so each block is copied as it is handed to the Haar step;
+    # blocks restart at each chunk boundary.
+    blocks = []
+    haar = kernels.haar_from_ginibre
 
-    def record(rho, chunks):
-        drawn.extend(gin.copy() for gin in chunks)
-        return sum(map(len, drawn)) * rho  # what the twirl gives an isotropic rho
+    def record(gin):
+        blocks.append(gin.copy())
+        return haar(gin)
 
-    monkeypatch.setattr(kernels, "mc_twirl_sum", record)
+    monkeypatch.setattr(kernels, "haar_from_ginibre", record)
     samples = 2 * MC_CHUNK + 5
     twirl_mc(isotropic(3, 0.4), samples=samples, seed=9)
+    block = MC_BLOCK_BYTES // (3**4 * 16)
+    per_chunk = [block] * (MC_CHUNK // block) + [MC_CHUNK % block]
+    assert [len(g) for g in blocks] == per_chunk * 2 + [5]
+    drawn = [np.concatenate(blocks[:len(per_chunk)]),
+             np.concatenate(blocks[len(per_chunk):-1]), blocks[-1]]
     assert [len(g) for g in drawn] == [MC_CHUNK, MC_CHUNK, 5]
     for chunk, gin in enumerate(drawn):
         rng = np.random.default_rng(np.random.SeedSequence((9, chunk)))

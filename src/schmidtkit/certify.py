@@ -469,26 +469,26 @@ def tensor_copy_bound(f: float, n: int, m: int) -> int:
 
 
 def ensemble_search(rho: DensityMatrix, k: int, seed: int = 0) -> EnsembleUpper | None:
-    """Search for a rank-<=k decomposition of rho by one route per state.
+    """Search for a rank-<=k decomposition of rho by one route per state,
+    chosen by a test and never by falling back.
 
-    At k = min(d_a, d_b) the spectral decomposition is the answer. A state
-    fixed by the local twirl of one or two qubit pairs (twirl_sectors) is
-    solved in its 2-3 sector weights (_twirl_reduced_search); analyze takes
-    it only on two pairs: one pair's sectors are those of Psi+, the first
-    frame _classify_isotropic tries, and an exact classification skips the
-    search. Every other state gets one run of alternating
-    minimization of up to SEARCH_ITERS sweeps: 2 d_a d_b ansatz vectors
-    start as random sums of k product terms drawn from default_rng(seed) and
-    are re-projected onto Schmidt rank <= k each sweep; weights are refit as
-    the exact least-squares optimum on the probability simplex. Success
-    requires the stored ensemble to pass EnsembleUpper.verify; a failed
-    search proves nothing.
+    When every eigenvector of rho of weight above 1e-12 has Schmidt rank
+    <= k (always so at k = min(d_a, d_b)), the spectral decomposition is
+    the answer. Else a state fixed by the local twirl of one or two qubit
+    pairs (twirl_sectors) is solved in its 2-3 sector weights
+    (_twirl_reduced_search); analyze takes it only on two pairs: one pair's
+    sectors are those of Psi+, the first frame _classify_isotropic tries,
+    and an exact classification skips the search. Every other state gets
+    one run of kernels.ensemble_alt_min of up to SEARCH_ITERS sweeps from
+    2 d_a d_b random sums of k product terms drawn from default_rng(seed),
+    with equal weights. Success requires the stored ensemble to pass
+    EnsembleUpper.verify; a failed search proves nothing.
     """
     _check_rank(k, rho.idx)
+    w, v = np.linalg.eigh(rho.matrix)
+    if np.all(schmidt_ranks(v.T[w > 1e-12], rho.idx) <= k):
+        return _certified(rho, k, w, v.T)
     d_a, d_b = rho.idx.d_a, rho.idx.d_b
-    if k == min(d_a, d_b):
-        w, v = np.linalg.eigh(rho.matrix)
-        return _certified(rho, k, np.maximum(w, 0.0), v.T)
     sectors = twirl_sectors(rho.idx)
     if sectors is not None:
         # sector_weights reads rho / Tr rho: every twirled seed has trace 1,

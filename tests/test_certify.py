@@ -443,6 +443,25 @@ def test_ensemble_search_full_rank_is_the_spectral_decomposition():
     assert len(pure.ensemble.probs) == 1 and pure.residual < 1e-13
 
 
+def test_spectral_route_whenever_every_eigenvector_has_rank_at_most_k(monkeypatch):
+    # An eigenbasis of Schmidt rank <= k is an exact decomposition: no
+    # search runs, and the one member is the state itself.
+    monkeypatch.setattr(kernels, "ensemble_alt_min", None)
+    product = np.zeros((6, 6), dtype=np.complex128)
+    product[0, 0] = 1.0
+    amps = np.zeros(9, dtype=np.complex128)
+    amps[[0, 4]] = 0.6, 0.8j
+    cases = ((DensityMatrix(product, BipartiteIndex(2, 3)), 1, 0.0),
+             (PureBipartiteState(amps, BipartiteIndex(3, 3)).density(), 2, 1e-15))
+    for rho, k, tol in cases:
+        found = ensemble_search(rho, k, seed=0)
+        assert len(found.ensemble.probs) == 1 and found.residual <= tol
+        assert found.verify(rho)
+    report = analyze(cases[0][0], search_upper=1)
+    assert (report.lower_bound, report.upper_bound) == (1, 1)
+    assert [len(c.ensemble.probs) for c in report.certificates] == [1]
+
+
 def test_ensemble_search_states_the_residual_of_its_ensemble():
     rng = np.random.default_rng(38)
     generic = random_separable(2, 2, 8, rng)
@@ -527,6 +546,22 @@ def test_generic_route_on_dimensions_without_twirl_sectors(monkeypatch):
         found = ensemble_search(rho, k, seed=0)
         assert twirl_sectors(idx) is None and calls == [1]
         assert found is not None and found.verify(rho)
+
+
+def test_generic_search_decides_a_rank3_corpus_state():
+    # State 11 of the 3x3 rank-3 corpus class (ROADMAP, default_rng(4)).
+    # Its reduction witness proves SN >= 2, and the rank-2 search reaches
+    # ENSEMBLE_TOL only with the extrapolation step: without it the search
+    # ends above the tolerance and the state stays at (2, None).
+    rng = np.random.default_rng(4)
+    for _ in range(12):
+        q = np.linalg.qr(rng.normal(size=(9, 3)) + 1j * rng.normal(size=(9, 3)))[0]
+        p = rng.random(3)
+        p /= p.sum()
+    rho = DensityMatrix(q @ np.diag(p) @ q.conj().T, BipartiteIndex(3, 3))
+    report = analyze(rho, search_upper=2)
+    assert (report.lower_bound, report.upper_bound) == (2, 2)
+    assert verify_report(report, rho)
 
 
 def test_failed_generic_search_stops_on_the_stall_rule(monkeypatch):

@@ -178,6 +178,62 @@ def test_truncate_rank_matches_loop():
         assert np.allclose(got, loop(psi, d_a, d_b, k), atol=1e-14)
 
 
+@pytest.mark.parametrize("d_a, d_b", [(2, 2), (2, 3), (3, 3), (4, 4)])
+def test_stacked_truncate_rank_is_the_row_loop(d_a, d_b):
+    rng = np.random.default_rng(55)
+    for k in range(1, min(d_a, d_b) + 1):
+        stack = _ginibre(rng, 2, 5, d_a * d_b)
+        got = kernels._truncate_rank(stack, d_a, d_b, k)
+        rows = [[kernels._truncate_rank(row, d_a, d_b, k) for row in part] for part in stack]
+        assert got.shape == stack.shape
+        assert got.tobytes() == np.array(rows).tobytes()
+
+
+def _search_case(d_a, d_b, k, terms, seed):
+    # A mixture of `terms` random rank-k vectors, and one start of 2 d_a d_b
+    # random rank-k vectors with equal weights.
+    rng = np.random.default_rng(seed)
+    m = 2 * d_a * d_b
+    vecs = kernels._truncate_rank(_ginibre(rng, terms + m, d_a * d_b), d_a, d_b, k)
+    p = rng.dirichlet(np.ones(terms))
+    rho = (vecs[:terms].T * p) @ vecs[:terms].conj()
+    return rho, vecs[terms:], np.full(m, 1.0 / m)
+
+
+@pytest.mark.parametrize("d_a, d_b, k, terms", [(2, 2, 1, 8), (2, 3, 1, 12), (3, 3, 2, 18)])
+def test_ensemble_alt_min_returns_the_residual_of_its_ensemble(d_a, d_b, k, terms):
+    rho, psis0, probs0 = _search_case(d_a, d_b, k, terms, 56)
+    for max_iters in (1, 2, 5, 40):
+        res, probs, psis, _ = kernels.ensemble_alt_min(
+            rho, d_a, d_b, k, psis0, probs0, max_iters, 1e-4)
+        mixture = (psis.T * probs) @ psis.conj()
+        assert abs(res - np.linalg.norm(rho - mixture)) <= 1e-14
+
+
+def test_ensemble_alt_min_keeps_an_extrapolation_only_when_it_lowers_the_residual():
+    # The state after n - 1 sweeps followed by one plain sweep (a single
+    # sweep never extrapolates) is sweep n before its extrapolation step.
+    d_a, d_b, k = 2, 3, 1
+    rho, psis0, probs0 = _search_case(d_a, d_b, k, 12, 57)
+    kept = rejected = 0
+    for n in range(2, 60):
+        res, _, psis, used = kernels.ensemble_alt_min(
+            rho, d_a, d_b, k, psis0, probs0, n, 1e-4)
+        if used < n:
+            break
+        _, probs_b, psis_b, _ = kernels.ensemble_alt_min(
+            rho, d_a, d_b, k, psis0, probs0, n - 1, 1e-4)
+        plain, _, psis_plain, _ = kernels.ensemble_alt_min(
+            rho, d_a, d_b, k, psis_b, probs_b, 1, 1e-4)
+        if np.array_equal(psis, psis_plain):
+            assert res == plain
+            rejected += 1
+        else:
+            assert res < plain
+            kept += 1
+    assert kept and rejected
+
+
 def test_polar_orthonormalize():
     rng = np.random.default_rng(52)
     m = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))

@@ -124,21 +124,29 @@ def rank_k_oracle(x, d_a, d_b, k, b0):
     eigenvector of (1 (x) B)^dag X (1 (x) B); A is then orthonormalized by
     QR and B is refit the same way with the roles swapped. Each half-step
     maximizes over a set that contains the current psi, so no step lowers
-    the value. Stops when no start gains more than ORACLE_TOL, or after
-    ORACLE_ITERS rounds. Returns (values (S,), psis (S, d_a d_b)).
+    the value. Both reduced matrices are batched matrix products with two
+    layouts of X made once per call: X as (i j k', l) times each start's B,
+    then B^dag on the j axis; X as (i j l, k') times A, then A^dag on the i
+    axis. Stops when no start gains more than ORACLE_TOL max(1, max |X_ij|),
+    so above unit entries the rule does not depend on the scale of X, or
+    after ORACLE_ITERS rounds. Returns (values (S,), psis (S, d_a d_b)).
     """
-    x4 = x.reshape(d_a, d_b, d_a, d_b)
+    x_b = x.reshape(d_a * d_b * d_a, d_b)
+    x_a = x.reshape(d_a, d_b, d_a, d_b).transpose(0, 1, 3, 2).reshape(-1, d_a)
+    tol = ORACLE_TOL * max(1.0, float(np.max(np.abs(x))))
     b = np.linalg.qr(b0)[0]
     val = None
     for _ in range(ORACLE_ITERS):
-        m = np.einsum("sjn,ijkl,slm->sinkm", b.conj(), x4, b, optimize=True)
+        t = (x_b @ b).reshape(-1, d_a, d_b, d_a * k)
+        m = b.conj().transpose(0, 2, 1)[:, None] @ t
         v = np.linalg.eigh(m.reshape(-1, d_a * k, d_a * k))[1][:, :, -1]
         a = np.linalg.qr(v.reshape(-1, d_a, k))[0]
-        m = np.einsum("sin,ijkl,skm->snjml", a.conj(), x4, a, optimize=True)
-        w, v = np.linalg.eigh(m.reshape(-1, k * d_b, k * d_b))
+        t = (x_a @ a).reshape(-1, d_a, d_b * d_b * k)
+        m = (a.conj().transpose(0, 2, 1) @ t).reshape(-1, k, d_b, d_b, k)
+        w, v = np.linalg.eigh(m.transpose(0, 1, 2, 4, 3).reshape(-1, k * d_b, k * d_b))
         bt = v[:, :, -1].reshape(-1, k, d_b)
         prev, val = val, w[:, -1]
-        if prev is not None and np.all(val - prev <= ORACLE_TOL):
+        if prev is not None and np.all(val - prev <= tol):
             break
         b = np.linalg.qr(bt.transpose(0, 2, 1))[0]
     return val, (a @ bt).reshape(-1, d_a * d_b)

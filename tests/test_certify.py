@@ -741,3 +741,25 @@ def test_analyze_isotropic_endpoints():
     for f, sn in ((0.0, 1), (1.0, 3)):
         rep = analyze(isotropic(3, f), seed=0)
         assert (rep.lower_bound, rep.upper_bound) == (sn, sn)
+
+
+def _random_rank_k_by_loop(d_a, d_b, k, rng):
+    # Reference: one member at a time, four draws and one np.kron per
+    # product term.
+    psi = np.zeros(d_a * d_b, dtype=np.complex128)
+    for _ in range(k):
+        a = rng.normal(size=d_a) + 1j * rng.normal(size=d_a)
+        b = rng.normal(size=d_b) + 1j * rng.normal(size=d_b)
+        psi += np.kron(a, b)
+    return psi / np.linalg.norm(psi)
+
+
+@pytest.mark.parametrize("d_a, d_b", [(2, 2), (2, 3), (3, 2), (3, 3), (2, 4), (4, 3)])
+def test_search_starts_equal_the_per_member_loop_bitwise(d_a, d_b):
+    m = 2 * d_a * d_b
+    for k in range(1, min(d_a, d_b) + 1):
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            ref = np.array([_random_rank_k_by_loop(d_a, d_b, k, rng) for _ in range(m)])
+            got = certify._random_rank_k(d_a, d_b, k, m, np.random.default_rng(seed))
+            assert got.shape == ref.shape and got.tobytes() == ref.tobytes()

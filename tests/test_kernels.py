@@ -456,6 +456,52 @@ def test_rank_k_oracle_on_maximally_entangled_projector(monkeypatch):
         assert np.linalg.matrix_rank(psi.reshape(4, 4), tol=1e-9) <= k
 
 
+def _oracle_rounds(monkeypatch, x, d_a, d_b, k, b0):
+    # Each round of rank_k_oracle makes two eigh calls.
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(1) or eigh(m))
+    kernels.rank_k_oracle(x, d_a, d_b, k, b0)
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    return len(calls) // 2
+
+
+@pytest.mark.parametrize("n", [3, 4, 6])
+def test_rank_k_oracle_rounds_do_not_depend_on_the_scale_of_x(n, monkeypatch):
+    # A conjugated reduction Choi matrix C with max |C_ij| = 1, and 2^20 C
+    # (about 1e6 C): a power of two scales every rounding error with X, so
+    # a stop rule relative to max |X_ij| runs the same rounds on both. An
+    # absolute tolerance lets the rounding noise of 2^20 C run on.
+    rng = np.random.default_rng(n)
+    for k in (1, 2):
+        w = np.kron(_haar_by_qr(_ginibre(rng, n, n)), _haar_by_qr(_ginibre(rng, n, n)))
+        c = w @ reduction_family(n, 0.7).choi @ w.conj().T
+        x = -c / np.max(np.abs(c))
+        b0 = _ginibre(rng, 3, n, k)
+        rounds = _oracle_rounds(monkeypatch, x, n, n, k, b0)
+        assert _oracle_rounds(monkeypatch, 2.0**20 * x, n, n, k, b0) == rounds
+
+
+@pytest.mark.parametrize("d_a, d_b", [(2, 3), (3, 2), (3, 4), (4, 2)])
+def test_rank_k_oracle_starts_of_one_batch_are_independent(d_a, d_b, monkeypatch):
+    # A negative gain tolerance never stops the loop early, so a stack of 5
+    # and each of its starts alone run the same ORACLE_ITERS rounds (with a
+    # zero tolerance a lone start may stop at a round its stack goes past).
+    # Each start then ends where it ends alone.
+    monkeypatch.setattr(kernels, "ORACLE_TOL", -1.0)
+    monkeypatch.setattr(kernels, "ORACLE_ITERS", 12)
+    rng = np.random.default_rng(10 * d_a + d_b)
+    x = random_hermitian(d_a * d_b, rng)
+    for k in range(1, min(d_a, d_b) + 1):
+        b0 = _ginibre(rng, 5, d_b, k)
+        vals, psis = kernels.rank_k_oracle(x, d_a, d_b, k, b0)
+        for s in range(5):
+            val, psi = kernels.rank_k_oracle(x, d_a, d_b, k, b0[s:s + 1])
+            assert abs(vals[s] - val[0]) <= 1e-12
+            phase = np.vdot(psi[0], psis[s])
+            assert np.linalg.norm(psis[s] - phase / abs(phase) * psi[0]) <= 1e-12
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),

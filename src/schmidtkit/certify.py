@@ -40,7 +40,10 @@ ISOTROPIC_DETECTION_TOL = 1e-12
 ORACLE_STARTS = 8
 REDUCED_STEPS = 30
 REDUCED_TOL = 1e-13
-SEARCH_ITERS = 2000
+# factor_search's cap. On 209 test states (the 3x3 corpus classes, the
+# separable 2x3 state, the upper_search mixtures of seeds 1-3) its longest
+# successful run took 3,342 iterations.
+SEARCH_ITERS = 20000
 VERIFY_ATOL = 1e-10
 
 
@@ -483,9 +486,12 @@ def ensemble_search(rho: DensityMatrix, k: int, seed: int = 0) -> EnsembleUpper 
     (_twirl_reduced_search); analyze takes it only on two pairs: one pair's
     sectors are those of Psi+, the first frame _classify_isotropic tries,
     and an exact classification skips the search. Every other state gets
-    one run of kernels.ensemble_alt_min of up to SEARCH_ITERS sweeps from
-    2 d_a d_b random sums of k product terms drawn from default_rng(seed),
-    with equal weights. Success requires the stored ensemble to pass
+    one L-BFGS run of kernels.factor_search over m = 2 d_a d_b members
+    vec(A_i B_i^T), of weight ||A_i B_i^T||^2, from complex Gaussian factors
+    drawn from default_rng(seed) and scaled to weight 1/m. It stops when the
+    mixture scaled to trace 1 is within 0.7 ENSEMBLE_TOL of rho, when f
+    falls by less than kernels.STALL_GAIN in kernels.STALL_ITERS iterations,
+    or after SEARCH_ITERS. Success requires the stored ensemble to pass
     EnsembleUpper.verify; a failed search proves nothing.
     """
     _check_rank(k, rho.idx)
@@ -500,14 +506,17 @@ def ensemble_search(rho: DensityMatrix, k: int, seed: int = 0) -> EnsembleUpper 
         weights, dist = sector_weights(rho, sectors)
         if dist <= ISOTROPIC_DETECTION_TOL:
             return _twirl_reduced_search(rho, k, seed, sectors, weights)
-    m_vectors = 2 * d_a * d_b
-    rng = np.random.default_rng(seed)
-    psis0 = _random_rank_k(d_a, d_b, k, m_vectors, rng)
-    probs0 = np.full(m_vectors, 1.0 / m_vectors)
-    res, probs, psis, _ = kernels.ensemble_alt_min(
-        rho.matrix, d_a, d_b, k, psis0, probs0, SEARCH_ITERS, ENSEMBLE_TOL
-    )
-    return _certified(rho, k, probs, psis) if res < ENSEMBLE_TOL else None
+    m = 2 * d_a * d_b
+    # One draw gives every factor entry, A.re, A.im, B.re, B.im per member;
+    # each member is then scaled to weight 1/m.
+    z = np.random.default_rng(seed).normal(size=(m, 2 * (d_a + d_b), k))
+    a = z[:, :d_a] + 1j * z[:, d_a:2 * d_a]
+    b = z[:, 2 * d_a:2 * d_a + d_b] + 1j * z[:, 2 * d_a + d_b:]
+    scale = (m * (abs(a @ b.transpose(0, 2, 1)) ** 2).sum((1, 2), keepdims=True)) ** -0.25
+    res, a, b, _ = kernels.factor_search(rho.matrix, d_a, d_b, k, a * scale, b * scale,
+                                         SEARCH_ITERS, ENSEMBLE_TOL)
+    phis = (a @ b.transpose(0, 2, 1)).reshape(m, d_a * d_b)
+    return _certified(rho, k, (abs(phis) ** 2).sum(1), phis) if res < ENSEMBLE_TOL else None
 
 
 def _check_rank(k: int, idx: BipartiteIndex) -> None:
@@ -590,18 +599,6 @@ def _certified(
     return cert if cert.verify(rho) else None
 
 
-def _random_rank_k(d_a: int, d_b: int, k: int, m: int, rng: np.random.Generator) -> np.ndarray:
-    """m random unit vectors (m, d_a d_b), each a sum of k product terms
-    a (x) b with complex Gaussian a and b. One draw gives every number, in
-    the order a.re, a.im, b.re, b.im per term and member."""
-    z = rng.normal(size=(m, k, 2 * (d_a + d_b)))
-    a = z[..., :d_a] + 1j * z[..., d_a:2 * d_a]
-    b = z[..., 2 * d_a:2 * d_a + d_b] + 1j * z[..., 2 * d_a + d_b:]
-    psis = (a[..., :, None] * b[..., None, :]).sum(axis=1).reshape(m, d_a * d_b)
-    # One norm per row, as in _certified.
-    return psis / np.array([np.linalg.norm(p) for p in psis])[:, None]
-
-
 def verify_decomposition(
     ens: PureEnsemble, rho: DensityMatrix, k: int, tol: float
 ) -> bool:
@@ -629,8 +626,9 @@ def analyze(
     one-step fully-entangled-fraction bound of fidelity_max when it proves
     SN >= 2; an input isotropic in any local frame is classified exactly,
     from the same eigh and frame. When search_upper=k is given, which must
-    lie in [1, min(d_a, d_b)], a rank-<=k decomposition search seeded with
-    seed supplies the upper bound. It runs only when lower <= k < upper for
+    lie in [1, min(d_a, d_b)], ensemble_search seeded with seed (spectral,
+    twirl-reduced, or the factor-pair L-BFGS search with its stop and stall
+    rules) supplies the upper bound. It runs only when lower <= k < upper for
     the bounds proven so far, a missing upper bound counting as infinite:
     below the lower bound no rank-<=k decomposition of rho exists, and from
     the upper bound on the search cannot lower it.

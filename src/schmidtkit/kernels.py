@@ -12,6 +12,14 @@ import numpy as np
 # The stop rule of rank_k_oracle.
 ORACLE_ITERS = 500
 ORACLE_TOL = 1e-15
+# factor_search. On 209 test states (certify.SEARCH_ITERS) memories 5, 10
+# and 20 decide the same 206; 5 took 22% more iterations than 10, and 20 no
+# less time. A 50-iteration stall window gave up on 2 of the 206; 100 gives
+# up on none, and stops the 3 failures after 483-514 iterations, where with
+# no stall rule they ran to the cap (7.6 s against 0.3 s).
+FACTOR_MEMORY = 10
+STALL_ITERS = 100
+STALL_GAIN = 0.01
 
 
 def polar_orthonormalize(m):
@@ -152,99 +160,93 @@ def rank_k_oracle(x, d_a, d_b, k, b0):
     return val, (a @ bt).reshape(-1, d_a * d_b)
 
 
-def _truncate_rank(psi, d_a, d_b, k):
-    """Project a vector, or each row of a stack (..., d_a d_b), onto Schmidt
-    rank <= k and renormalize."""
-    u, s, vh = np.linalg.svd(psi.reshape(psi.shape[:-1] + (d_a, d_b)), full_matrices=False)
-    s = s[..., None, :k]
-    s = s / np.sqrt((s * s).sum(-1, keepdims=True))
-    return ((u[..., :k] * s) @ vh[..., :k, :]).reshape(psi.shape)
+def _factor_objective(rho, a, b):
+    """f = ||rho - sigma||_F^2 for sigma = sum_i phi_i phi_i^dag,
+    phi_i = vec(A_i B_i^T), its gradient over (Re, Im) of the factors
+    packed as one complex vector (A's entries, then B's), ||sigma||_F^2 and
+    Tr sigma. With G_i the d_a x d_b reshape of -4 (rho - sigma) phi_i, the
+    gradient is G_i conj(B_i) for A_i and G_i^T conj(A_i) for B_i."""
+    m, d_a, _ = a.shape
+    phi = (a @ b.transpose(0, 2, 1)).reshape(m, -1)
+    sigma = phi.T @ phi.conj()
+    delta = rho - sigma
+    g = (phi @ (-4.0 * delta.T)).reshape(m, d_a, -1)
+    grad = np.concatenate([(g @ b.conj()).ravel(), (g.transpose(0, 2, 1) @ a.conj()).ravel()])
+    return np.vdot(delta, delta).real, grad, np.vdot(sigma, sigma).real, np.vdot(phi, phi).real
 
 
-def _residual(rho, probs, proj):
-    """rho - sum_i p_i P_i for the projector stack proj, and its Frobenius norm."""
-    m, d, _ = proj.shape
-    delta = rho - (probs.astype(np.complex128) @ proj.reshape(m, d * d)).reshape(d, d)
-    return delta, np.sqrt(np.sum(np.abs(delta) ** 2))
+def factor_search(rho, d_a, d_b, k, a, b, max_iters, tol):
+    """Minimize f = ||rho - sum_i phi_i phi_i^dag||_F^2 over the factor pairs
+    of the members phi_i = vec(A_i B_i^T), with A_i d_a x k and B_i d_b x k
+    (the stacks a (m, d_a, k) and b (m, d_b, k)): a Burer-Monteiro
+    factorization (Math. Program. 95, 329 (2003)) of the rank-<=k mixtures,
+    so every member has Schmidt rank <= k by construction and its weight is
+    ||phi_i||^2; no weights are refit.
 
-
-def _projectors(psis):
-    """The stack of projectors |psi_i><psi_i| of the rows of psis."""
-    return psis[:, :, None] * psis.conj()[:, None, :]
-
-
-def ensemble_alt_min(rho, d_a, d_b, k, psis0, probs0, max_iters, tol):
-    """Alternating minimization of || rho - sum_i p_i |psi_i><psi_i| ||_F.
-
-    Vector sweep (Gauss-Seidel): each member's vector is replaced by the
-    top eigenvector of its residual target delta + p_i P_i and re-projected
-    onto Schmidt rank <= k. The member projectors P_i = |psi_i><psi_i| are
-    kept as one (m, D, D) stack, so each step builds only the new one.
-    Weight step: the exact least-squares weights on the probability simplex
-    for the new vectors (simplex_qp, warm-started from the last weights), so
-    it never raises the residual; the residual is then recomputed from rho,
-    the stack and the weights, so no rounding drift builds up.
-    Extrapolation step, from the second sweep on while the residual is at
-    or above 0.7 tol (line search in alternating least squares: Bro 1998;
-    Rajih, Comon & Harshman, SIAM J. Matrix Anal. Appl. 30 (2008)): each
-    vector from before the sweep is aligned in phase to its new vector,
-    y = psi + alpha (psi - psi_prev e^{i arg<psi_prev|psi>}) is re-projected
-    onto Schmidt rank <= k row by row, and y replaces the vectors, with the
-    same weights, only if its residual is strictly lower; a y with a
-    non-finite or zero row is rejected before the projection. alpha starts
-    at 1, grows by 1.5 on each accepted trial and halves on each rejected
-    one, never below 1/4.
-    Stops below 0.7 tol, or after 60 sweeps in a row that each gain at most
-    1e-13 on the best residual, or after max_iters sweeps (at least one).
-    Returns the residual of the last sweep: (residual, probs, psis,
-    sweeps_used).
+    L-BFGS (Nocedal, Math. Comp. 35, 773 (1980)) with FACTOR_MEMORY pairs,
+    the first step scaled by f/|grad|^2, and Armijo backtracking from step 1;
+    a pair with s.y <= 1e-12 y.y is not stored. A step that backtracks past
+    2^-30 clears the memory, or ends the search if it was empty. Stops when
+    the residual of the mixture scaled to trace 1, ||rho - sigma/Tr sigma||_F,
+    is below 0.7 tol, read from ||rho||^2, Re Tr(rho sigma) =
+    (||rho||^2 + ||sigma||^2 - f)/2, ||sigma||^2 and Tr sigma with no second
+    product; or when f has fallen by less than STALL_GAIN over the last
+    STALL_ITERS iterations; or after max_iters iterations. Returns
+    (||rho - sigma/Tr sigma||_F of the returned factors, a, b, iterations).
     """
-    m = psis0.shape[0]
-    d = d_a * d_b
-    psis = psis0.copy()
-    probs = probs0.copy()
-    proj = _projectors(psis)
-    delta = _residual(rho, probs, proj)[0]
-    best = 1e300
-    stall = 0
-    sweeps = 0
-    step = 1.0
-    for it in range(max_iters):
-        sweeps = it + 1
-        prev = psis.copy()
-        for i in range(m):
-            pi = probs[i]
-            # delta becomes the target t = delta + p_i P_i; eigh reads one
-            # triangle of it.
-            delta += pi * proj[i]
-            cand = _truncate_rank(np.linalg.eigh(delta)[1][:, d - 1], d_a, d_b, k)
-            np.multiply(cand[:, None], cand.conj(), out=proj[i])
-            delta -= pi * proj[i]
-            psis[i] = cand
-        gram = np.abs(psis @ psis.conj().T) ** 2
-        tmp = psis.conj() @ rho
-        bvec = np.sum((tmp * psis).real, axis=1)
-        probs = simplex_qp(gram, bvec, probs)
-        delta, res = _residual(rho, probs, proj)
-        if it and res >= 0.7 * tol:
-            phase = np.exp(1j * np.angle(np.sum(prev.conj() * psis, axis=1)))
-            y = psis + step * (psis - prev * phase[:, None])
-            norms = np.linalg.norm(y, axis=1)
-            res_y = np.inf
-            if np.all(np.isfinite(norms) & (norms > 0.0)):
-                y = _truncate_rank(y, d_a, d_b, k)
-                proj_y = _projectors(y)
-                delta_y, res_y = _residual(rho, probs, proj_y)
-            if res_y < res:
-                psis, proj, delta, res = y, proj_y, delta_y, res_y
-                step *= 1.5
-            else:
-                step = max(step / 2.0, 0.25)
-        if res < best - 1e-13:
-            best = res
-            stall = 0
+    m, na = a.shape[0], a.size
+    rho_sq = np.vdot(rho, rho).real
+    goal = (0.7 * tol) ** 2
+
+    def evaluate(x):
+        a, b = x[:na].reshape(m, d_a, k), x[na:].reshape(m, d_b, k)
+        f, grad, s, t = _factor_objective(rho, a, b)
+        return f, grad, rho_sq - (rho_sq + s - f) / t + s / (t * t)
+
+    x = np.concatenate([a.ravel(), b.ravel()])
+    f, g, r2 = evaluate(x)
+    s_mem, y_mem = np.empty((2, FACTOR_MEMORY, 2 * x.size))
+    used, fs = 0, [f]
+    while len(fs) <= max_iters and r2 >= goal:
+        gr = g.view(np.float64)
+        if used:
+            # H grad in the compact form (Byrd, Nocedal & Schnabel, Math.
+            # Program. 63, 129 (1994)): the two-loop recursion's value.
+            s_, y_ = s_mem[:used], y_mem[:used]
+            sy = s_ @ y_.T
+            yy = y_ @ y_.T
+            gamma = sy[-1, -1] / yy[-1, -1]
+            r = np.triu(sy)
+            w = np.linalg.solve(r, s_ @ gr)
+            p = np.linalg.solve(r.T, np.diag(sy) * w + gamma * (yy @ w - y_ @ gr))
+            step_dir = -(gamma * gr + p @ s_ - gamma * (w @ y_))
         else:
-            stall += 1
-        if res < 0.7 * tol or stall > 60:
+            step_dir = gr * (-f / (gr @ gr))
+        slope = 1e-4 * (gr @ step_dir)
+        for halvings in range(31):
+            step = 0.5**halvings
+            x_new = x + step * step_dir.view(np.complex128)
+            f_new, g_new, r2_new = evaluate(x_new)
+            if f_new <= f + step * slope:
+                break
+        else:
+            if not used:
+                break
+            used = 0
+            continue
+        s = (x_new - x).view(np.float64)
+        y = (g_new - g).view(np.float64)
+        if s @ y > 1e-12 * (y @ y):
+            if used == FACTOR_MEMORY:
+                s_mem[:-1], y_mem[:-1] = s_mem[1:], y_mem[1:]
+                used -= 1
+            s_mem[used], y_mem[used] = s, y
+            used += 1
+        x, f, g, r2 = x_new, f_new, g_new, r2_new
+        fs.append(f)
+        if len(fs) > STALL_ITERS and f > (1.0 - STALL_GAIN) * fs[-1 - STALL_ITERS]:
             break
-    return res, probs, psis, sweeps
+    a, b = x[:na].reshape(m, d_a, k), x[na:].reshape(m, d_b, k)
+    phi = (a @ b.transpose(0, 2, 1)).reshape(m, -1)
+    sigma = phi.T @ phi.conj()
+    return float(np.linalg.norm(rho - sigma / np.trace(sigma).real)), a, b, len(fs) - 1

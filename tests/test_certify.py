@@ -185,7 +185,7 @@ def test_reduced_search_fits_the_weights_of_the_normalized_state(scale, monkeypa
     def no_generic_search(*args):
         raise AssertionError("the twirl-invariant state left the reduced route")
 
-    monkeypatch.setattr(kernels, "ensemble_alt_min", no_generic_search)
+    monkeypatch.setattr(kernels, "factor_search", no_generic_search)
     rho = DensityMatrix(isotropic(2, 0.5).matrix * scale, BipartiteIndex(2, 2))
     cert = ensemble_search(rho, 1)
     assert cert is not None and cert.verify(rho)
@@ -446,7 +446,7 @@ def test_ensemble_search_full_rank_is_the_spectral_decomposition():
 def test_spectral_route_whenever_every_eigenvector_has_rank_at_most_k(monkeypatch):
     # An eigenbasis of Schmidt rank <= k is an exact decomposition: no
     # search runs, and the one member is the state itself.
-    monkeypatch.setattr(kernels, "ensemble_alt_min", None)
+    monkeypatch.setattr(kernels, "factor_search", None)
     product = np.zeros((6, 6), dtype=np.complex128)
     product[0, 0] = 1.0
     amps = np.zeros(9, dtype=np.complex128)
@@ -508,7 +508,7 @@ def test_two_copy_rank3_search_finds_nothing(monkeypatch):
     calls = []
     oracle = kernels.rank_k_oracle
     monkeypatch.setattr(kernels, "rank_k_oracle", lambda *a: calls.append(1) or oracle(*a))
-    monkeypatch.setattr(kernels, "ensemble_alt_min", None)
+    monkeypatch.setattr(kernels, "factor_search", None)
     target = tensor_copies(isotropic(2, np.sqrt(3) / 2), 2)
     assert ensemble_search(target, 3, seed=0) is None
     assert 0 < len(calls) < certify.REDUCED_STEPS
@@ -521,7 +521,7 @@ def test_twirl_route_certifies_its_last_iterate_near_the_edge(monkeypatch):
     calls = []
     oracle = kernels.rank_k_oracle
     monkeypatch.setattr(kernels, "rank_k_oracle", lambda *a: calls.append(1) or oracle(*a))
-    monkeypatch.setattr(kernels, "ensemble_alt_min", None)
+    monkeypatch.setattr(kernels, "factor_search", None)
     rho = tensor_copies(isotropic(2, 0.8535), 2)
     steps = []
     for seed in range(8):
@@ -535,8 +535,8 @@ def test_twirl_route_certifies_its_last_iterate_near_the_edge(monkeypatch):
 
 def test_generic_route_on_dimensions_without_twirl_sectors(monkeypatch):
     calls = []
-    alt_min = kernels.ensemble_alt_min
-    monkeypatch.setattr(kernels, "ensemble_alt_min", lambda *a: calls.append(1) or alt_min(*a))
+    search = kernels.factor_search
+    monkeypatch.setattr(kernels, "factor_search", lambda *a: calls.append(1) or search(*a))
     rng = np.random.default_rng(43)
     for d_a, d_b, k, terms in ((3, 3, 2, 18), (2, 3, 1, 12)):
         idx = BipartiteIndex(d_a, d_b)
@@ -548,39 +548,71 @@ def test_generic_route_on_dimensions_without_twirl_sectors(monkeypatch):
         assert found is not None and found.verify(rho)
 
 
-def test_generic_search_decides_a_rank3_corpus_state():
-    # State 11 of the 3x3 rank-3 corpus class (ROADMAP, default_rng(4)).
-    # Its reduction witness proves SN >= 2, and the rank-2 search reaches
-    # ENSEMBLE_TOL only with the extrapolation step: without it the search
-    # ends above the tolerance and the state stays at (2, None).
+def _corpus_3x3_rank3(index):
+    # State `index` of the 3x3 rank-3 corpus class (ROADMAP, default_rng(4)).
     rng = np.random.default_rng(4)
-    for _ in range(12):
+    for _ in range(index + 1):
         q = np.linalg.qr(rng.normal(size=(9, 3)) + 1j * rng.normal(size=(9, 3)))[0]
         p = rng.random(3)
         p /= p.sum()
-    rho = DensityMatrix(q @ np.diag(p) @ q.conj().T, BipartiteIndex(3, 3))
+    return DensityMatrix(q @ np.diag(p) @ q.conj().T, BipartiteIndex(3, 3))
+
+
+def test_generic_search_decides_a_rank3_corpus_state():
+    # Its reduction witness proves SN >= 2, and the factor-pair search
+    # reaches the renormalized residual that _certified stores: a stop rule
+    # on the unnormalized mixture ended at 6.97e-5 with a stored residual
+    # that _certified rejected, leaving the state at (2, None).
+    rho = _corpus_3x3_rank3(11)
     report = analyze(rho, search_upper=2)
     assert (report.lower_bound, report.upper_bound) == (2, 2)
     assert verify_report(report, rho)
 
 
-def test_failed_generic_search_stops_on_the_stall_rule(monkeypatch):
-    sweeps = []
-    alt_min = kernels.ensemble_alt_min
+def _counted_search(monkeypatch):
+    # (iterations, residual) of every factor_search call.
+    runs = []
+    search = kernels.factor_search
 
     def counted(*args):
-        out = alt_min(*args)
-        sweeps.append(out[3])
+        out = search(*args)
+        runs.append((out[3], out[0]))
         return out
 
-    monkeypatch.setattr(kernels, "ensemble_alt_min", counted)
+    monkeypatch.setattr(kernels, "factor_search", counted)
+    return runs
+
+
+def test_failed_generic_search_stops_on_the_stall_rule(monkeypatch):
+    runs = _counted_search(monkeypatch)
     rng = np.random.default_rng(44)
     rho = isotropic(2, 0.9)
     w = np.kron(random_unitary(2, rng), random_unitary(2, rng))
     rotated = DensityMatrix(w @ rho.matrix @ w.conj().T, rho.idx)
     assert ensemble_search(rotated, 1, seed=0) is None
-    assert len(sweeps) == 1
-    assert sweeps[0] < certify.SEARCH_ITERS
+    assert len(runs) == 1
+    iters, res = runs[0]
+    assert kernels.STALL_ITERS < iters < certify.SEARCH_ITERS
+    assert res >= certify.ENSEMBLE_TOL
+
+
+def test_stalled_corpus_search_gives_up_below_the_cap(monkeypatch):
+    # State 16 of the 3x3 rank-3 corpus class stalls near residual 1.2e-2 at
+    # k = 2; the stall rule ends the search long before SEARCH_ITERS.
+    runs = _counted_search(monkeypatch)
+    assert ensemble_search(_corpus_3x3_rank3(16), 2, seed=0) is None
+    iters, res = runs[0]
+    assert len(runs) == 1 and iters < certify.SEARCH_ITERS // 10
+    assert res >= certify.ENSEMBLE_TOL
+
+
+def test_separable_2x3_state_gets_an_upper_bound():
+    # Four product terms: the k = 1 search reaches ENSEMBLE_TOL, so the
+    # state is decided (approximately, like every generic bound).
+    rho = random_separable(2, 3, 4, np.random.default_rng(0))
+    report = analyze(rho, search_upper=1)
+    assert (report.lower_bound, report.upper_bound) == (1, 1)
+    assert verify_report(report, rho)
 
 
 def test_twirl_route_needs_an_invariant_state(monkeypatch):
@@ -743,23 +775,38 @@ def test_analyze_isotropic_endpoints():
         assert (rep.lower_bound, rep.upper_bound) == (sn, sn)
 
 
-def _random_rank_k_by_loop(d_a, d_b, k, rng):
-    # Reference: one member at a time, four draws and one np.kron per
-    # product term.
-    psi = np.zeros(d_a * d_b, dtype=np.complex128)
-    for _ in range(k):
-        a = rng.normal(size=d_a) + 1j * rng.normal(size=d_a)
-        b = rng.normal(size=d_b) + 1j * rng.normal(size=d_b)
-        psi += np.kron(a, b)
-    return psi / np.linalg.norm(psi)
+def _factor_starts_by_loop(d_a, d_b, k, m, rng):
+    # Reference: one member at a time, four draws per member, each member
+    # scaled on its own to weight 1/m with its two factors scaled alike.
+    a_s, b_s = [], []
+    for _ in range(m):
+        a = rng.normal(size=(1, d_a, k)) + 1j * rng.normal(size=(1, d_a, k))
+        b = rng.normal(size=(1, d_b, k)) + 1j * rng.normal(size=(1, d_b, k))
+        scale = (m * np.sum(np.abs(a @ b.transpose(0, 2, 1)) ** 2, axis=(1, 2))) ** -0.25
+        a_s.append(a[0] * scale)
+        b_s.append(b[0] * scale)
+    return np.array(a_s), np.array(b_s)
 
 
 @pytest.mark.parametrize("d_a, d_b", [(2, 2), (2, 3), (3, 2), (3, 3), (2, 4), (4, 3)])
-def test_search_starts_equal_the_per_member_loop_bitwise(d_a, d_b):
+def test_search_starts_equal_the_per_member_loop_bitwise(d_a, d_b, monkeypatch):
+    starts = []
+
+    def recorded(rho, d_a, d_b, k, a, b, *rest):
+        starts.append((a, b))
+        return 1.0, a, b, 0
+
+    monkeypatch.setattr(kernels, "factor_search", recorded)
+    rho = random_density(d_a, d_b, np.random.default_rng(45))
     m = 2 * d_a * d_b
-    for k in range(1, min(d_a, d_b) + 1):
+    # At k = min(d_a, d_b) the spectral route answers with no search.
+    for k in range(1, min(d_a, d_b)):
         for seed in range(20):
-            rng = np.random.default_rng(seed)
-            ref = np.array([_random_rank_k_by_loop(d_a, d_b, k, rng) for _ in range(m)])
-            got = certify._random_rank_k(d_a, d_b, k, m, np.random.default_rng(seed))
-            assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+            starts.clear()
+            assert ensemble_search(rho, k, seed=seed) is None
+            ref_a, ref_b = _factor_starts_by_loop(d_a, d_b, k, m, np.random.default_rng(seed))
+            (a, b), = starts
+            assert a.shape == ref_a.shape and a.tobytes() == ref_a.tobytes()
+            assert b.shape == ref_b.shape and b.tobytes() == ref_b.tobytes()
+            phis = (a @ b.transpose(0, 2, 1)).reshape(m, -1)
+            assert np.allclose(np.sum(np.abs(phis) ** 2, axis=1), 1.0 / m, rtol=1e-14, atol=0)

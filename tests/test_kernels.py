@@ -18,7 +18,7 @@ from schmidtkit.maps import (
     reduction_family,
     transpose_map,
 )
-from schmidtkit.states import DensityMatrix
+from schmidtkit.states import DensityMatrix, schmidt_ranks
 from schmidtkit.twirl import MC_BLOCK_BYTES, MC_CHUNK, twirl_mc
 
 
@@ -162,76 +162,72 @@ def test_simplex_project_matches_loop():
         assert kernels.simplex_project(v).tobytes() == loop(v).tobytes()
 
 
-def test_truncate_rank_matches_loop():
-    def loop(psi, d_a, d_b, k):
-        u, s, vh = np.linalg.svd(psi.reshape(d_a, d_b), full_matrices=False)
-        y = np.zeros((d_a, d_b), dtype=np.complex128)
-        for t in range(min(k, s.shape[0])):
-            y += s[t] * np.outer(u[:, t], vh[t, :])
-        out = y.reshape(d_a * d_b)
-        return out / np.linalg.norm(out)
-
-    rng = np.random.default_rng(54)
-    for d_a, d_b, k in [(2, 2, 1), (2, 3, 2), (4, 4, 2), (3, 5, 3), (4, 2, 4)]:
-        psi = rng.normal(size=d_a * d_b) + 1j * rng.normal(size=d_a * d_b)
-        got = kernels._truncate_rank(psi, d_a, d_b, k)
-        assert np.allclose(got, loop(psi, d_a, d_b, k), atol=1e-14)
-
-
-@pytest.mark.parametrize("d_a, d_b", [(2, 2), (2, 3), (3, 3), (4, 4)])
-def test_stacked_truncate_rank_is_the_row_loop(d_a, d_b):
-    rng = np.random.default_rng(55)
-    for k in range(1, min(d_a, d_b) + 1):
-        stack = _ginibre(rng, 2, 5, d_a * d_b)
-        got = kernels._truncate_rank(stack, d_a, d_b, k)
-        rows = [[kernels._truncate_rank(row, d_a, d_b, k) for row in part] for part in stack]
-        assert got.shape == stack.shape
-        assert got.tobytes() == np.array(rows).tobytes()
-
-
 def _search_case(d_a, d_b, k, terms, seed):
-    # A mixture of `terms` random rank-k vectors, and one start of 2 d_a d_b
-    # random rank-k vectors with equal weights.
+    # A mixture of `terms` random vec(A B^T) of Schmidt rank <= k, and one
+    # start of 2 d_a d_b random factor pairs, each member of weight 1/m.
     rng = np.random.default_rng(seed)
     m = 2 * d_a * d_b
-    vecs = kernels._truncate_rank(_ginibre(rng, terms + m, d_a * d_b), d_a, d_b, k)
+    a = _ginibre(rng, terms + m, d_a, k)
+    b = _ginibre(rng, terms + m, d_b, k)
+    scale = (np.linalg.norm(a @ b.transpose(0, 2, 1), axis=(1, 2)) ** 2) ** -0.25
+    a, b = a * scale[:, None, None], b * scale[:, None, None]
+    vecs = (a[:terms] @ b[:terms].transpose(0, 2, 1)).reshape(terms, d_a * d_b)
     p = rng.dirichlet(np.ones(terms))
-    rho = (vecs[:terms].T * p) @ vecs[:terms].conj()
-    return rho, vecs[terms:], np.full(m, 1.0 / m)
+    rho = (vecs.T * p) @ vecs.conj()
+    return rho, a[terms:] / m**0.25, b[terms:] / m**0.25
+
+
+def _mixture(a, b):
+    phi = (a @ b.transpose(0, 2, 1)).reshape(a.shape[0], -1)
+    return phi, phi.T @ phi.conj()
+
+
+@pytest.mark.parametrize("d_a, d_b, k", [(2, 2, 1), (2, 3, 1), (3, 3, 2), (3, 4, 2)])
+def test_factor_gradient_matches_central_differences(d_a, d_b, k):
+    rho, a, b = _search_case(d_a, d_b, k, 2 * d_a * d_b, 58)
+    x = np.concatenate([a.ravel(), b.ravel()])
+
+    def f(x):
+        return kernels._factor_objective(rho, x[:a.size].reshape(a.shape),
+                                         x[a.size:].reshape(b.shape))[0]
+
+    grad = kernels._factor_objective(rho, a, b)[1]
+    h = 1e-6
+    fd = np.zeros(2 * x.size)
+    for j in range(2 * x.size):
+        e = np.zeros(2 * x.size)
+        e[j] = h
+        step = e.view(np.complex128)
+        fd[j] = (f(x + step) - f(x - step)) / (2 * h)
+    exact = grad.view(np.float64)
+    assert np.linalg.norm(fd - exact) <= 1e-6 * np.linalg.norm(exact)
 
 
 @pytest.mark.parametrize("d_a, d_b, k, terms", [(2, 2, 1, 8), (2, 3, 1, 12), (3, 3, 2, 18)])
-def test_ensemble_alt_min_returns_the_residual_of_its_ensemble(d_a, d_b, k, terms):
-    rho, psis0, probs0 = _search_case(d_a, d_b, k, terms, 56)
+def test_factor_search_returns_the_residual_of_its_factors(d_a, d_b, k, terms):
+    rho, a0, b0 = _search_case(d_a, d_b, k, terms, 56)
     for max_iters in (1, 2, 5, 40):
-        res, probs, psis, _ = kernels.ensemble_alt_min(
-            rho, d_a, d_b, k, psis0, probs0, max_iters, 1e-4)
-        mixture = (psis.T * probs) @ psis.conj()
-        assert abs(res - np.linalg.norm(rho - mixture)) <= 1e-14
+        res, a, b, iters = kernels.factor_search(rho, d_a, d_b, k, a0, b0, max_iters, 1e-4)
+        sigma = _mixture(a, b)[1]
+        assert iters <= max_iters
+        assert abs(res - np.linalg.norm(rho - sigma / np.trace(sigma).real)) <= 1e-14
 
 
-def test_ensemble_alt_min_keeps_an_extrapolation_only_when_it_lowers_the_residual():
-    # The state after n - 1 sweeps followed by one plain sweep (a single
-    # sweep never extrapolates) is sweep n before its extrapolation step.
-    d_a, d_b, k = 2, 3, 1
-    rho, psis0, probs0 = _search_case(d_a, d_b, k, 12, 57)
-    kept = rejected = 0
-    for n in range(2, 60):
-        res, _, psis, used = kernels.ensemble_alt_min(
-            rho, d_a, d_b, k, psis0, probs0, n, 1e-4)
-        if used < n:
-            break
-        _, probs_b, psis_b, _ = kernels.ensemble_alt_min(
-            rho, d_a, d_b, k, psis0, probs0, n - 1, 1e-4)
-        plain, _, psis_plain, _ = kernels.ensemble_alt_min(
-            rho, d_a, d_b, k, psis_b, probs_b, 1, 1e-4)
-        if np.array_equal(psis, psis_plain):
-            assert res == plain
-            rejected += 1
-        else:
-            assert res < plain
-            kept += 1
-    assert kept and rejected
+@pytest.mark.parametrize("d_a, d_b, k", [(2, 3, 1), (3, 3, 2), (3, 4, 2), (4, 4, 3)])
+def test_factor_search_members_have_schmidt_rank_at_most_k(d_a, d_b, k):
+    rho, a0, b0 = _search_case(d_a, d_b, k, 3, 59)
+    _, a, b, _ = kernels.factor_search(rho, d_a, d_b, k, a0, b0, 200, 1e-4)
+    phi = _mixture(a, b)[0]
+    assert np.all(schmidt_ranks(phi / np.linalg.norm(phi, axis=1)[:, None],
+                                BipartiteIndex(d_a, d_b)) <= k)
+
+
+def test_factor_search_is_deterministic():
+    rho, a0, b0 = _search_case(3, 3, 2, 18, 60)
+    runs = [kernels.factor_search(rho, 3, 3, 2, a0.copy(), b0.copy(), 300, 1e-4) for _ in range(2)]
+    (res1, a1, b1, it1), (res2, a2, b2, it2) = runs
+    assert (res1, it1) == (res2, it2)
+    assert a1.tobytes() == a2.tobytes() and b1.tobytes() == b2.tobytes()
 
 
 def test_polar_orthonormalize():
@@ -257,7 +253,7 @@ def _projected_gradient(gram, bvec, p, iters=200):
     copies=st.integers(0, 3),
 )
 def test_simplex_qp_is_optimal(seed, d, m, copies):
-    # G and b as ensemble_alt_min builds them: G is the Gram matrix of the
+    # G and b of a weight refit: G is the Gram matrix of the
     # projectors |psi_i><psi_i|, b_i = <psi_i|rho|psi_i>. Duplicated members
     # make G singular.
     rng = np.random.default_rng(seed)
